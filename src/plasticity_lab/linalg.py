@@ -1,4 +1,4 @@
-"""Dense linear algebra and convolution primitives.
+"""Convolution and pooling primitives.
 
 Tensors are plain numpy float64 arrays in row-major order. All reductions
 here are deterministic for a fixed platform and input; nothing is
@@ -9,20 +9,9 @@ assume.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import DimensionError, NumericalError
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D tensors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    return a @ b
+from .errors import DimensionError
 
 
 def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -97,54 +86,3 @@ def maxpool2_backward(grad_out: np.ndarray, idx: np.ndarray, input_shape) -> np.
     grad_in = np.zeros((n, f, h, w), dtype=np.float64)
     grad_in[:, :, : ho * 2, : wo * 2] = grad_trim
     return grad_in
-
-
-def singular_values(
-    a: np.ndarray, *, tol: float = 1e-12, max_sweeps: int = 100
-) -> np.ndarray:
-    """Singular values of a 2-D matrix, descending, via one-sided Jacobi.
-
-    Columns of the (tall) working copy are rotated pairwise until the
-    relative off-diagonal mass of the implicit Gram matrix drops below
-    `tol`; the singular values are then the column norms. Jacobi converges
-    quadratically, so the sweep that meets the threshold leaves a residual
-    far below it.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionError(f"singular_values: expected 2-D input, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("singular_values: input has non-finite entries")
-    m, n = a.shape
-    u = a.copy() if m >= n else a.T.copy()
-    cols = u.shape[1]
-    if cols > 1:
-        for sweep in range(1, max_sweeps + 1):
-            off_sq = 0.0
-            for p in range(cols - 1):
-                for q in range(p + 1, cols):
-                    up = u[:, p]
-                    uq = u[:, q]
-                    apq = float(up @ uq)
-                    off_sq += apq * apq
-                    if apq == 0.0:
-                        continue
-                    app = float(up @ up)
-                    aqq = float(uq @ uq)
-                    tau = (aqq - app) / (2.0 * apq)
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                    c = 1.0 / math.hypot(1.0, t)
-                    s = c * t
-                    rotated_p = c * up - s * uq
-                    u[:, q] = s * up + c * uq
-                    u[:, p] = rotated_p
-            fro_sq = float(np.sum(u * u))
-            if math.sqrt(2.0 * off_sq) <= tol * fro_sq or fro_sq == 0.0:
-                break
-        else:
-            raise NumericalError(
-                f"singular_values: no convergence after {max_sweeps} sweeps"
-            )
-    svals = np.sqrt(np.sum(u * u, axis=0))
-    svals.sort()
-    return svals[::-1].copy()

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .linalg import singular_values
 
 log = logging.getLogger(__name__)
 
@@ -86,7 +85,7 @@ def feature_srank_probe(
     mats = nn.hidden_feature_matrices(spec, params, probe)
     ranks = []
     for mat in mats:
-        svals = singular_values(mat)
+        svals = np.linalg.svd(mat, compute_uv=False)
         if svals.sum() == 0.0:
             log.warning("feature_srank_probe: dead layer (all-zero activations)")
             ranks.append(0)

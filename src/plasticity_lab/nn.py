@@ -25,7 +25,7 @@ from .linalg import (
     maxpool2,
     maxpool2_backward,
 )
-from .rng import RngStream, sample_uniform
+from .rng import RngStream
 
 KERNEL_SIZE = 5
 
@@ -92,13 +92,6 @@ class ParameterSet:
             snap.setflags(write=False)
             self.initial[name] = snap
 
-    def clone(self) -> "ParameterSet":
-        out = ParameterSet.__new__(ParameterSet)
-        out.values = {k: v.copy() for k, v in self.values.items()}
-        out.init_spec = dict(self.init_spec)
-        out.initial = self.initial  # snapshots are immutable, safe to share
-        return out
-
     def zeros_like(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.values.items()}
 
@@ -108,7 +101,7 @@ def draw_initial_like(params: ParameterSet, name: str, rng: RngStream) -> np.nda
     kind, value = params.init_spec[name]
     shape = params.values[name].shape
     if kind == "uniform":
-        return sample_uniform(rng, -value, value, shape)
+        return rng.uniform(-value, value, shape)
     return np.full(shape, value, dtype=np.float64)
 
 
@@ -128,20 +121,18 @@ def init_params(spec: NetworkSpec, rng: RngStream) -> ParameterSet:
     def add_dense(din: int, dout: int):
         nonlocal layer
         bound = 1.0 / np.sqrt(din)
-        values[f"w{layer}"] = sample_uniform(rng, -bound, bound, (din, dout))
+        values[f"w{layer}"] = rng.uniform(-bound, bound, (din, dout))
         init_spec[f"w{layer}"] = ("uniform", bound)
-        values[f"b{layer}"] = sample_uniform(rng, -bound, bound, (dout,))
+        values[f"b{layer}"] = rng.uniform(-bound, bound, (dout,))
         init_spec[f"b{layer}"] = ("uniform", bound)
         layer += 1
 
     def add_conv(cin: int, cout: int):
         nonlocal layer
         bound = 1.0 / np.sqrt(cin * KERNEL_SIZE * KERNEL_SIZE)
-        values[f"w{layer}"] = sample_uniform(
-            rng, -bound, bound, (cout, cin, KERNEL_SIZE, KERNEL_SIZE)
-        )
+        values[f"w{layer}"] = rng.uniform(-bound, bound, (cout, cin, KERNEL_SIZE, KERNEL_SIZE))
         init_spec[f"w{layer}"] = ("uniform", bound)
-        values[f"b{layer}"] = sample_uniform(rng, -bound, bound, (cout,))
+        values[f"b{layer}"] = rng.uniform(-bound, bound, (cout,))
         init_spec[f"b{layer}"] = ("uniform", bound)
         layer += 1
 

@@ -12,6 +12,9 @@ selective neuron reinitialization act on the parameters after each
 optimizer step. Every intervention covers all trainable tensors (weights,
 biases, and layer-norm affines where present), and none of them ever sees
 a task boundary.
+
+Nothing here checks for non-finite values: the runner's divergence check
+on the parameters, made before every update, is the one numerical check.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError
 from .nn import NetworkSpec, ForwardCache, ParameterSet, draw_initial_like
-from .rng import RngStream, sample_uniform
+from .rng import RngStream
 
 METHODS = (
     "baseline",
@@ -90,9 +92,7 @@ def make_optimizer(kind: str, alpha: float, params: ParameterSet) -> OptimizerSt
 def regularizer_gradient(
     config: MethodConfig, params: ParameterSet, rng: RngStream
 ) -> dict[str, np.ndarray]:
-    """Gradient of the active regularization term; zeros for other methods."""
-    if config.method not in REGULARIZED or config.lam == 0.0:
-        return params.zeros_like()
+    """Gradient of the regularization term of a method in REGULARIZED."""
     two_lam = 2.0 * config.lam
     out = {}
     for name, theta in params.values.items():
@@ -105,18 +105,11 @@ def regularizer_gradient(
     return out
 
 
-def _check_finite(grads: dict[str, np.ndarray], state: OptimizerState, what: str):
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite {what} in {name!r} at optimizer step {state.t}")
-
-
 def sgd_step(
     state: OptimizerState, params: ParameterSet, total_grad: dict[str, np.ndarray]
 ) -> ParameterSet:
     assert state.kind == "sgd"
     state.t += 1
-    _check_finite(total_grad, state, "gradient")
     for name in params.values:
         params.values[name] = params.values[name] - state.alpha * total_grad[name]
     return params
@@ -127,7 +120,6 @@ def adam_step(
 ) -> ParameterSet:
     assert state.kind == "adam"
     state.t += 1
-    _check_finite(total_grad, state, "gradient")
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
@@ -138,8 +130,6 @@ def adam_step(
         m_hat = state.m[name] / bias1
         v_hat = state.v[name] / bias2
         update = state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
-        if not np.all(np.isfinite(update)):
-            raise NumericalError(f"non-finite Adam update in {name!r} at step {state.t}")
         params.values[name] = params.values[name] - update
     return params
 
@@ -229,7 +219,7 @@ def cbp_step(
         order = mature[np.argsort(cbp.utilities[layer][mature], kind="stable")]
         for neuron in order[:n_fire]:
             _, bound = params.init_spec[w_in_name]
-            w_in[:, neuron] = sample_uniform(rng, -bound, bound, (w_in.shape[0],))
+            w_in[:, neuron] = rng.uniform(-bound, bound, (w_in.shape[0],))
             params.values[b_name][neuron] = 0.0
             w_out[neuron, :] = 0.0
             cbp.utilities[layer][neuron] = 0.0

@@ -167,11 +167,6 @@ class Task:
         return self.index * self.stream.steps_per_task
 
 
-def apply_pixel_permutation(images: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Reorder the feature columns of flat images by `perm`."""
-    return images[:, perm]
-
-
 def make_task(stream: TaskStream, i: int) -> Task:
     """Materialize task i. Pure: calling twice yields identical datasets."""
     if not 0 <= i < stream.num_tasks:
@@ -179,7 +174,7 @@ def make_task(stream: TaskStream, i: int) -> Task:
     task_rng = RngStream(stream.seed).split("task", i)
     if stream.transform == "permute":
         perm = task_rng.permutation(stream.base.images.shape[1])
-        images = apply_pixel_permutation(stream.base.images, perm)
+        images = stream.base.images[:, perm]
         labels = stream.base.labels
     else:
         images = stream.base.images

@@ -42,6 +42,7 @@ class RngStream:
     # -- draws (each advances this stream's state deterministically) --
 
     def uniform(self, lo: float, hi: float, shape=None) -> np.ndarray | float:
+        """I.i.d. float64 draws from [lo, hi); a float when `shape` is None."""
         if not lo < hi:
             raise ValueError(f"uniform bounds require lo < hi, got lo={lo!r}, hi={hi!r}")
         return lo + (hi - lo) * self._gen.random(shape)
@@ -55,9 +56,3 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, path={self.path!r})"
-
-
-def sample_uniform(rng: RngStream, lo: float, hi: float, shape) -> np.ndarray:
-    """Draw an i.i.d. uniform [lo, hi) tensor, advancing `rng`."""
-    out = rng.uniform(lo, hi, shape)
-    return np.asarray(out, dtype=np.float64)

@@ -6,6 +6,12 @@ step. The learner never receives task boundaries; they are used only for
 metric bookkeeping (per-task accuracy rows plus weight-magnitude and
 feature-rank diagnostics captured at the end of each task).
 
+Before each update the loop checks mean |theta| <= DIVERGENCE_MAGNITUDE;
+NaN and inf fail that comparison. It is the only numerical check on the
+training path: below the bound the loss, gradients and optimizer updates
+stay finite, so divergence always shows first in the parameters. A run
+that fails the check stops and its record is flagged incomplete.
+
 Outputs: `task_metrics.csv` (one row per task), `summary.json`, optional
 `steps.csv` (per-step accuracies), and `sweep.csv` / `sweep_summary.json`
 for sweeps. CSV floats use repr formatting, '.' decimal, LF endings, so a
@@ -142,9 +148,10 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
                 images, labels = next_batch(task, j)
                 logits, cache = forward(spec, params, images)
                 per_step[step] = batch_accuracy(logits, labels)
-                loss, grads = loss_and_grad(spec, params, cache, logits, labels)
-                if not np.isfinite(loss) or mean_param_magnitude(params) > DIVERGENCE_MAGNITUDE:
-                    raise NumericalError(f"run diverged at step {step} (loss={loss})")
+                _, grads = loss_and_grad(spec, params, cache, logits, labels)
+                magnitude = mean_param_magnitude(params)
+                if not magnitude <= DIVERGENCE_MAGNITUDE:
+                    raise NumericalError(f"run diverged at step {step} (mean |theta|={magnitude})")
                 apply_method_step(
                     method, opt, params, grads, rng=noise_rng, cache=cache, cbp=cbp
                 )
@@ -172,14 +179,16 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
 
 
 def _version_string() -> str:
+    """Package version plus the git revision of the package's own checkout, if any."""
     try:
         rev = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
             capture_output=True,
             text=True,
             timeout=5,
         ).stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         rev = ""
     return f"plasticity-lab {__version__}" + (f" ({rev})" if rev else "")
 

@@ -1,33 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from plasticity_lab.errors import DimensionError, NumericalError
+from plasticity_lab.errors import DimensionError
 from plasticity_lab.linalg import (
     conv2d,
     conv2d_input_gradient,
     conv2d_kernel_gradient,
-    matmul,
     maxpool2,
     maxpool2_backward,
-    singular_values,
 )
 from plasticity_lab.rng import RngStream
 
 
 # --- independent oracles -------------------------------------------------
-
-def matmul_loops(a, b):
-    m, k = a.shape
-    _, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            for kk in range(k):
-                out[i, j] += a[i, kk] * b[kk, j]
-    return out
-
 
 def conv2d_loops(x, kernels, bias):
     n, c, h, w = x.shape
@@ -66,63 +51,6 @@ def maxpool2_loops(x):
                     out[ni, fi, i, j] = window[best]
                     idx[ni, fi, i, j] = best
     return out, idx
-
-
-def jacobi_gram_eigenvalues(gram, sweeps=60):
-    """Classical two-sided Jacobi eigensolver for a symmetric matrix."""
-    a = gram.copy()
-    n = a.shape[0]
-    for _ in range(sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                off += a[p, q] ** 2
-                if a[p, q] == 0.0:
-                    continue
-                theta = 0.5 * np.arctan2(2.0 * a[p, q], a[q, q] - a[p, p])
-                c, s = np.cos(theta), np.sin(theta)
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-        if off < 1e-30:
-            break
-    return np.sort(np.diag(a))[::-1]
-
-
-# --- matmul ---------------------------------------------------------------
-
-def test_matmul_identity():
-    b = RngStream(0).uniform(-1, 1, (3, 4))
-    assert np.array_equal(matmul(np.eye(3), b), b)
-
-
-def test_matmul_zero():
-    b = RngStream(1).uniform(-1, 1, (3, 4))
-    assert np.array_equal(matmul(np.zeros((2, 3)), b), np.zeros((2, 4)))
-
-
-def test_matmul_hand_case():
-    got = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]]))
-    assert np.array_equal(got, np.array([[19.0, 22.0], [43.0, 50.0]]))
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-        matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    m=st.integers(1, 8), k=st.integers(1, 8), n=st.integers(1, 8),
-    seed=st.integers(0, 2**31),
-)
-def test_matmul_matches_loop_oracle(m, k, n, seed):
-    rng = RngStream(seed)
-    a = rng.uniform(-2, 2, (m, k))
-    b = rng.uniform(-2, 2, (k, n))
-    assert np.allclose(matmul(a, b), matmul_loops(a, b), rtol=1e-12, atol=1e-12)
 
 
 # --- conv2d ---------------------------------------------------------------
@@ -224,47 +152,3 @@ def test_maxpool_odd_dims_dropped_and_backward_routes():
     assert back.shape == x.shape
     assert back.sum() == out.size  # each window routes exactly one unit of gradient
     assert np.all(back[:, :, 4, :] == 0) and np.all(back[:, :, :, 4] == 0)
-
-
-# --- singular values --------------------------------------------------------
-
-def test_singular_values_identity():
-    assert np.array_equal(singular_values(np.eye(4)), np.ones(4))
-
-
-def test_singular_values_diagonal():
-    assert np.allclose(singular_values(np.diag([3.0, -4.0])), [4.0, 3.0])
-
-
-@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (6, 6), (1, 4), (7, 2)])
-def test_singular_values_match_gram_eigen_oracle(shape):
-    a = RngStream(hash(shape) % 1000).uniform(-1, 1, shape)
-    got = singular_values(a)
-    eigs = jacobi_gram_eigenvalues(a.T @ a if shape[0] >= shape[1] else a @ a.T)
-    want = np.sqrt(np.maximum(eigs, 0.0))
-    assert got.shape == (min(shape),)
-    assert np.all(np.diff(got) <= 0)
-    assert np.allclose(got, want, rtol=1e-8, atol=1e-12)
-
-
-def test_singular_values_zero_matrix():
-    assert np.array_equal(singular_values(np.zeros((3, 2))), np.zeros(2))
-
-
-def test_singular_values_frobenius_identity():
-    for seed in range(20):
-        a = RngStream(seed).uniform(-3, 3, (6, 4))
-        sv = singular_values(a)
-        assert np.isclose((sv**2).sum(), (a**2).sum(), rtol=1e-8)
-
-
-def test_singular_values_iteration_cap_raises():
-    a = RngStream(8).uniform(-1, 1, (5, 5))
-    with pytest.raises(NumericalError, match="0 sweeps"):
-        singular_values(a, max_sweeps=0)
-
-
-def test_singular_values_rejects_non_finite():
-    bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        singular_values(bad)

@@ -13,7 +13,7 @@ from plasticity_lab.metrics import (
     srank,
     total_avg_online_accuracy,
 )
-from plasticity_lab.nn import NetworkSpec, ParameterSet, init_params
+from plasticity_lab.nn import NetworkSpec, ParameterSet, hidden_feature_matrices, init_params
 from plasticity_lab.rng import RngStream
 
 
@@ -27,6 +27,29 @@ def kahan_mean(values):
         comp = (t - total) - y
         total = t
     return total / len(values)
+
+
+def jacobi_gram_eigenvalues(gram, sweeps=60):
+    """Classical two-sided Jacobi eigensolver for a symmetric matrix."""
+    a = gram.copy()
+    n = a.shape[0]
+    for _ in range(sweeps):
+        off = 0.0
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                off += a[p, q] ** 2
+                if a[p, q] == 0.0:
+                    continue
+                theta = 0.5 * np.arctan2(2.0 * a[p, q], a[q, q] - a[p, p])
+                c, s = np.cos(theta), np.sin(theta)
+                rot = np.eye(n)
+                rot[p, p] = rot[q, q] = c
+                rot[p, q] = s
+                rot[q, p] = -s
+                a = rot.T @ a @ rot
+        if off < 1e-30:
+            break
+    return np.sort(np.diag(a))[::-1]
 
 
 def srank_by_cumulative_scan(s, delta=0.01):
@@ -187,9 +210,7 @@ def test_srank_unchanged_by_appended_zeros(seed, n, zeros):
 def test_srank_bounds():
     for seed in range(20):
         mat = RngStream(seed).uniform(-1, 1, (12, 6))
-        from plasticity_lab.linalg import singular_values
-
-        r = srank(singular_values(mat))
+        r = srank(np.linalg.svd(mat, compute_uv=False))
         assert 1 <= r <= 6
 
 
@@ -226,3 +247,15 @@ def test_probe_invariant_to_sample_duplication():
     assert feature_srank_probe(spec, params, probe) == feature_srank_probe(
         spec, params, doubled
     )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_probe_matches_gram_eigen_oracle(seed):
+    spec = NetworkSpec(kind="mlp", input_shape=(8,), hidden_widths=(6, 5))
+    params = init_params(spec, RngStream(seed).split("init"))
+    probe = RngStream(seed).split("probe").uniform(0, 1, (10, 8))
+    want = []
+    for mat in hidden_feature_matrices(spec, params, probe):
+        eigs = jacobi_gram_eigenvalues(mat.T @ mat)
+        want.append(srank(np.sqrt(np.maximum(eigs, 0.0))))
+    assert feature_srank_probe(spec, params, probe) == np.mean(want)

@@ -8,7 +8,6 @@ from plasticity_lab.nn import NetworkSpec, forward, init_params, loss_and_grad
 from plasticity_lab.optim import MethodConfig, apply_method_step, make_optimizer
 from plasticity_lab.problems import (
     Dataset,
-    apply_pixel_permutation,
     load_cifar10_bin,
     load_idx,
     make_mnist_stream,
@@ -147,12 +146,6 @@ def test_subsample_too_large_rejected():
 
 def synthetic_stream(transform="permute", n=32, k=6, m=10, seed=0, classes=10, width=12):
     return make_synthetic_stream(width, classes, n, k, m, seed, transform=transform)
-
-
-def test_identity_permutation_preserves_dataset():
-    stream = synthetic_stream()
-    out = apply_pixel_permutation(stream.base.images, np.arange(12))
-    assert np.array_equal(out, stream.base.images)
 
 
 def test_make_task_is_pure():

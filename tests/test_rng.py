@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plasticity_lab.rng import RngStream, sample_uniform
+from plasticity_lab.rng import RngStream
 
 # First 32 uniforms for seed 0, frozen so any platform or numpy upgrade
 # that changes the stream is caught immediately.
@@ -55,21 +55,21 @@ def test_parent_draws_do_not_disturb_children():
     assert np.array_equal(child_before, child_after)
 
 
-def test_sample_uniform_bounds():
-    vals = sample_uniform(RngStream(5), -2.0, 3.0, 10_000)
+def test_uniform_bounds():
+    vals = RngStream(5).uniform(-2.0, 3.0, 10_000)
     assert vals.min() >= -2.0
     assert vals.max() < 3.0
 
 
-def test_sample_uniform_rejects_bad_bounds():
+def test_uniform_rejects_bad_bounds():
     with pytest.raises(ValueError):
-        sample_uniform(RngStream(0), 1.0, 1.0, 3)
+        RngStream(0).uniform(1.0, 1.0, 3)
     with pytest.raises(ValueError):
-        sample_uniform(RngStream(0), 2.0, -1.0, 3)
+        RngStream(0).uniform(2.0, -1.0, 3)
 
 
-def test_sample_uniform_law_of_large_numbers():
-    vals = sample_uniform(RngStream(11), 0.0, 2.0, 1_000_000)
+def test_uniform_law_of_large_numbers():
+    vals = RngStream(11).uniform(0.0, 2.0, 1_000_000)
     assert abs(vals.mean() - 1.0) < 0.01
 
 

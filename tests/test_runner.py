@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from plasticity_lab import runner
 from plasticity_lab.cli import main
 from plasticity_lab.config import RunConfig, SweepSpec
 from plasticity_lab.runner import (
@@ -96,6 +98,23 @@ def test_divergence_flags_incomplete_record():
     assert record.incomplete
     assert record.steps_completed < 20
     assert record.total_avg_online_accuracy == record.total_avg_online_accuracy  # not NaN
+
+
+@pytest.mark.parametrize(
+    "alpha, steps, total",
+    [(1e9, 1, 0.0625), (1e4, 2, 0.09375), (1e3, 4, 0.09375)],
+)
+def test_divergence_stops_at_the_same_step(alpha, steps, total):
+    record = run_experiment(desk_config(optimizer="sgd", alpha=alpha, num_tasks=2))
+    assert record.incomplete
+    assert (record.steps_completed, record.total_avg_online_accuracy) == (steps, total)
+
+
+def test_version_string_names_the_package_checkout(tmp_path, monkeypatch):
+    monkeypatch.chdir(os.path.dirname(runner.__file__))
+    from_package = runner._version_string()
+    monkeypatch.chdir(tmp_path)
+    assert runner._version_string() == from_package
 
 
 def test_missing_dataset_fails_before_compute(tmp_path):
