@@ -14,7 +14,7 @@ from .config import RunConfig, SweepSpec, parse_config
 from .metrics import RunRecord
 from .nn import NetworkSpec, ParameterSet, forward, init_params, loss_and_grad
 from .optim import MethodConfig, OptimizerState
-from .problems import Dataset, Task, TaskStream, make_synthetic_stream
+from .problems import Dataset, Task, TaskStream
 from .rng import RngStream
 from .runner import run_experiment, run_sweep, write_outputs
 
@@ -34,7 +34,6 @@ __all__ = [
     "Dataset",
     "Task",
     "TaskStream",
-    "make_synthetic_stream",
     "RngStream",
     "run_experiment",
     "run_sweep",

@@ -114,9 +114,9 @@ def _cmd_gradcheck() -> int:
         NetworkSpec(kind="mlp", input_shape=(6,), hidden_widths=(5, 4), num_classes=3,
                     layer_norm=True),
         NetworkSpec(kind="cnn", input_shape=(2, 16, 16), conv_channels=(3, 3),
-                    fc_widths=(4,), num_classes=3),
+                    hidden_widths=(4,), num_classes=3),
         NetworkSpec(kind="cnn", input_shape=(2, 16, 16), conv_channels=(3, 3),
-                    fc_widths=(4,), num_classes=3, layer_norm=True),
+                    hidden_widths=(4,), num_classes=3, layer_norm=True),
     ]
     worst = 0.0
     for spec in configs:

@@ -40,6 +40,7 @@ MLP_DEFAULT_HIDDEN = (100, 100)
 # shows within 40 tasks; the random-label run needs enough width to
 # memorize 300 random labels inside 100 epochs
 DEFAULT_HIDDEN = {
+    "random_label_cifar": (10,),  # the CNN's dense layer, after its two convs
     "synthetic_permuted": (30, 30),
     "synthetic_random_label": (100, 100),
 }
@@ -67,7 +68,7 @@ class RunConfig:
     hidden_widths: tuple[int, ...] | None = None
     probe_size: int = 512
     input_width: int = 64   # synthetic problems only
-    classes: int = 10       # synthetic problems only
+    classes: int = 10       # synthetic problems only; sets the output width
     mnist_images: str | None = None
     mnist_labels: str | None = None
     cifar_bin: str | None = None
@@ -104,6 +105,11 @@ class RunConfig:
         )
 
     def validate(self) -> None:
+        """Reject a resolved config that cannot run."""
+        for name in ("dataset_size", "num_tasks", "steps_per_task", "batch_size",
+                     "probe_size", "input_width", "classes"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.optimizer not in ("sgd", "adam"):

@@ -1,10 +1,12 @@
 """Network construction, deterministic init, forward pass, and exact backprop.
 
-Two architectures are supported: an MLP with ReLU hidden layers, and a
-small CNN (two valid 5x5 conv layers with 2x2 max pools, then fully
-connected layers). Parameters live in a flat name -> array mapping; layer
-l uses keys "w{l}"/"b{l}" and, when layer normalization is enabled, hidden
-layer h adds "gain{h}"/"shift{h}".
+One layout covers both architectures: valid 5x5 conv layers, each with a
+ReLU and a 2x2 max pool, then ReLU dense hidden layers of widths
+`hidden_widths`, then the linear output layer. An MLP is the case with no
+conv layers; a CNN has `conv_channels`. Parameters live in a flat name ->
+array mapping; layer l uses keys "w{l}"/"b{l}" and, when layer
+normalization is enabled, hidden layer h (conv layers first) adds
+"gain{h}"/"shift{h}".
 
 Weights and biases are drawn uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)),
 and the full parameter vector is snapshotted at construction; that frozen
@@ -36,30 +38,33 @@ class NetworkSpec:
 
     kind: str  # "mlp" | "cnn"
     input_shape: tuple[int, ...]
-    hidden_widths: tuple[int, ...] = (100, 100)
-    conv_channels: tuple[int, ...] = (16, 16)
-    fc_widths: tuple[int, ...] = (10,)
+    hidden_widths: tuple[int, ...] = (100, 100)  # dense hidden layers, after any convs
+    conv_channels: tuple[int, ...] = (16, 16)    # read only when kind == "cnn"
     num_classes: int = 10
     layer_norm: bool = False
 
     def __post_init__(self):
         if self.kind not in ("mlp", "cnn"):
             raise ValueError(f"unknown network kind {self.kind!r}")
-        if self.kind == "mlp":
-            if len(self.input_shape) != 1:
-                raise DimensionError(f"mlp input_shape must be 1-D, got {self.input_shape}")
-            if not self.hidden_widths:
-                raise ValueError("mlp needs at least one hidden layer")
-        else:
-            if len(self.input_shape) != 3:
-                raise DimensionError(f"cnn input_shape must be (C,H,W), got {self.input_shape}")
-            cnn_feature_shapes(self)  # validates spatial extents
+        ndim = 3 if self.kind == "cnn" else 1  # (C,H,W) images or flat features
+        if len(self.input_shape) != ndim:
+            raise DimensionError(f"{self.kind} input_shape must be {ndim}-D: {self.input_shape}")
+        if not self.convs + self.hidden_widths:
+            raise ValueError("network needs at least one hidden layer")
+        cnn_feature_shapes(self)  # validates spatial extents
+
+    @property
+    def convs(self) -> tuple[int, ...]:
+        """Output channels of each conv layer; none for an MLP."""
+        return self.conv_channels if self.kind == "cnn" else ()
+
 
 def cnn_feature_shapes(spec: NetworkSpec) -> tuple[list[tuple[int, int, int]], int]:
-    """Per-conv-layer output shapes (pre-pool) and the flattened width after pooling."""
-    c, h, w = spec.input_shape
+    """Per-conv-layer output shapes (pre-pool) and the width fed to the first dense layer."""
+    shape = spec.input_shape
     conv_shapes = []
-    for f in spec.conv_channels:
+    for f in spec.convs:
+        _, h, w = shape
         if h < KERNEL_SIZE or w < KERNEL_SIZE:
             raise DimensionError(
                 f"cnn input {spec.input_shape} too small for {KERNEL_SIZE}x{KERNEL_SIZE} conv"
@@ -68,9 +73,8 @@ def cnn_feature_shapes(spec: NetworkSpec) -> tuple[list[tuple[int, int, int]], i
         conv_shapes.append((f, h, w))
         if h < 2 or w < 2:
             raise DimensionError(f"cnn feature map {(h, w)} too small for 2x2 max pool")
-        h, w = h // 2, w // 2
-        c = f
-    return conv_shapes, c * h * w
+        shape = (f, h // 2, w // 2)
+    return conv_shapes, int(np.prod(shape))
 
 
 class ParameterSet:
@@ -105,54 +109,28 @@ def draw_initial_like(params: ParameterSet, name: str, rng: RngStream) -> np.nda
     return np.full(shape, value, dtype=np.float64)
 
 
-def _dense_dims(spec: NetworkSpec) -> list[int]:
-    if spec.kind == "mlp":
-        return [spec.input_shape[0], *spec.hidden_widths, spec.num_classes]
-    _, flat = cnn_feature_shapes(spec)
-    return [flat, *spec.fc_widths, spec.num_classes]
-
-
 def init_params(spec: NetworkSpec, rng: RngStream) -> ParameterSet:
     """Draw all trainable tensors; uniform(+-1/sqrt(fan_in)) for weights and biases."""
+    conv_shapes, flat = cnn_feature_shapes(spec)
+    channels = (spec.input_shape[0], *spec.convs)
+    dims = (flat, *spec.hidden_widths, spec.num_classes)
+    # (weight shape, bias width, fan-in) per layer, conv layers first
+    layers = [
+        ((cout, cin, KERNEL_SIZE, KERNEL_SIZE), cout, cin * KERNEL_SIZE * KERNEL_SIZE)
+        for cin, cout in zip(channels[:-1], channels[1:])
+    ] + [((din, dout), dout, din) for din, dout in zip(dims[:-1], dims[1:])]
+
     values: dict[str, np.ndarray] = {}
     init_spec: dict[str, tuple[str, float]] = {}
-    layer = 0
-
-    def add_dense(din: int, dout: int):
-        nonlocal layer
-        bound = 1.0 / np.sqrt(din)
-        values[f"w{layer}"] = rng.uniform(-bound, bound, (din, dout))
+    for layer, (w_shape, width, fan_in) in enumerate(layers):
+        bound = 1.0 / np.sqrt(fan_in)
+        values[f"w{layer}"] = rng.uniform(-bound, bound, w_shape)
         init_spec[f"w{layer}"] = ("uniform", bound)
-        values[f"b{layer}"] = rng.uniform(-bound, bound, (dout,))
+        values[f"b{layer}"] = rng.uniform(-bound, bound, (width,))
         init_spec[f"b{layer}"] = ("uniform", bound)
-        layer += 1
-
-    def add_conv(cin: int, cout: int):
-        nonlocal layer
-        bound = 1.0 / np.sqrt(cin * KERNEL_SIZE * KERNEL_SIZE)
-        values[f"w{layer}"] = rng.uniform(-bound, bound, (cout, cin, KERNEL_SIZE, KERNEL_SIZE))
-        init_spec[f"w{layer}"] = ("uniform", bound)
-        values[f"b{layer}"] = rng.uniform(-bound, bound, (cout,))
-        init_spec[f"b{layer}"] = ("uniform", bound)
-        layer += 1
-
-    if spec.kind == "mlp":
-        dims = _dense_dims(spec)
-        for din, dout in zip(dims[:-1], dims[1:]):
-            add_dense(din, dout)
-        hidden_shapes = [(wd,) for wd in spec.hidden_widths]
-    else:
-        conv_shapes, _ = cnn_feature_shapes(spec)
-        cin = spec.input_shape[0]
-        for cout in spec.conv_channels:
-            add_conv(cin, cout)
-            cin = cout
-        dims = _dense_dims(spec)
-        for din, dout in zip(dims[:-1], dims[1:]):
-            add_dense(din, dout)
-        hidden_shapes = list(conv_shapes) + [(wd,) for wd in spec.fc_widths]
 
     if spec.layer_norm:
+        hidden_shapes = conv_shapes + [(wd,) for wd in spec.hidden_widths]
         for h, shape in enumerate(hidden_shapes):
             values[f"gain{h}"] = np.ones(shape, dtype=np.float64)
             init_spec[f"gain{h}"] = ("const", 1.0)
@@ -174,7 +152,7 @@ class ForwardCache:
     conv_preacts: list = field(default_factory=list)
     pool_indices: list = field(default_factory=list)
     pool_input_shapes: list = field(default_factory=list)
-    ln_xhat: list = field(default_factory=list)        # per hidden layer, conv first for cnn
+    ln_xhat: list = field(default_factory=list)        # per hidden layer, conv first
     ln_inv_std: list = field(default_factory=list)
     consumed: bool = False
 
@@ -215,32 +193,30 @@ def forward(
     hidden = 0
 
     h = x
-    if spec.kind == "cnn":
-        for _ in spec.conv_channels:
-            z = conv2d(h, v[f"w{layer}"], v[f"b{layer}"])
-            if spec.layer_norm:
-                flat = z.reshape(z.shape[0], -1)
-                out, xhat, inv_std = _ln_forward(flat, v[f"gain{hidden}"], v[f"shift{hidden}"])
-                y = out.reshape(z.shape)
-                cache.ln_xhat.append(xhat)
-                cache.ln_inv_std.append(inv_std)
-            else:
-                y = z
-                cache.ln_xhat.append(None)
-                cache.ln_inv_std.append(None)
-            a = np.maximum(y, 0.0)
-            pooled, idx = maxpool2(a)
-            cache.conv_inputs.append(h)
-            cache.conv_preacts.append(y)
-            cache.pool_indices.append(idx)
-            cache.pool_input_shapes.append(a.shape)
-            h = pooled
-            layer += 1
-            hidden += 1
-        h = h.reshape(h.shape[0], -1)
+    for _ in spec.convs:
+        z = conv2d(h, v[f"w{layer}"], v[f"b{layer}"])
+        if spec.layer_norm:
+            flat = z.reshape(z.shape[0], -1)
+            out, xhat, inv_std = _ln_forward(flat, v[f"gain{hidden}"], v[f"shift{hidden}"])
+            y = out.reshape(z.shape)
+            cache.ln_xhat.append(xhat)
+            cache.ln_inv_std.append(inv_std)
+        else:
+            y = z
+            cache.ln_xhat.append(None)
+            cache.ln_inv_std.append(None)
+        a = np.maximum(y, 0.0)
+        pooled, idx = maxpool2(a)
+        cache.conv_inputs.append(h)
+        cache.conv_preacts.append(y)
+        cache.pool_indices.append(idx)
+        cache.pool_input_shapes.append(a.shape)
+        h = pooled
+        layer += 1
+        hidden += 1
+    h = h.reshape(h.shape[0], -1)
 
-    n_dense_hidden = len(spec.hidden_widths) if spec.kind == "mlp" else len(spec.fc_widths)
-    for _ in range(n_dense_hidden):
+    for _ in spec.hidden_widths:
         cache.dense_inputs.append(h)
         z = h @ v[f"w{layer}"] + v[f"b{layer}"]
         if spec.layer_norm:
@@ -299,8 +275,8 @@ def loss_and_grad(
     d[np.arange(batch), labels] -= 1.0
     d /= batch
 
-    n_dense_hidden = len(spec.hidden_widths) if spec.kind == "mlp" else len(spec.fc_widths)
-    n_conv = len(spec.conv_channels) if spec.kind == "cnn" else 0
+    n_dense_hidden = len(spec.hidden_widths)
+    n_conv = len(spec.convs)
     layer = n_conv + n_dense_hidden  # output layer index
     hidden = n_conv + n_dense_hidden
 
@@ -324,34 +300,33 @@ def loss_and_grad(
         grads[f"b{layer}"] = dz.sum(axis=0)
         da = dz @ v[f"w{layer}"].T
 
-    if spec.kind == "cnn":
-        dpool = da  # gradient w.r.t. the flattened pooled features
-        for j in reversed(range(n_conv)):
-            layer -= 1
-            hidden -= 1
-            a_shape = cache.pool_input_shapes[j]
-            idx = cache.pool_indices[j]
-            pooled_shape = idx.shape
-            dpool = dpool.reshape(pooled_shape)
-            dact = maxpool2_backward(dpool, idx, a_shape)
-            dy = dact * (cache.conv_preacts[j] > 0)
-            if spec.layer_norm:
-                flat = dy.reshape(dy.shape[0], -1)
-                dz2d, dgain, dshift = _ln_backward(
-                    flat, v[f"gain{hidden}"], cache.ln_xhat[hidden], cache.ln_inv_std[hidden]
-                )
-                grads[f"gain{hidden}"] = dgain.reshape(v[f"gain{hidden}"].shape)
-                grads[f"shift{hidden}"] = dshift.reshape(v[f"shift{hidden}"].shape)
-                dz = dz2d.reshape(dy.shape)
-            else:
-                dz = dy
-            x_in = cache.conv_inputs[j]
-            kh = v[f"w{layer}"].shape[2]
-            kw = v[f"w{layer}"].shape[3]
-            grads[f"w{layer}"] = conv2d_kernel_gradient(x_in, dz, kh, kw)
-            grads[f"b{layer}"] = dz.sum(axis=(0, 2, 3))
-            if j > 0:
-                dpool = conv2d_input_gradient(dz, v[f"w{layer}"])
+    dpool = da  # gradient w.r.t. the flattened pooled features
+    for j in reversed(range(n_conv)):
+        layer -= 1
+        hidden -= 1
+        a_shape = cache.pool_input_shapes[j]
+        idx = cache.pool_indices[j]
+        pooled_shape = idx.shape
+        dpool = dpool.reshape(pooled_shape)
+        dact = maxpool2_backward(dpool, idx, a_shape)
+        dy = dact * (cache.conv_preacts[j] > 0)
+        if spec.layer_norm:
+            flat = dy.reshape(dy.shape[0], -1)
+            dz2d, dgain, dshift = _ln_backward(
+                flat, v[f"gain{hidden}"], cache.ln_xhat[hidden], cache.ln_inv_std[hidden]
+            )
+            grads[f"gain{hidden}"] = dgain.reshape(v[f"gain{hidden}"].shape)
+            grads[f"shift{hidden}"] = dshift.reshape(v[f"shift{hidden}"].shape)
+            dz = dz2d.reshape(dy.shape)
+        else:
+            dz = dy
+        x_in = cache.conv_inputs[j]
+        kh = v[f"w{layer}"].shape[2]
+        kw = v[f"w{layer}"].shape[3]
+        grads[f"w{layer}"] = conv2d_kernel_gradient(x_in, dz, kh, kw)
+        grads[f"b{layer}"] = dz.sum(axis=(0, 2, 3))
+        if j > 0:
+            dpool = conv2d_input_gradient(dz, v[f"w{layer}"])
 
     return loss, grads
 
@@ -361,17 +336,13 @@ def hidden_feature_matrices(
 ) -> list[np.ndarray]:
     """Per-hidden-layer feature matrices (samples x features) for rank probes.
 
-    MLP: the post-ReLU activations of each hidden layer. CNN: each post-pool
-    feature map flattened per sample, plus the hidden fully-connected
-    activations.
+    Each conv layer's post-pool feature map flattened per sample, then the
+    post-ReLU activations of each dense hidden layer.
     """
     _, cache = forward(spec, params, images)
-    if spec.kind == "mlp":
-        return list(cache.dense_acts)
-    pooled = [cache.conv_inputs[j + 1] for j in range(len(cache.conv_inputs) - 1)]
     # the last pooled map is the (already flattened) input to the first dense layer
-    mats = [p.reshape(p.shape[0], -1) for p in pooled] + [cache.dense_inputs[0]]
-    return mats + list(cache.dense_acts)
+    pooled = cache.conv_inputs[1:] + cache.dense_inputs[:1] if spec.convs else []
+    return [p.reshape(p.shape[0], -1) for p in pooled] + list(cache.dense_acts)
 
 
 def training_loss(

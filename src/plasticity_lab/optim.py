@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .nn import NetworkSpec, ForwardCache, ParameterSet, draw_initial_like
 from .rng import RngStream
 
@@ -57,12 +58,12 @@ class MethodConfig:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ConfigError(f"unknown method {self.method!r}")
         if self.utility_kind not in UTILITY_KINDS:
-            raise ValueError(f"unknown utility kind {self.utility_kind!r}")
+            raise ConfigError(f"unknown utility kind {self.utility_kind!r}")
         for name in ("lam", "shrink", "noise", "replacement_rate"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ConfigError(f"{name} must be >= 0")
 
 
 @dataclass

@@ -1,11 +1,13 @@
 """Dataset ingestion and non-stationary task stream construction.
 
-Three kinds of non-stationarity are modelled: input permutation (pixels
-shuffled per task, labels kept), random relabelling (inputs kept, labels
-redrawn per task), and the same two transformations over a seeded
-synthetic base set for desk-scale runs. All task construction is pure:
-task i is a function of (stream seed, i) only, so streams are
-random-access and reproducible.
+A `TaskStream` turns one base dataset into a sequence of tasks by one of
+two kinds of non-stationarity: input permutation (pixels shuffled per
+task, labels kept) or random relabelling (inputs kept, labels redrawn per
+task). The base dataset is an MNIST IDX pair (`load_mnist`), a CIFAR-10
+binary batch (`load_cifar10_bin`), or a seeded synthetic set
+(`make_synthetic_dataset`); `runner.build_stream` picks one per problem.
+All task construction is pure: task i is a function of (stream seed, i)
+only, so streams are random-access and reproducible.
 
 File formats:
   IDX (big endian): [magic u32][dim sizes u32 x ndim][payload u8...],
@@ -93,6 +95,17 @@ def load_idx(path: str) -> np.ndarray:
     return raw.astype(np.float64) / 255.0
 
 
+def load_mnist(images_path: str, labels_path: str) -> Dataset:
+    """Parse an MNIST IDX image/label pair, images flattened to 784 features."""
+    images = load_idx(images_path)
+    labels = load_idx(labels_path)
+    if images.ndim != 3:
+        raise DataFormatError(f"{images_path}: expected an image IDX file")
+    if labels.ndim != 1:
+        raise DataFormatError(f"{labels_path}: expected a label IDX file")
+    return Dataset(images=images.reshape(images.shape[0], -1), labels=labels)
+
+
 def load_cifar10_bin(path: str) -> Dataset:
     """Parse one CIFAR-10 binary batch into (N,3,32,32) images and labels."""
     with open(path, "rb") as fh:
@@ -131,7 +144,6 @@ def subsample(dataset: Dataset, n: int, rng: RngStream) -> Dataset:
 class TaskStream:
     """A lazy sequence of tasks derived from one base dataset and one seed."""
 
-    name: str
     transform: str  # "permute" | "relabel"
     base: Dataset
     num_tasks: int
@@ -213,84 +225,7 @@ def probe_batch(task: Task, size: int) -> np.ndarray:
 
 
 def make_synthetic_dataset(width: int, classes: int, n: int, rng: RngStream) -> Dataset:
+    """Seeded stand-in data: uniform [0,1]^width inputs, uniform labels."""
     images = rng.uniform(0.0, 1.0, (n, width))
     labels = np.asarray(rng.integers(0, classes, n), dtype=np.int64)
     return Dataset(images=images, labels=labels)
-
-
-def make_synthetic_stream(
-    width: int,
-    classes: int,
-    n: int,
-    num_tasks: int,
-    steps_per_task: int,
-    seed: int,
-    transform: str = "permute",
-    batch_size: int = 16,
-) -> TaskStream:
-    """Seeded stand-in stream: uniform [0,1]^width inputs, uniform labels."""
-    if min(width, classes, n, num_tasks, steps_per_task, batch_size) <= 0:
-        raise ValueError("synthetic stream sizes must be positive")
-    base = make_synthetic_dataset(width, classes, n, RngStream(seed).split("base"))
-    return TaskStream(
-        name=f"synthetic_{transform}",
-        transform=transform,
-        base=base,
-        num_tasks=num_tasks,
-        steps_per_task=steps_per_task,
-        batch_size=batch_size,
-        seed=seed,
-        num_classes=classes,
-    )
-
-
-def make_mnist_stream(
-    images_path: str,
-    labels_path: str,
-    transform: str,
-    n: int,
-    num_tasks: int,
-    steps_per_task: int,
-    batch_size: int,
-    seed: int,
-) -> TaskStream:
-    """MNIST stream with images flattened to 784 features."""
-    images = load_idx(images_path)
-    labels = load_idx(labels_path)
-    if images.ndim != 3:
-        raise DataFormatError(f"{images_path}: expected an image IDX file")
-    if labels.ndim != 1:
-        raise DataFormatError(f"{labels_path}: expected a label IDX file")
-    full = Dataset(images=images.reshape(images.shape[0], -1), labels=labels)
-    base = subsample(full, n, RngStream(seed).split("subsample"))
-    name = "permuted_mnist" if transform == "permute" else "random_label_mnist"
-    return TaskStream(
-        name=name,
-        transform=transform,
-        base=base,
-        num_tasks=num_tasks,
-        steps_per_task=steps_per_task,
-        batch_size=batch_size,
-        seed=seed,
-    )
-
-
-def make_cifar_stream(
-    cifar_path: str,
-    n: int,
-    num_tasks: int,
-    steps_per_task: int,
-    batch_size: int,
-    seed: int,
-) -> TaskStream:
-    full = load_cifar10_bin(cifar_path)
-    base = subsample(full, n, RngStream(seed).split("subsample"))
-    return TaskStream(
-        name="random_label_cifar",
-        transform="relabel",
-        base=base,
-        num_tasks=num_tasks,
-        steps_per_task=steps_per_task,
-        batch_size=batch_size,
-        seed=seed,
-    )

@@ -46,12 +46,13 @@ from .nn import NetworkSpec, forward, init_params, loss_and_grad
 from .optim import apply_method_step, make_cbp_state, make_optimizer
 from .problems import (
     TaskStream,
-    make_cifar_stream,
-    make_mnist_stream,
-    make_synthetic_stream,
+    load_cifar10_bin,
+    load_mnist,
+    make_synthetic_dataset,
     make_task,
     next_batch,
     probe_batch,
+    subsample,
 )
 from .rng import RngStream
 
@@ -63,63 +64,41 @@ TASK_CSV_HEADER = "task_index,start_step,avg_online_task_accuracy,weight_magnitu
 
 
 def build_stream(cfg: RunConfig) -> TaskStream:
+    """The problem's task stream: its base dataset under its transform."""
     cfg = cfg.resolved()
-    if cfg.problem == "permuted_mnist" or cfg.problem == "random_label_mnist":
-        transform = "permute" if cfg.problem == "permuted_mnist" else "relabel"
-        return make_mnist_stream(
-            cfg.mnist_images,
-            cfg.mnist_labels,
-            transform,
-            cfg.dataset_size,
-            cfg.num_tasks,
-            cfg.steps_per_task,
-            cfg.batch_size,
-            cfg.seed,
+    rng = RngStream(cfg.seed)
+    if cfg.problem.startswith("synthetic"):
+        classes = cfg.classes
+        base = make_synthetic_dataset(
+            cfg.input_width, classes, cfg.dataset_size, rng.split("base")
         )
-    if cfg.problem == "random_label_cifar":
-        return make_cifar_stream(
-            cfg.cifar_bin,
-            cfg.dataset_size,
-            cfg.num_tasks,
-            cfg.steps_per_task,
-            cfg.batch_size,
-            cfg.seed,
-        )
-    transform = "permute" if cfg.problem == "synthetic_permuted" else "relabel"
-    return make_synthetic_stream(
-        cfg.input_width,
-        cfg.classes,
-        cfg.dataset_size,
-        cfg.num_tasks,
-        cfg.steps_per_task,
-        cfg.seed,
-        transform=transform,
+    else:
+        classes = 10
+        if cfg.problem == "random_label_cifar":
+            full = load_cifar10_bin(cfg.cifar_bin)
+        else:
+            full = load_mnist(cfg.mnist_images, cfg.mnist_labels)
+        base = subsample(full, cfg.dataset_size, rng.split("subsample"))
+    return TaskStream(
+        transform="permute" if "permuted" in cfg.problem else "relabel",
+        base=base,
+        num_tasks=cfg.num_tasks,
+        steps_per_task=cfg.steps_per_task,
         batch_size=cfg.batch_size,
+        seed=cfg.seed,
+        num_classes=classes,
     )
 
 
 def build_network_spec(cfg: RunConfig, stream: TaskStream) -> NetworkSpec:
     cfg = cfg.resolved()
-    layer_norm = cfg.method == "layer_norm"
-    if cfg.problem == "random_label_cifar":
-        return NetworkSpec(
-            kind="cnn",
-            input_shape=stream.base.images.shape[1:],
-            layer_norm=layer_norm,
-        )
     return NetworkSpec(
-        kind="mlp",
-        input_shape=(stream.base.images.shape[1],),
+        kind="cnn" if cfg.problem == "random_label_cifar" else "mlp",
+        input_shape=stream.base.images.shape[1:],
         hidden_widths=cfg.hidden_widths,
-        layer_norm=layer_norm,
+        num_classes=stream.num_classes,
+        layer_norm=cfg.method == "layer_norm",
     )
-
-
-def _config_echo(cfg: RunConfig) -> dict:
-    echo = dataclasses.asdict(cfg)
-    if echo["hidden_widths"] is not None:
-        echo["hidden_widths"] = list(echo["hidden_widths"])
-    return echo
 
 
 def run_experiment(cfg: RunConfig) -> RunRecord:
@@ -139,7 +118,7 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
 
     k, m = stream.num_tasks, stream.steps_per_task
     per_step = np.zeros(k * m, dtype=np.float64)
-    record = RunRecord(seed=cfg.seed, config=_config_echo(cfg))
+    record = RunRecord(seed=cfg.seed, config=dataclasses.asdict(cfg))
     step = 0
     try:
         for i in range(k):

@@ -58,7 +58,7 @@ def test_mlp_parameter_shapes_match_architecture():
 
 
 def test_cnn_parameter_shapes_and_flat_width():
-    spec = NetworkSpec(kind="cnn", input_shape=(3, 32, 32))
+    spec = NetworkSpec(kind="cnn", input_shape=(3, 32, 32), hidden_widths=(10,))
     conv_shapes, flat = cnn_feature_shapes(spec)
     assert conv_shapes == [(16, 28, 28), (16, 10, 10)]
     assert flat == 16 * 5 * 5

@@ -3,6 +3,8 @@ import struct
 import numpy as np
 import pytest
 
+from conftest import write_idx_images, write_idx_labels
+from plasticity_lab.config import RunConfig
 from plasticity_lab.errors import DataFormatError
 from plasticity_lab.nn import NetworkSpec, forward, init_params, loss_and_grad
 from plasticity_lab.optim import MethodConfig, apply_method_step, make_optimizer
@@ -10,8 +12,6 @@ from plasticity_lab.problems import (
     Dataset,
     load_cifar10_bin,
     load_idx,
-    make_mnist_stream,
-    make_synthetic_stream,
     make_task,
     next_batch,
     probe_batch,
@@ -19,19 +19,7 @@ from plasticity_lab.problems import (
     write_cifar10_bin,
 )
 from plasticity_lab.rng import RngStream
-
-
-def write_idx_images(path, images_u8):
-    n, rows, cols = images_u8.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x00000803, n, rows, cols))
-        fh.write(images_u8.astype(np.uint8).tobytes())
-
-
-def write_idx_labels(path, labels):
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", 0x00000801, len(labels)))
-        fh.write(bytes(int(v) for v in labels))
+from plasticity_lab.runner import build_stream
 
 
 # --- IDX parsing ------------------------------------------------------------
@@ -145,7 +133,9 @@ def test_subsample_too_large_rejected():
 # --- task construction -----------------------------------------------------------
 
 def synthetic_stream(transform="permute", n=32, k=6, m=10, seed=0, classes=10, width=12):
-    return make_synthetic_stream(width, classes, n, k, m, seed, transform=transform)
+    problem = "synthetic_permuted" if transform == "permute" else "synthetic_random_label"
+    return build_stream(RunConfig(problem=problem, input_width=width, classes=classes,
+                                  dataset_size=n, num_tasks=k, steps_per_task=m, seed=seed))
 
 
 def test_make_task_is_pure():
@@ -244,7 +234,7 @@ def test_batch_count_totals():
 
 
 def test_relabel_label_marginals_within_5_sigma():
-    stream = make_synthetic_stream(8, 10, 1200, 4, 10, seed=99, transform="relabel")
+    stream = synthetic_stream("relabel", n=1200, k=4, m=10, seed=99, width=8)
     task = make_task(stream, 1)
     counts = np.bincount(task.labels, minlength=10)
     expected = 120.0
@@ -271,7 +261,9 @@ def test_mnist_stream_flattens_and_subsamples(tmp_path):
     ipath, lpath = tmp_path / "i.idx", tmp_path / "l.idx"
     write_idx_images(ipath, imgs)
     write_idx_labels(lpath, labels)
-    stream = make_mnist_stream(str(ipath), str(lpath), "permute", 10, 5, 4, 2, seed=1)
+    stream = build_stream(RunConfig(problem="permuted_mnist", mnist_images=str(ipath),
+                                    mnist_labels=str(lpath), dataset_size=10, num_tasks=5,
+                                    steps_per_task=4, batch_size=2, seed=1))
     assert stream.base.images.shape == (10, 784)
     task = make_task(stream, 0)
     x, y = next_batch(task, 0)
@@ -286,9 +278,9 @@ def test_cifar_stream_batch_shapes(tmp_path):
     )
     path = tmp_path / "batch.bin"
     write_cifar10_bin(str(path), ds)
-    from plasticity_lab.problems import make_cifar_stream
-
-    stream = make_cifar_stream(str(path), 32, 3, 2, 16, seed=0)
+    stream = build_stream(RunConfig(problem="random_label_cifar", cifar_bin=str(path),
+                                    dataset_size=32, num_tasks=3, steps_per_task=2,
+                                    batch_size=16, seed=0))
     task = make_task(stream, 0)
     x, y = next_batch(task, 0)
     assert x.shape == (16, 3, 32, 32)
@@ -311,7 +303,7 @@ def test_seed_isolation_changes_all_randomness():
 def test_synthetic_random_label_task_is_memorizable():
     # a small MLP should reach >90% online accuracy on 64 random-label samples
     # within 200 epochs (4 batches each)
-    stream = make_synthetic_stream(16, 10, 64, 1, 800, seed=7, transform="relabel")
+    stream = synthetic_stream("relabel", n=64, k=1, m=800, seed=7, width=16)
     task = make_task(stream, 0)
     spec = NetworkSpec(kind="mlp", input_shape=(16,), hidden_widths=(64, 64))
     params = init_params(spec, RngStream(7).split("init"))

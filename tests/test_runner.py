@@ -4,10 +4,16 @@ import os
 import numpy as np
 import pytest
 
+from conftest import write_idx_images, write_idx_labels
 from plasticity_lab import runner
 from plasticity_lab.cli import main
 from plasticity_lab.config import RunConfig, SweepSpec
+from plasticity_lab.nn import init_params
+from plasticity_lab.problems import Dataset, write_cifar10_bin
+from plasticity_lab.rng import RngStream
 from plasticity_lab.runner import (
+    build_network_spec,
+    build_stream,
     run_experiment,
     run_sweep,
     select_winner,
@@ -125,6 +131,39 @@ def test_missing_dataset_fails_before_compute(tmp_path):
         run_experiment(cfg)
 
 
+def cifar_config(tmp_path, **kw):
+    rng = RngStream(3)
+    ds = Dataset(images=np.round(rng.uniform(0, 1, (20, 3, 32, 32)) * 255) / 255,
+                 labels=np.asarray(rng.integers(0, 10, 20)))
+    path = tmp_path / "batch.bin"
+    write_cifar10_bin(str(path), ds)
+    return RunConfig(problem="random_label_cifar", cifar_bin=str(path), dataset_size=16,
+                     num_tasks=1, steps_per_task=1, probe_size=16, **kw)
+
+
+def weight_shapes(cfg):
+    spec = build_network_spec(cfg, build_stream(cfg))
+    params = init_params(spec, RngStream(0))
+    return {k: v.shape for k, v in params.values.items() if k.startswith("w")}
+
+
+def test_default_cifar_network_has_a_10_wide_dense_layer(tmp_path):
+    cfg = cifar_config(tmp_path)
+    write_outputs(run_experiment(cfg), str(tmp_path / "out"))
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["config"]["hidden_widths"] == [10]
+    assert weight_shapes(cfg)["w2"] == (400, 10)
+
+
+def test_hidden_widths_set_the_cnn_dense_layers(tmp_path):
+    shapes = weight_shapes(cifar_config(tmp_path, hidden_widths=(7,)))
+    assert (shapes["w2"], shapes["w3"]) == ((400, 7), (7, 10))
+
+
+def test_classes_set_the_output_width():
+    assert weight_shapes(desk_config(classes=3))["w2"] == (30, 3)
+
+
 def test_layer_norm_method_enables_normalization():
     rec = run_experiment(desk_config(method="layer_norm"))
     rec_base = run_experiment(desk_config())
@@ -207,6 +246,31 @@ def test_cli_usage_error_exit_code():
     assert main(["frobnicate"]) == 1
     assert main(["run", "alpha=banana"]) == 1
     assert main(["run", "problem=mnist"]) == 1
+
+
+@pytest.mark.parametrize(
+    "problem, override",
+    [("permuted_mnist", "batch_size=0"), ("synthetic_permuted", "batch_size=0"),
+     ("synthetic_permuted", "num_tasks=0")],
+)
+def test_cli_rejects_non_positive_sizes(tmp_path, capsys, problem, override):
+    args = ["run", "--out", str(tmp_path / "o"), f"problem={problem}", "dataset_size=8", override]
+    if problem == "permuted_mnist":
+        rng = RngStream(0)
+        images = (rng.uniform(0, 1, (8, 28, 28)) * 255).astype(np.uint8)
+        write_idx_images(tmp_path / "i.idx", images)
+        write_idx_labels(tmp_path / "l.idx", np.asarray(rng.integers(0, 10, 8)))
+        args += [f"mnist_images={tmp_path / 'i.idx'}", f"mnist_labels={tmp_path / 'l.idx'}"]
+    assert main(args) == 1
+    field = override.split("=")[0]
+    assert f"error: {field} must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_negative_hyper_parameter_is_a_usage_error(tmp_path, capsys):
+    code = main(["run", "--out", str(tmp_path / "o"), "problem=synthetic_permuted", "lambda=-1"])
+    assert code == 1
+    assert "error: lam must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_io_error_exit_code(tmp_path):
