@@ -101,7 +101,8 @@ def _cmd_sweep(args) -> int:
     out_dir = cfg.out or "out"
     write_sweep_outputs(result, out_dir)
     if result.winner is None:
-        print("all sweep cells failed")
+        errors = sorted({row["error"] for row in result.rows if "error" in row})
+        print("all sweep cells failed", *errors, sep="\n  ")
         return EXIT_NUMERICAL
     print(f"winner for {args.method}: {result.winner}")
     return EXIT_OK

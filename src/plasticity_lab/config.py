@@ -68,7 +68,7 @@ class RunConfig:
     hidden_widths: tuple[int, ...] | None = None
     probe_size: int = 512
     input_width: int = 64   # synthetic problems only
-    classes: int = 10       # synthetic problems only; sets the output width
+    classes: int = 10       # synthetic problems only (at most 10); sets the output width
     mnist_images: str | None = None
     mnist_labels: str | None = None
     cifar_bin: str | None = None
@@ -110,6 +110,8 @@ class RunConfig:
                      "probe_size", "input_width", "classes"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.classes > 10:  # every Dataset's labels lie in [0, 10)
+            raise ConfigError(f"classes must be <= 10, got {self.classes}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.optimizer not in ("sgd", "adam"):

@@ -57,12 +57,7 @@ def total_avg_online_accuracy(per_step: np.ndarray) -> float:
 
 def mean_param_magnitude(params: nn.ParameterSet) -> float:
     """Mean |theta| over all trainable entries (weights, biases, affines)."""
-    total = 0.0
-    count = 0
-    for arr in params.values.values():
-        total += float(np.abs(arr).sum())
-        count += arr.size
-    return total / count
+    return float(np.abs(params.flat, out=params.work[2]).sum()) / params.flat.size
 
 
 def srank(sing_vals: np.ndarray, delta: float = SRANK_DELTA) -> int:

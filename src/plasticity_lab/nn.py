@@ -3,19 +3,20 @@
 One layout covers both architectures: valid 5x5 conv layers, each with a
 ReLU and a 2x2 max pool, then ReLU dense hidden layers of widths
 `hidden_widths`, then the linear output layer. An MLP is the case with no
-conv layers; a CNN has `conv_channels`. Parameters live in a flat name ->
-array mapping; layer l uses keys "w{l}"/"b{l}" and, when layer
-normalization is enabled, hidden layer h (conv layers first) adds
-"gain{h}"/"shift{h}".
+conv layers; a CNN has `conv_channels`. Parameters live in one flat
+vector, read through named views (`ParameterSet`); layer l uses keys
+"w{l}"/"b{l}" and, when layer normalization is enabled, hidden layer h
+(conv layers first) adds "gain{h}"/"shift{h}".
 
 Weights and biases are drawn uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)),
-and the full parameter vector is snapshotted at construction; that frozen
-snapshot is the anchor used by the regularizers in `optim`.
+and the flat vector is snapshotted at construction; that frozen snapshot
+is the anchor used by the regularizers in `optim`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -78,35 +79,60 @@ def cnn_feature_shapes(spec: NetworkSpec) -> tuple[list[tuple[int, int, int]], i
 
 
 class ParameterSet:
-    """Trainable tensors plus the frozen snapshot taken at time step 0.
+    """Trainable tensors in one flat float64 vector, plus its step-0 snapshot.
 
-    `initial` holds read-only copies of every tensor as constructed;
+    `values` maps each name to a view of its tensor in `flat` (tensors in
+    construction order), `initial` the same over the read-only `flat0`.
+    Neither mapping can be replaced: write tensors in place.
+
     `init_spec` records each tensor's initialization distribution
     (("uniform", bound) or ("const", value)) so later redraws -- shrink &
     perturb noise, resampled regularization anchors, neuron
-    reinitialization -- can match it exactly.
+    reinitialization -- can match it exactly: `draw_initial` gives every
+    entry `lo + span * u`. Uniform tensors come first, so one draw of
+    `n_uniform` values covers them in order. `work` holds three scratch
+    vectors for the update terms, so no step allocates a full-length array.
     """
 
     def __init__(self, values: dict[str, np.ndarray], init_spec: dict[str, tuple[str, float]]):
-        self.values = {k: np.asarray(v, dtype=np.float64) for k, v in values.items()}
+        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in values.items()}
         self.init_spec = dict(init_spec)
-        self.initial: dict[str, np.ndarray] = {}
-        for name, arr in self.values.items():
-            snap = arr.copy()
-            snap.setflags(write=False)
-            self.initial[name] = snap
+        specs = [self.init_spec[k] for k in arrays]
+        kinds = [kind for kind, _ in specs]
+        if "uniform" in kinds[kinds.count("uniform"):]:
+            raise ValueError(f"uniform tensors must precede constant ones: {list(arrays)}")
+        self._shapes = {k: a.shape for k, a in arrays.items()}
+        sizes = [a.size for a in arrays.values()]
+        self._splits = np.cumsum(sizes)[:-1]
+        self._flat = np.concatenate([a.ravel() for a in arrays.values()])
+        self._flat0 = self._flat.copy()
+        self._flat0.setflags(write=False)
+        self._values, self._initial = self.named(self._flat), self.named(self._flat0)
+        # uniform(-b, b) draws -b + (b - -b) * u; a constant c is c + 0 * u
+        bounds = [(-v, v) if kind == "uniform" else (v, v) for kind, v in specs]
+        self.lo = np.repeat([lo for lo, _ in bounds], sizes)
+        self.span = np.repeat([hi - lo for lo, hi in bounds], sizes)
+        self.n_uniform = sum(n for n, kind in zip(sizes, kinds) if kind == "uniform")
+        self.work = np.zeros((3, self._flat.size))
 
-    def zeros_like(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.values.items()}
+    flat = property(lambda self: self._flat)
+    flat0 = property(lambda self: self._flat0)
+    values = property(lambda self: self._values)
+    initial = property(lambda self: self._initial)
 
+    def named(self, vec: np.ndarray) -> MappingProxyType:
+        """Read-only name -> tensor-shaped view mapping over a flat vector."""
+        parts = np.split(vec, self._splits)
+        return MappingProxyType({k: p.reshape(s) for (k, s), p in zip(self._shapes.items(), parts)})
 
-def draw_initial_like(params: ParameterSet, name: str, rng: RngStream) -> np.ndarray:
-    """Fresh draw from the named parameter's initialization distribution."""
-    kind, value = params.init_spec[name]
-    shape = params.values[name].shape
-    if kind == "uniform":
-        return rng.uniform(-value, value, shape)
-    return np.full(shape, value, dtype=np.float64)
+    def draw_initial(self, rng: RngStream, out: np.ndarray) -> np.ndarray:
+        """A fresh draw of every entry from its initialization distribution, into `out`."""
+        n = self.n_uniform
+        rng.random_into(out[:n])
+        out[n:] = 0.0
+        out *= self.span
+        out += self.lo
+        return out
 
 
 def init_params(spec: NetworkSpec, rng: RngStream) -> ParameterSet:

@@ -13,18 +13,23 @@ optimizer step. Every intervention covers all trainable tensors (weights,
 biases, and layer-norm affines where present), and none of them ever sees
 a task boundary.
 
+Every term is computed in place on the flat parameter vector, into its
+scratch rows `params.work` (row 0 holds the total gradient), with the
+per-element operation order of the per-tensor formulas.
+
 Nothing here checks for non-finite values: the runner's divergence check
 on the parameters, made before every update, is the one numerical check.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .nn import NetworkSpec, ForwardCache, ParameterSet, draw_initial_like
+from .nn import NetworkSpec, ForwardCache, ParameterSet
 from .rng import RngStream
 
 METHODS = (
@@ -68,7 +73,7 @@ class MethodConfig:
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam state; moments mirror the parameter shapes."""
+    """SGD or Adam state; Adam's flat m and v are the rows of `moments`."""
 
     kind: str
     alpha: float
@@ -76,8 +81,9 @@ class OptimizerState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    moments: np.ndarray | None = None
+    m: Mapping[str, np.ndarray] = field(default_factory=dict)
+    v: Mapping[str, np.ndarray] = field(default_factory=dict)
 
 
 def make_optimizer(kind: str, alpha: float, params: ParameterSet) -> OptimizerState:
@@ -85,53 +91,57 @@ def make_optimizer(kind: str, alpha: float, params: ParameterSet) -> OptimizerSt
         raise ValueError(f"unknown optimizer {kind!r}")
     state = OptimizerState(kind=kind, alpha=alpha)
     if kind == "adam":
-        state.m = params.zeros_like()
-        state.v = params.zeros_like()
+        state.moments = np.zeros((2, params.flat.size))
+        state.m, state.v = (params.named(row) for row in state.moments)
     return state
 
 
 def regularizer_gradient(
     config: MethodConfig, params: ParameterSet, rng: RngStream
-) -> dict[str, np.ndarray]:
-    """Gradient of the regularization term of a method in REGULARIZED."""
-    two_lam = 2.0 * config.lam
-    out = {}
-    for name, theta in params.values.items():
-        if config.method == "l2":
-            out[name] = two_lam * theta
-        elif config.method == "l2_init":
-            out[name] = two_lam * (theta - params.initial[name])
-        else:  # l2_init_resample: anchor redrawn from the init distribution each step
-            out[name] = two_lam * (theta - draw_initial_like(params, name, rng))
+) -> np.ndarray:
+    """Flat gradient of the regularization term of a method in REGULARIZED,
+    in the scratch row `params.work[1]`."""
+    out = params.work[1]
+    if config.method == "l2":
+        out[:] = params.flat
+    elif config.method == "l2_init":
+        np.subtract(params.flat, params.flat0, out=out)
+    else:  # l2_init_resample: anchor redrawn from the init distribution each step
+        np.subtract(params.flat, params.draw_initial(rng, out), out=out)
+    out *= 2.0 * config.lam
     return out
 
 
-def sgd_step(
-    state: OptimizerState, params: ParameterSet, total_grad: dict[str, np.ndarray]
-) -> ParameterSet:
+def sgd_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> ParameterSet:
+    """theta <- theta - alpha * grad, for a flat `grad`."""
     assert state.kind == "sgd"
     state.t += 1
-    for name in params.values:
-        params.values[name] = params.values[name] - state.alpha * total_grad[name]
+    theta = params.flat
+    theta -= np.multiply(grad, state.alpha, out=params.work[1])
     return params
 
 
-def adam_step(
-    state: OptimizerState, params: ParameterSet, total_grad: dict[str, np.ndarray]
-) -> ParameterSet:
+def adam_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> ParameterSet:
+    """One bias-corrected Adam update for a flat `grad`."""
     assert state.kind == "adam"
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1**state.t
     bias2 = 1.0 - b2**state.t
-    for name in params.values:
-        g = total_grad[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / bias1
-        v_hat = state.v[name] / bias2
-        update = state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
-        params.values[name] = params.values[name] - update
+    theta, (m, v) = params.flat, state.moments
+    tmp, tmp2 = params.work[1], params.work[2]
+    m *= b1
+    m += np.multiply(grad, 1.0 - b1, out=tmp)
+    v *= b2
+    np.multiply(grad, 1.0 - b2, out=tmp)
+    v += np.multiply(tmp, grad, out=tmp)
+    np.divide(m, bias1, out=tmp)  # m_hat
+    np.divide(v, bias2, out=tmp2)  # v_hat
+    np.sqrt(tmp2, out=tmp2)
+    tmp2 += state.eps
+    tmp *= state.alpha
+    tmp /= tmp2
+    theta -= tmp
     return params
 
 
@@ -143,10 +153,11 @@ def shrink_perturb_apply(
     eps is drawn per parameter from that parameter's own initialization
     distribution, so the noise scale tracks layer fan-in.
     """
-    p = 1.0 - config.shrink
-    for name in params.values:
-        eps = draw_initial_like(params, name, rng)
-        params.values[name] = p * params.values[name] + config.noise * eps
+    noise = params.draw_initial(rng, params.work[1])
+    noise *= config.noise
+    theta = params.flat
+    theta *= 1.0 - config.shrink
+    theta += noise
     return params
 
 
@@ -170,17 +181,6 @@ def make_cbp_state(spec: NetworkSpec) -> CbpState:
     )
 
 
-def _instant_utility(
-    config: MethodConfig, w_in: np.ndarray, w_out: np.ndarray, acts: np.ndarray
-) -> np.ndarray:
-    if config.utility_kind == "contribution":
-        mean_in = np.mean(np.abs(w_in), axis=0)
-        with np.errstate(divide="ignore"):
-            return np.where(mean_in > 0, 1.0 / mean_in, np.inf)
-    # adaptive_contribution: batch activation magnitude times outgoing weight magnitude
-    return np.mean(np.abs(acts), axis=0) * np.mean(np.abs(w_out), axis=1)
-
-
 def cbp_step(
     cbp: CbpState,
     config: MethodConfig,
@@ -200,12 +200,23 @@ def cbp_step(
     if cache.kind != "mlp":
         raise ValueError("continual backprop supports only the MLP architecture")
     decay = config.utility_decay
+    scratch = params.work[1]
+
+    def abs_w(w):  # |w| in the scratch row, not in a fresh array
+        return np.abs(w, out=scratch[: w.size].reshape(w.shape))
+
     for layer in range(len(cbp.utilities)):
         width = cbp.utilities[layer].shape[0]
         w_in_name, b_name, w_out_name = f"w{layer}", f"b{layer}", f"w{layer + 1}"
         w_in = params.values[w_in_name]
         w_out = params.values[w_out_name]
-        inst = _instant_utility(config, w_in, w_out, cache.dense_acts[layer])
+        if config.utility_kind == "contribution":
+            mean_in = np.mean(abs_w(w_in), axis=0)
+            with np.errstate(divide="ignore"):
+                inst = np.where(mean_in > 0, 1.0 / mean_in, np.inf)
+        else:  # adaptive: batch activation magnitude times outgoing weight magnitude
+            inst = (np.mean(np.abs(cache.dense_acts[layer]), axis=0)
+                    * np.mean(abs_w(w_out), axis=1))
         cbp.utilities[layer] = decay * cbp.utilities[layer] + (1.0 - decay) * inst
         cbp.ages[layer] += 1
 
@@ -243,11 +254,10 @@ def apply_method_step(
     cbp: CbpState | None = None,
 ) -> ParameterSet:
     """One full update: regularizer gradient, optimizer step, post-step edits."""
+    total = np.concatenate([grads[name].ravel() for name in params.values],
+                           out=params.work[0])
     if config.method in REGULARIZED and config.lam != 0.0:
-        reg = regularizer_gradient(config, params, rng)
-        total = {name: grads[name] + reg[name] for name in grads}
-    else:
-        total = grads  # adding the zero regularizer gradient is a no-op
+        total += regularizer_gradient(config, params, rng)
     if opt.kind == "sgd":
         sgd_step(opt, params, total)
     else:

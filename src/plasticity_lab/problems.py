@@ -18,6 +18,7 @@ File formats:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import struct
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 from .rng import RngStream
 
 log = logging.getLogger(__name__)
@@ -135,7 +136,7 @@ def write_cifar10_bin(path: str, dataset: Dataset) -> None:
 def subsample(dataset: Dataset, n: int, rng: RngStream) -> Dataset:
     """Draw n distinct samples without replacement, order fixed by rng."""
     if n > dataset.size:
-        raise ValueError(f"cannot subsample {n} from {dataset.size} samples")
+        raise ConfigError(f"cannot subsample {n} from {dataset.size} samples")
     idx = rng.permutation(dataset.size)[:n]
     return Dataset(images=dataset.images[idx], labels=dataset.labels[idx])
 
@@ -201,18 +202,23 @@ def next_batch(task: Task, step: int) -> tuple[np.ndarray, np.ndarray]:
 
     Each epoch visits every sample exactly once; epoch e of task i is
     ordered by the substream (seed, "shuffle", i, e), so delivery is
-    random-access in `step`.
+    random-access in `step`. The order is drawn once per epoch and cached.
     """
     stream = task.stream
     if not 0 <= step < stream.steps_per_task:
         raise ValueError(f"step {step} outside [0, {stream.steps_per_task})")
-    bpe = stream.batches_per_epoch
-    epoch, b = divmod(step, bpe)
-    order = RngStream(stream.seed).split("shuffle", task.index, epoch).permutation(
-        task.images.shape[0]
-    )
+    epoch, b = divmod(step, stream.batches_per_epoch)
+    order = _epoch_order(stream.seed, task.index, epoch, task.images.shape[0])
     take = order[b * stream.batch_size : (b + 1) * stream.batch_size]
     return task.images[take], task.labels[take]
+
+
+@functools.lru_cache(maxsize=4)
+def _epoch_order(seed: int, task_index: int, epoch: int, n: int) -> np.ndarray:
+    """Sample order of one epoch; a pure function, so caching it changes no batch."""
+    order = RngStream(seed).split("shuffle", task_index, epoch).permutation(n)
+    order.setflags(write=False)
+    return order
 
 
 def probe_batch(task: Task, size: int) -> np.ndarray:

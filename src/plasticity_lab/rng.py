@@ -47,6 +47,10 @@ class RngStream:
             raise ValueError(f"uniform bounds require lo < hi, got lo={lo!r}, hi={hi!r}")
         return lo + (hi - lo) * self._gen.random(shape)
 
+    def random_into(self, out: np.ndarray) -> None:
+        """Fill the contiguous float64 array `out` with i.i.d. draws from [0, 1)."""
+        self._gen.random(out=out)
+
     def integers(self, lo: int, hi: int, shape=None) -> np.ndarray | int:
         """Uniform integers in [lo, hi)."""
         return self._gen.integers(lo, hi, size=shape)

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, SweepResult, SweepSpec
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, DataFormatError, NumericalError
 from .metrics import (
     RunRecord,
     TaskRow,
@@ -210,7 +210,7 @@ def _run_cell(args) -> dict:
     row = {"seed": seed, **cell}
     try:
         record = run_experiment(cfg)
-    except (NumericalError, ConfigError) as exc:
+    except (NumericalError, ConfigError, DataFormatError, OSError) as exc:
         row.update(status="failed", error=str(exc), total_avg_online_accuracy=float("nan"))
         return row
     row.update(

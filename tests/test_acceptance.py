@@ -93,10 +93,8 @@ def test_criterion_2_sgd_regularizer_identity():
         theta, theta0, g = (float(rng.uniform(-3, 3)) for _ in range(3))
         alpha = float(rng.uniform(1e-4, 0.2))
         lam = float(rng.uniform(0.0, 0.5))
-        ps = ParameterSet({"w0": np.array([theta])}, {"w0": ("uniform", 1.0)})
-        snap = np.array([theta0])
-        snap.setflags(write=False)
-        ps.initial = {"w0": snap}
+        ps = ParameterSet({"w0": np.array([theta0])}, {"w0": ("uniform", 1.0)})
+        ps.values["w0"][...] = theta
         opt = make_optimizer("sgd", alpha, ps)
         apply_method_step(MethodConfig(method="l2_init", lam=lam), opt, ps,
                           {"w0": np.array([g])}, rng=RngStream(0))
@@ -182,7 +180,7 @@ def test_criterion_5_adam_oracle():
     worst = 0.0
     for t in range(1, 11):
         grad = q * (ps.values["w0"] - c)
-        adam_step(state, ps, {"w0": grad})
+        adam_step(state, ps, grad)
         ref_grad = q * (ref_theta - c)
         m = 0.9 * m + 0.1 * ref_grad
         v = 0.999 * v + 0.001 * ref_grad**2

@@ -220,7 +220,7 @@ def test_probe_zero_network_reports_zero(caplog):
     spec = NetworkSpec(kind="mlp", input_shape=(8,), hidden_widths=(5, 4))
     params = init_params(spec, RngStream(0).split("init"))
     for k in params.values:
-        params.values[k] = np.zeros_like(params.values[k])
+        params.values[k][...] = 0.0
     probe = RngStream(1).uniform(0, 1, (10, 8))
     with caplog.at_level(logging.WARNING):
         assert feature_srank_probe(spec, params, probe) == 0.0

@@ -5,6 +5,7 @@ from conftest import random_instance, tiny_cnn_spec, tiny_mlp_spec
 from plasticity_lab.errors import DimensionError
 from plasticity_lab.nn import (
     NetworkSpec,
+    ParameterSet,
     cnn_feature_shapes,
     forward,
     hidden_feature_matrices,
@@ -95,6 +96,27 @@ def test_initial_snapshot_frozen_and_equal():
         params.initial["w0"][0, 0] = 5.0
 
 
+def test_values_are_fixed_views_of_one_flat_vector():
+    params = init_params(tiny_mlp_spec(layer_norm=True), RngStream(1).split("init"))
+    for k in params.values:
+        assert np.shares_memory(params.values[k], params.flat)
+        assert np.shares_memory(params.initial[k], params.flat0)
+    for name in ("values", "initial", "flat", "flat0"):
+        with pytest.raises(AttributeError):
+            setattr(params, name, {})
+    for mapping in (params.values, params.initial):
+        with pytest.raises(TypeError):
+            mapping["w0"] = np.zeros((6, 5))
+    assert params.n_uniform == sum(params.values[k].size for k in params.values
+                                   if k[0] in "wb")
+
+
+def test_constant_tensors_must_follow_uniform_ones():
+    with pytest.raises(ValueError, match="precede"):
+        ParameterSet({"gain0": np.ones(2), "w0": np.zeros(2)},
+                     {"gain0": ("const", 1.0), "w0": ("uniform", 1.0)})
+
+
 def test_layer_norm_affines_start_at_identity():
     params = init_params(tiny_mlp_spec(layer_norm=True), RngStream(0).split("init"))
     assert np.all(params.values["gain0"] == 1.0)
@@ -108,7 +130,7 @@ def test_zero_params_give_zero_logits():
         params, images, _ = random_instance(spec, seed=0)
         for k in params.values:
             if not k.startswith("gain"):
-                params.values[k] = np.zeros_like(params.values[k])
+                params.values[k][...] = 0.0
         logits, _ = forward(spec, params, images)
         assert np.array_equal(logits, np.zeros_like(logits))
 

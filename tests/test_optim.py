@@ -1,9 +1,15 @@
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from conftest import random_instance, tiny_mlp_spec
-from plasticity_lab.nn import ParameterSet, forward, init_params, loss_and_grad
+from conftest import random_instance, tiny_cnn_spec, tiny_mlp_spec
+from plasticity_lab.metrics import mean_param_magnitude
+from plasticity_lab.nn import NetworkSpec, ParameterSet, forward, init_params, loss_and_grad
 from plasticity_lab.optim import (
+    METHODS,
+    REGULARIZED,
     MethodConfig,
     adam_step,
     apply_method_step,
@@ -38,11 +44,10 @@ class ReferenceAdam:
 
 
 def single_weight_params(theta, theta0=None, bound=1.0):
-    ps = ParameterSet({"w0": np.array(theta, dtype=np.float64)}, {"w0": ("uniform", bound)})
-    if theta0 is not None:
-        snap = np.array(theta0, dtype=np.float64)
-        snap.setflags(write=False)
-        ps.initial = {"w0": snap}
+    """One tensor snapshotted at theta0 (default theta), then set to theta."""
+    start = theta if theta0 is None else theta0
+    ps = ParameterSet({"w0": np.array(start, dtype=np.float64)}, {"w0": ("uniform", bound)})
+    ps.values["w0"][...] = theta
     return ps
 
 
@@ -51,7 +56,7 @@ def single_weight_params(theta, theta0=None, bound=1.0):
 def test_l2init_zero_at_anchor():
     ps = single_weight_params([1.0, -2.0, 0.5])
     cfg = MethodConfig(method="l2_init", lam=0.3)
-    grad = regularizer_gradient(cfg, ps, RngStream(0))
+    grad = ps.named(regularizer_gradient(cfg, ps, RngStream(0)))
     assert np.array_equal(grad["w0"], np.zeros(3))
 
 
@@ -59,21 +64,21 @@ def test_lambda_zero_gives_zero_gradient_every_method():
     ps = single_weight_params([1.0, -2.0], theta0=[0.3, 0.4])
     for method in ("l2_init", "l2", "l2_init_resample"):
         cfg = MethodConfig(method=method, lam=0.0)
-        grad = regularizer_gradient(cfg, ps, RngStream(0))
+        grad = ps.named(regularizer_gradient(cfg, ps, RngStream(0)))
         assert np.array_equal(grad["w0"], np.zeros(2))
 
 
 def test_l2init_factor_two_arithmetic():
     ps = single_weight_params([1.5], theta0=[0.5])
     cfg = MethodConfig(method="l2_init", lam=1e-2)
-    grad = regularizer_gradient(cfg, ps, RngStream(0))
+    grad = ps.named(regularizer_gradient(cfg, ps, RngStream(0)))
     assert np.isclose(grad["w0"][0], 0.02, atol=1e-15)
 
 
 def test_l2_pulls_toward_origin():
     ps = single_weight_params([2.0, -2.0], theta0=[1.0, 1.0])
     cfg = MethodConfig(method="l2", lam=0.25)
-    grad = regularizer_gradient(cfg, ps, RngStream(0))
+    grad = ps.named(regularizer_gradient(cfg, ps, RngStream(0)))
     assert np.allclose(grad["w0"], [1.0, -1.0])
 
 
@@ -81,8 +86,8 @@ def test_resample_uses_fresh_anchor_each_call():
     ps = single_weight_params(np.zeros(1000), bound=0.5)
     cfg = MethodConfig(method="l2_init_resample", lam=0.5)
     rng = RngStream(5).split("noise")
-    g1 = regularizer_gradient(cfg, ps, rng)["w0"]
-    g2 = regularizer_gradient(cfg, ps, rng)["w0"]
+    g1 = ps.named(regularizer_gradient(cfg, ps, rng))["w0"].copy()
+    g2 = ps.named(regularizer_gradient(cfg, ps, rng))["w0"]
     assert not np.array_equal(g1, g2)
     assert np.all(np.abs(g1) <= 2 * 0.5 * 0.5)  # 2*lam*bound
 
@@ -90,12 +95,12 @@ def test_resample_uses_fresh_anchor_each_call():
 def test_regularizers_cover_layer_norm_affines():
     spec = tiny_mlp_spec(layer_norm=True)
     params = init_params(spec, RngStream(0).split("init"))
-    params.values["gain0"] = params.values["gain0"] + 0.5
+    params.values["gain0"][...] += 0.5
     cfg = MethodConfig(method="l2_init", lam=1.0)
-    grad = regularizer_gradient(cfg, params, RngStream(0))
+    grad = params.named(regularizer_gradient(cfg, params, RngStream(0)))
     assert np.allclose(grad["gain0"], 1.0)  # 2 * lam * 0.5
     cfg = MethodConfig(method="l2", lam=1.0)
-    grad = regularizer_gradient(cfg, params, RngStream(0))
+    grad = params.named(regularizer_gradient(cfg, params, RngStream(0)))
     assert np.allclose(grad["gain0"], 2.0 * params.values["gain0"])
 
 
@@ -104,14 +109,14 @@ def test_regularizers_cover_layer_norm_affines():
 def test_sgd_zero_stepsize_is_identity():
     ps = single_weight_params([1.0, 2.0])
     state = make_optimizer("sgd", 0.0, ps)
-    sgd_step(state, ps, {"w0": np.array([5.0, -5.0])})
+    sgd_step(state, ps, np.array([5.0, -5.0]))
     assert np.array_equal(ps.values["w0"], [1.0, 2.0])
 
 
 def test_sgd_hand_case():
     ps = single_weight_params([1.0])
     state = make_optimizer("sgd", 0.01, ps)
-    sgd_step(state, ps, {"w0": np.array([0.5])})
+    sgd_step(state, ps, np.array([0.5]))
     assert np.isclose(ps.values["w0"][0], 0.995, atol=1e-15)
 
 
@@ -119,8 +124,8 @@ def test_sgd_two_steps_compose_linearly():
     g1, g2 = np.array([0.3, -0.2]), np.array([-0.1, 0.4])
     ps = single_weight_params([1.0, 1.0])
     state = make_optimizer("sgd", 0.05, ps)
-    sgd_step(state, ps, {"w0": g1})
-    sgd_step(state, ps, {"w0": g2})
+    sgd_step(state, ps, g1)
+    sgd_step(state, ps, g2)
     assert np.allclose(ps.values["w0"], 1.0 - 0.05 * (g1 + g2), atol=1e-15)
 
 
@@ -130,7 +135,7 @@ def test_adam_first_step_is_signed_stepsize():
     ps = single_weight_params([0.0, 0.0, 0.0])
     state = make_optimizer("adam", 0.1, ps)
     g = np.array([3.0, -7.0, 0.5])
-    adam_step(state, ps, {"w0": g})
+    adam_step(state, ps, g)
     assert np.all(np.abs(ps.values["w0"]) <= 0.1 * (1 + 1e-6))
     assert np.allclose(ps.values["w0"], -0.1 * np.sign(g), rtol=1e-6)
 
@@ -139,7 +144,7 @@ def test_adam_zero_gradient_never_moves():
     ps = single_weight_params([1.0, -1.0])
     state = make_optimizer("adam", 0.1, ps)
     for _ in range(10):
-        adam_step(state, ps, {"w0": np.zeros(2)})
+        adam_step(state, ps, np.zeros(2))
     assert np.array_equal(ps.values["w0"], [1.0, -1.0])
 
 
@@ -153,7 +158,7 @@ def test_adam_matches_independent_reference_on_quadratic():
     ref = ReferenceAdam(theta0, 1e-3)
     for _ in range(10):
         grad = q * (ps.values["w0"] - c)
-        adam_step(state, ps, {"w0": grad})
+        adam_step(state, ps, grad)
         ref_grad = q * (ref.theta - c)
         assert np.array_equal(grad, ref_grad)
         ref.step(ref_grad)
@@ -168,7 +173,7 @@ def test_adam_update_bound_fuzz():
         for t in range(20):
             before = ps.values["w0"].copy()
             grad = rng.uniform(-10, 10, 8) * (10.0 ** int(rng.integers(-3, 4)))
-            adam_step(state, ps, {"w0": grad})
+            adam_step(state, ps, grad)
             delta = np.abs(ps.values["w0"] - before)
             assert np.all(delta <= 0.01 * 10.0)
             if t == 0:
@@ -243,8 +248,8 @@ def test_cbp_zero_rate_updates_utilities_only():
 def test_cbp_resets_lowest_utility_mature_neuron():
     spec, params, cache, _ = cbp_fixture(widths=(2, 3))
     # equal weight magnitudes so the instantaneous utility cannot flip the order
-    params.values["w0"] = np.full_like(params.values["w0"], 0.5)
-    params.values["w1"] = np.full_like(params.values["w1"], 0.5)
+    params.values["w0"][...] = 0.5
+    params.values["w1"][...] = 0.5
     cfg = MethodConfig(
         method="continual_backprop", replacement_rate=0.5, maturity_threshold=100,
         utility_kind="contribution",
@@ -253,8 +258,8 @@ def test_cbp_resets_lowest_utility_mature_neuron():
     cbp.utilities[0] = np.array([0.1, 5.0])
     cbp.ages[0] = np.array([200, 200])
     opt = make_optimizer("adam", 1e-3, params)
-    opt.m["w0"] += 1.0
-    opt.v["w1"] += 1.0
+    opt.m["w0"][...] += 1.0
+    opt.v["w1"][...] += 1.0
     bound = params.init_spec["w0"][1]
     cbp_step(cbp, cfg, opt, params, cache, RngStream(0).split("noise"))
     # brute-force argmin over the hand-set utilities says unit 0 resets
@@ -299,8 +304,8 @@ def test_cbp_rejects_cnn():
 
 # --- composition -----------------------------------------------------------------
 
-def run_trajectory(method_cfg, optimizer="adam", steps=30, seed=11, alpha=1e-2):
-    spec = tiny_mlp_spec()
+def run_trajectory(method_cfg, optimizer="adam", steps=30, seed=11, alpha=1e-2, spec=None):
+    spec = spec or tiny_mlp_spec()
     master = RngStream(seed)
     params = init_params(spec, master.split("init"))
     opt = make_optimizer(optimizer, alpha, params)
@@ -308,7 +313,7 @@ def run_trajectory(method_cfg, optimizer="adam", steps=30, seed=11, alpha=1e-2):
     noise = master.split("noise")
     data = master.split("data")
     for _ in range(steps):
-        images = data.uniform(0, 1, (4, 6))
+        images = data.uniform(0, 1, (4,) + spec.input_shape)
         labels = np.asarray(data.integers(0, 3, 4))
         logits, cache = forward(spec, params, images)
         _, grads = loss_and_grad(spec, params, cache, logits, labels)
@@ -412,3 +417,175 @@ def test_update_path_sees_no_task_boundaries():
                regularizer_gradient, cbp_step):
         names = set(inspect.signature(fn).parameters)
         assert not names & {"task", "task_index", "boundary", "step", "task_id"}, fn
+
+
+# --- the flat update against the per-tensor one -----------------------------------
+
+def per_tensor_trajectory(cfg, optimizer="adam", steps=30, seed=11, alpha=1e-2, spec=None):
+    """Oracle: the update as one dict entry per tensor, each term a fresh array.
+
+    Same streams, formulas and operation order as `run_trajectory`'s flat
+    path, so the two must agree to the bit.
+    """
+    spec = spec or tiny_mlp_spec()
+    master = RngStream(seed)
+    start = init_params(spec, master.split("init"))
+    values = {k: x.copy() for k, x in start.values.items()}
+    net = SimpleNamespace(values=values)  # all that forward and loss_and_grad read
+    m = {k: np.zeros_like(x) for k, x in values.items()}
+    v = {k: np.zeros_like(x) for k, x in values.items()}
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    widths = spec.hidden_widths
+    utilities = [np.zeros(w) for w in widths]
+    ages = [np.zeros(w, dtype=np.int64) for w in widths]
+    accumulators = [0.0 for _ in widths]
+    noise, data = master.split("noise"), master.split("data")
+
+    def draw_initial_like(name):
+        kind, value = start.init_spec[name]
+        if kind == "uniform":
+            return noise.uniform(-value, value, values[name].shape)
+        return np.full(values[name].shape, value)
+
+    for t in range(1, steps + 1):
+        images = data.uniform(0, 1, (4,) + spec.input_shape)
+        labels = np.asarray(data.integers(0, 3, 4))
+        logits, cache = forward(spec, net, images)
+        _, grads = loss_and_grad(spec, net, cache, logits, labels)
+        total = grads
+        if cfg.method in REGULARIZED and cfg.lam != 0.0:
+            two_lam = 2.0 * cfg.lam
+            reg = {}
+            for name, theta in values.items():
+                if cfg.method == "l2":
+                    reg[name] = two_lam * theta
+                elif cfg.method == "l2_init":
+                    reg[name] = two_lam * (theta - start.initial[name])
+                else:
+                    reg[name] = two_lam * (theta - draw_initial_like(name))
+            total = {name: grads[name] + reg[name] for name in grads}
+        for name in values:
+            g = total[name]
+            if optimizer == "sgd":
+                values[name] = values[name] - alpha * g
+                continue
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+            m_hat = m[name] / (1.0 - b1**t)
+            v_hat = v[name] / (1.0 - b2**t)
+            values[name] = values[name] - alpha * m_hat / (np.sqrt(v_hat) + eps)
+        if cfg.method == "shrink_perturb":
+            for name in values:
+                eps_draw = draw_initial_like(name)
+                values[name] = (1.0 - cfg.shrink) * values[name] + cfg.noise * eps_draw
+        elif cfg.method == "continual_backprop":
+            for layer, width in enumerate(widths):
+                w_in, b, w_out = f"w{layer}", f"b{layer}", f"w{layer + 1}"
+                if cfg.utility_kind == "contribution":
+                    mean_in = np.mean(np.abs(values[w_in]), axis=0)
+                    with np.errstate(divide="ignore"):
+                        inst = np.where(mean_in > 0, 1.0 / mean_in, np.inf)
+                else:
+                    inst = (np.mean(np.abs(cache.dense_acts[layer]), axis=0)
+                            * np.mean(np.abs(values[w_out]), axis=1))
+                decay = cfg.utility_decay
+                utilities[layer] = decay * utilities[layer] + (1.0 - decay) * inst
+                ages[layer] += 1
+                accumulators[layer] += cfg.replacement_rate * width
+                n_fire = int(accumulators[layer])
+                if n_fire == 0:
+                    continue
+                accumulators[layer] -= n_fire
+                mature = np.flatnonzero(ages[layer] >= cfg.maturity_threshold)
+                order = mature[np.argsort(utilities[layer][mature], kind="stable")]
+                for neuron in order[:n_fire]:
+                    bound = start.init_spec[w_in][1]
+                    values[w_in][:, neuron] = noise.uniform(-bound, bound,
+                                                            (values[w_in].shape[0],))
+                    values[b][neuron] = 0.0
+                    values[w_out][neuron, :] = 0.0
+                    utilities[layer][neuron] = 0.0
+                    ages[layer][neuron] = 0
+                    for moment in ((m, v) if optimizer == "adam" else ()):
+                        moment[w_in][:, neuron] = 0.0
+                        moment[b][neuron] = 0.0
+                        moment[w_out][neuron, :] = 0.0
+    return values
+
+
+ORACLE_CONFIGS = {
+    "baseline": MethodConfig(method="baseline"),
+    "layer_norm": MethodConfig(method="layer_norm"),
+    "l2_init": MethodConfig(method="l2_init", lam=1e-1),
+    "l2": MethodConfig(method="l2", lam=1e-1),
+    "shrink_perturb": MethodConfig(method="shrink_perturb", shrink=1e-2, noise=1e-1),
+    # widths (5, 4): resets start at step 5, one neuron per layer about every other step
+    "continual_backprop": MethodConfig(method="continual_backprop", replacement_rate=0.1,
+                                       maturity_threshold=5),
+    "l2_init_resample": MethodConfig(method="l2_init_resample", lam=1e-1),
+}
+
+
+def assert_same_tensors(flat, oracle):
+    for k in oracle:
+        assert np.array_equal(flat.values[k], oracle[k]), k
+
+
+@pytest.mark.parametrize("layer_norm", (False, True))
+@pytest.mark.parametrize("optimizer", ("sgd", "adam"))
+@pytest.mark.parametrize("method", METHODS)
+def test_flat_update_matches_per_tensor_oracle(method, optimizer, layer_norm):
+    spec = tiny_mlp_spec(layer_norm=layer_norm)
+    cfg = ORACLE_CONFIGS[method]
+    assert_same_tensors(run_trajectory(cfg, optimizer, spec=spec),
+                        per_tensor_trajectory(cfg, optimizer, spec=spec))
+
+
+@pytest.mark.parametrize("optimizer", ("sgd", "adam"))
+def test_flat_update_matches_per_tensor_oracle_on_cnn(optimizer):
+    cfg, spec = ORACLE_CONFIGS["l2_init"], tiny_cnn_spec()
+    assert_same_tensors(run_trajectory(cfg, optimizer, spec=spec),
+                        per_tensor_trajectory(cfg, optimizer, spec=spec))
+
+
+def test_contribution_utility_matches_per_tensor_oracle():
+    cfg = MethodConfig(method="continual_backprop", replacement_rate=0.1, maturity_threshold=5,
+                       utility_kind="contribution")
+    assert_same_tensors(run_trajectory(cfg), per_tensor_trajectory(cfg))
+
+
+# --- no full-length allocation per step -----------------------------------------------
+
+def peak_new_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("optimizer", ("sgd", "adam"))
+@pytest.mark.parametrize("method", METHODS)
+def test_update_allocates_no_full_length_array(method, optimizer):
+    # 784-100-100-10: 89,610 parameters, 700 KiB per full-length float64 array
+    spec = NetworkSpec(kind="mlp", input_shape=(784,), hidden_widths=(100, 100),
+                       layer_norm=method == "layer_norm")
+    master = RngStream(0)
+    params = init_params(spec, master.split("init"))
+    opt = make_optimizer(optimizer, 1e-3, params)
+    # every continual-backprop step resets 5 neurons per layer
+    cfg = MethodConfig(method=method, lam=1e-2, shrink=1e-4, noise=1e-2,
+                       replacement_rate=0.05, maturity_threshold=0)
+    cbp = make_cbp_state(spec) if method == "continual_backprop" else None
+    data = master.split("data")
+    logits, cache = forward(spec, params, data.uniform(0, 1, (16, 784)))
+    _, grads = loss_and_grad(spec, params, cache, logits, np.asarray(data.integers(0, 10, 16)))
+    noise = master.split("noise")
+
+    def step():
+        apply_method_step(cfg, opt, params, grads, rng=noise, cache=cache, cbp=cbp)
+
+    step()  # warm-up
+    assert peak_new_bytes(step) < 64 * 1024
+    assert peak_new_bytes(lambda: mean_param_magnitude(params)) < 64 * 1024

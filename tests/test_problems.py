@@ -222,6 +222,20 @@ def test_epochs_reshuffle_but_are_deterministic():
     assert all(np.array_equal(a, b) for a, b in zip(first_epoch, again))
 
 
+def test_shuffled_visits_give_the_sequential_batches():
+    # 10 samples, batches of 4 (ragged): 3 batches/epoch, 12 epochs over 2 tasks
+    stream = build_stream(RunConfig(problem="synthetic_permuted", input_width=12,
+                                    dataset_size=10, num_tasks=2, steps_per_task=18,
+                                    batch_size=4))
+    steps = [(i, s) for i in range(stream.num_tasks) for s in range(stream.steps_per_task)]
+    tasks = [make_task(stream, i) for i in range(stream.num_tasks)]
+    in_order = {(i, s): next_batch(tasks[i], s) for i, s in steps}
+    for j in RngStream(7).permutation(len(steps)):
+        i, s = steps[j]
+        x, y = next_batch(tasks[i], s)
+        assert np.array_equal(x, in_order[i, s][0]) and np.array_equal(y, in_order[i, s][1])
+
+
 def test_batch_count_totals():
     stream = synthetic_stream(n=32, k=4, m=6)
     total = 0

@@ -217,6 +217,20 @@ def test_desk_scale_sweep_one_row_per_cell_seed():
     assert all(r["status"] == "ok" for r in result.rows)
 
 
+@pytest.mark.parametrize("payload", (None, b"\x00\x00"), ids=("absent", "truncated"))
+def test_sweep_records_unreadable_data_per_cell(tmp_path, payload):
+    images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+    if payload is not None:
+        images.write_bytes(payload)
+        labels.write_bytes(payload)
+    base = RunConfig(problem="permuted_mnist", mnist_images=str(images),
+                     mnist_labels=str(labels), dataset_size=8, num_tasks=1, steps_per_task=2)
+    result = run_sweep(SweepSpec(base=base, method="baseline", seeds=(0, 1)))
+    assert len(result.rows) == 4  # 2 alphas x 2 seeds
+    assert all(r["status"] == "failed" and "i.idx" in r["error"] for r in result.rows)
+    assert result.winner is None
+
+
 def test_parallel_sweep_matches_sequential():
     base = desk_config(num_tasks=2, steps_per_task=6)
     spec = SweepSpec(base=base, method="baseline", seeds=(0, 1))
@@ -273,6 +287,25 @@ def test_cli_negative_hyper_parameter_is_a_usage_error(tmp_path, capsys):
     assert "error: lam must be >= 0" in capsys.readouterr().err
 
 
+def test_cli_dataset_size_beyond_the_file_is_a_usage_error(tmp_path, capsys):
+    rng = RngStream(0)
+    write_idx_images(tmp_path / "i.idx", (rng.uniform(0, 1, (200, 28, 28)) * 255).astype(np.uint8))
+    write_idx_labels(tmp_path / "l.idx", np.asarray(rng.integers(0, 10, 200)))
+    code = main(["run", "--out", str(tmp_path / "o"), "problem=permuted_mnist",
+                 "dataset_size=500", f"mnist_images={tmp_path / 'i.idx'}",
+                 f"mnist_labels={tmp_path / 'l.idx'}"])
+    assert code == 1
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
+    assert errors == ["error: cannot subsample 500 from 200 samples"]
+
+
+def test_cli_more_than_ten_classes_is_a_usage_error(tmp_path, capsys):
+    code = main(["run", "--out", str(tmp_path / "o"), "problem=synthetic_permuted", "classes=12"])
+    assert code == 1
+    assert "error: classes must be <= 10, got 12" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_io_error_exit_code(tmp_path):
     code = main([
         "run", "problem=permuted_mnist",
@@ -288,6 +321,17 @@ def test_cli_numerical_failure_exit_code(tmp_path):
         "dataset_size=32",
     ])
     assert code == 3
+
+
+def test_cli_sweep_over_missing_data_names_the_error(tmp_path, capsys):
+    code = main([
+        "sweep", "--method", "baseline", "--seeds", "1", "--out", str(tmp_path / "o"),
+        "problem=permuted_mnist", f"mnist_images={tmp_path}/absent.idx",
+        f"mnist_labels={tmp_path}/absent.idx",
+    ])
+    assert code == 3
+    out = capsys.readouterr().out
+    assert "all sweep cells failed" in out and "absent.idx" in out
 
 
 def test_cli_gradcheck_passes(capsys):
