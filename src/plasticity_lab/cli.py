@@ -3,7 +3,9 @@
 Subcommands: `run` (one experiment), `sweep` (hyper-parameter grid for one
 method), `gradcheck` (finite-difference gradient audit), and `inspect`
 (pretty-print a summary.json). Exit codes: 0 success, 1 usage/config
-error, 2 I/O error, 3 numerical failure.
+error, 2 I/O error, 3 numerical failure. A sweep with no successful cell
+exits with the code of its earliest-stage failure: 1 if any cell had a
+config error, else 2 if any had an I/O error, else 3 (a cell diverged).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERICAL = 3
+SWEEP_EXIT = {"config": EXIT_USAGE, "io": EXIT_IO}  # by failed-row cause; else numerical
 
 
 class _UsageError(Exception):
@@ -103,7 +106,8 @@ def _cmd_sweep(args) -> int:
     if result.winner is None:
         errors = sorted({row["error"] for row in result.rows if "error" in row})
         print("all sweep cells failed", *errors, sep="\n  ")
-        return EXIT_NUMERICAL
+        return min(SWEEP_EXIT.get(row.get("cause"), EXIT_NUMERICAL)
+                   for row in result.rows if row["status"] != "ok")
     print(f"winner for {args.method}: {result.winner}")
     return EXIT_OK
 

@@ -1,12 +1,15 @@
 """Network construction, deterministic init, forward pass, and exact backprop.
 
-One layout covers both architectures: valid 5x5 conv layers, each with a
-ReLU and a 2x2 max pool, then ReLU dense hidden layers of widths
-`hidden_widths`, then the linear output layer. An MLP is the case with no
-conv layers; a CNN has `conv_channels`. Parameters live in one flat
-vector, read through named views (`ParameterSet`); layer l uses keys
-"w{l}"/"b{l}" and, when layer normalization is enabled, hidden layer h
-(conv layers first) adds "gain{h}"/"shift{h}".
+One layout covers both architectures: hidden layers l = 0 .. L-2, valid
+5x5 conv layers first and then dense layers of widths `hidden_widths`,
+then the linear output layer L-1. An MLP is the case with no conv layers;
+a CNN has `conv_channels`. Every hidden layer runs the same steps: conv
+or affine map, optional layer norm over each sample's features, ReLU,
+and, on a conv layer, a 2x2 max pool. `forward` and `loss_and_grad` are
+one loop each over these layers. Parameters live in one flat vector, read
+through named views (`ParameterSet`); layer l uses keys "w{l}"/"b{l}"
+and, when layer normalization is enabled, hidden layer l adds
+"gain{l}"/"shift{l}".
 
 Weights and biases are drawn uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)),
 and the flat vector is snapshotted at construction; that frozen snapshot
@@ -168,18 +171,20 @@ def init_params(spec: NetworkSpec, rng: RngStream) -> ParameterSet:
 
 @dataclass
 class ForwardCache:
-    """Everything the backward pass needs to replay one forward call."""
+    """Everything the backward pass needs to replay one forward call.
 
-    kind: str
-    dense_inputs: list = field(default_factory=list)   # input to each dense layer
-    dense_preacts: list = field(default_factory=list)  # post-LN pre-ReLU, hidden dense layers
-    dense_acts: list = field(default_factory=list)     # ReLU outputs, hidden dense layers
-    conv_inputs: list = field(default_factory=list)
-    conv_preacts: list = field(default_factory=list)
+    Layer l's entries sit at index l in each list (conv layers first):
+    `inputs` holds the input to every layer, the output layer last, so
+    `inputs[l + 1]` is hidden layer l's output (pooled on a conv layer);
+    `preacts` the post-layer-norm, pre-ReLU output of each hidden layer;
+    `ln` its layer norm's (xhat, inv_std), empty when layer norm is off;
+    `pool_indices` each conv layer's max-pool argmax.
+    """
+
+    inputs: list = field(default_factory=list)
+    preacts: list = field(default_factory=list)
+    ln: list = field(default_factory=list)
     pool_indices: list = field(default_factory=list)
-    pool_input_shapes: list = field(default_factory=list)
-    ln_xhat: list = field(default_factory=list)        # per hidden layer, conv first
-    ln_inv_std: list = field(default_factory=list)
     consumed: bool = False
 
 
@@ -209,59 +214,33 @@ def forward(
     spec: NetworkSpec, params: ParameterSet, images: np.ndarray
 ) -> tuple[np.ndarray, ForwardCache]:
     """Compute pre-softmax logits and the cache needed for one backward call."""
-    x = np.asarray(images, dtype=np.float64)
-    expected = (x.shape[0],) + spec.input_shape
-    if x.shape != expected:
-        raise DimensionError(f"forward: batch shape {x.shape} != expected {expected}")
+    h = np.asarray(images, dtype=np.float64)
+    expected = (h.shape[0],) + spec.input_shape
+    if h.shape != expected:
+        raise DimensionError(f"forward: batch shape {h.shape} != expected {expected}")
     v = params.values
-    cache = ForwardCache(kind=spec.kind)
-    layer = 0
-    hidden = 0
+    cache = ForwardCache()
+    n_conv = len(spec.convs)
+    for l in range(n_conv + len(spec.hidden_widths)):
+        conv = l < n_conv
+        cache.inputs.append(h)
+        w, b = v[f"w{l}"], v[f"b{l}"]
+        z = conv2d(h, w, b) if conv else h @ w + b
+        if spec.layer_norm:  # over each sample's features; a no-op reshape on a dense layer
+            out, xhat, inv_std = _ln_forward(z.reshape(len(z), -1), v[f"gain{l}"], v[f"shift{l}"])
+            z = out.reshape(z.shape)
+            cache.ln.append((xhat, inv_std))
+        cache.preacts.append(z)
+        h = np.maximum(z, 0.0)
+        if conv:
+            h, idx = maxpool2(h)
+            cache.pool_indices.append(idx)
+            if l == n_conv - 1:  # dense layers take each sample's features flat
+                h = h.reshape(len(h), -1)
 
-    h = x
-    for _ in spec.convs:
-        z = conv2d(h, v[f"w{layer}"], v[f"b{layer}"])
-        if spec.layer_norm:
-            flat = z.reshape(z.shape[0], -1)
-            out, xhat, inv_std = _ln_forward(flat, v[f"gain{hidden}"], v[f"shift{hidden}"])
-            y = out.reshape(z.shape)
-            cache.ln_xhat.append(xhat)
-            cache.ln_inv_std.append(inv_std)
-        else:
-            y = z
-            cache.ln_xhat.append(None)
-            cache.ln_inv_std.append(None)
-        a = np.maximum(y, 0.0)
-        pooled, idx = maxpool2(a)
-        cache.conv_inputs.append(h)
-        cache.conv_preacts.append(y)
-        cache.pool_indices.append(idx)
-        cache.pool_input_shapes.append(a.shape)
-        h = pooled
-        layer += 1
-        hidden += 1
-    h = h.reshape(h.shape[0], -1)
-
-    for _ in spec.hidden_widths:
-        cache.dense_inputs.append(h)
-        z = h @ v[f"w{layer}"] + v[f"b{layer}"]
-        if spec.layer_norm:
-            y, xhat, inv_std = _ln_forward(z, v[f"gain{hidden}"], v[f"shift{hidden}"])
-            cache.ln_xhat.append(xhat)
-            cache.ln_inv_std.append(inv_std)
-        else:
-            y = z
-            cache.ln_xhat.append(None)
-            cache.ln_inv_std.append(None)
-        a = np.maximum(y, 0.0)
-        cache.dense_preacts.append(y)
-        cache.dense_acts.append(a)
-        h = a
-        layer += 1
-        hidden += 1
-
-    cache.dense_inputs.append(h)
-    logits = h @ v[f"w{layer}"] + v[f"b{layer}"]
+    cache.inputs.append(h)
+    out_layer = len(cache.preacts)
+    logits = h @ v[f"w{out_layer}"] + v[f"b{out_layer}"]
     return logits, cache
 
 
@@ -301,58 +280,34 @@ def loss_and_grad(
     d[np.arange(batch), labels] -= 1.0
     d /= batch
 
-    n_dense_hidden = len(spec.hidden_widths)
+    out_layer = len(cache.preacts)
+    grads[f"w{out_layer}"] = cache.inputs[out_layer].T @ d
+    grads[f"b{out_layer}"] = d.sum(axis=0)
+    da = d @ v[f"w{out_layer}"].T  # gradient w.r.t. the output layer's input
+
     n_conv = len(spec.convs)
-    layer = n_conv + n_dense_hidden  # output layer index
-    hidden = n_conv + n_dense_hidden
-
-    grads[f"w{layer}"] = cache.dense_inputs[-1].T @ d
-    grads[f"b{layer}"] = d.sum(axis=0)
-    da = d @ v[f"w{layer}"].T
-
-    for j in reversed(range(n_dense_hidden)):
-        layer -= 1
-        hidden -= 1
-        dy = da * (cache.dense_preacts[j] > 0)
+    for l in reversed(range(out_layer)):
+        conv = l < n_conv
+        y = cache.preacts[l]
+        if conv:
+            idx = cache.pool_indices[l]
+            da = maxpool2_backward(da.reshape(idx.shape), idx, y.shape)
+        dz = da * (y > 0)
         if spec.layer_norm:
-            dz, dgain, dshift = _ln_backward(
-                dy, v[f"gain{hidden}"], cache.ln_xhat[hidden], cache.ln_inv_std[hidden]
-            )
-            grads[f"gain{hidden}"] = dgain
-            grads[f"shift{hidden}"] = dshift
+            gain = v[f"gain{l}"]
+            dz2d, dgain, dshift = _ln_backward(dz.reshape(len(dz), -1), gain, *cache.ln[l])
+            grads[f"gain{l}"] = dgain.reshape(gain.shape)
+            grads[f"shift{l}"] = dshift.reshape(gain.shape)
+            dz = dz2d.reshape(dz.shape)
+        w, x_in = v[f"w{l}"], cache.inputs[l]
+        if conv:
+            grads[f"w{l}"] = conv2d_kernel_gradient(x_in, dz, w.shape[2], w.shape[3])
+            grads[f"b{l}"] = dz.sum(axis=(0, 2, 3))
         else:
-            dz = dy
-        grads[f"w{layer}"] = cache.dense_inputs[j].T @ dz
-        grads[f"b{layer}"] = dz.sum(axis=0)
-        da = dz @ v[f"w{layer}"].T
-
-    dpool = da  # gradient w.r.t. the flattened pooled features
-    for j in reversed(range(n_conv)):
-        layer -= 1
-        hidden -= 1
-        a_shape = cache.pool_input_shapes[j]
-        idx = cache.pool_indices[j]
-        pooled_shape = idx.shape
-        dpool = dpool.reshape(pooled_shape)
-        dact = maxpool2_backward(dpool, idx, a_shape)
-        dy = dact * (cache.conv_preacts[j] > 0)
-        if spec.layer_norm:
-            flat = dy.reshape(dy.shape[0], -1)
-            dz2d, dgain, dshift = _ln_backward(
-                flat, v[f"gain{hidden}"], cache.ln_xhat[hidden], cache.ln_inv_std[hidden]
-            )
-            grads[f"gain{hidden}"] = dgain.reshape(v[f"gain{hidden}"].shape)
-            grads[f"shift{hidden}"] = dshift.reshape(v[f"shift{hidden}"].shape)
-            dz = dz2d.reshape(dy.shape)
-        else:
-            dz = dy
-        x_in = cache.conv_inputs[j]
-        kh = v[f"w{layer}"].shape[2]
-        kw = v[f"w{layer}"].shape[3]
-        grads[f"w{layer}"] = conv2d_kernel_gradient(x_in, dz, kh, kw)
-        grads[f"b{layer}"] = dz.sum(axis=(0, 2, 3))
-        if j > 0:
-            dpool = conv2d_input_gradient(dz, v[f"w{layer}"])
+            grads[f"w{l}"] = x_in.T @ dz
+            grads[f"b{l}"] = dz.sum(axis=0)
+        if l > 0:  # the network's input needs no gradient
+            da = conv2d_input_gradient(dz, w) if conv else dz @ w.T
 
     return loss, grads
 
@@ -366,9 +321,7 @@ def hidden_feature_matrices(
     post-ReLU activations of each dense hidden layer.
     """
     _, cache = forward(spec, params, images)
-    # the last pooled map is the (already flattened) input to the first dense layer
-    pooled = cache.conv_inputs[1:] + cache.dense_inputs[:1] if spec.convs else []
-    return [p.reshape(p.shape[0], -1) for p in pooled] + list(cache.dense_acts)
+    return [h.reshape(len(h), -1) for h in cache.inputs[1:]]
 
 
 def training_loss(

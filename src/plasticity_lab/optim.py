@@ -197,8 +197,6 @@ def cbp_step(
     initialization distribution, bias and outgoing weights zeroed, utility
     and age cleared, and any Adam moments touching them zeroed.
     """
-    if cache.kind != "mlp":
-        raise ValueError("continual backprop supports only the MLP architecture")
     decay = config.utility_decay
     scratch = params.work[1]
 
@@ -215,7 +213,7 @@ def cbp_step(
             with np.errstate(divide="ignore"):
                 inst = np.where(mean_in > 0, 1.0 / mean_in, np.inf)
         else:  # adaptive: batch activation magnitude times outgoing weight magnitude
-            inst = (np.mean(np.abs(cache.dense_acts[layer]), axis=0)
+            inst = (np.mean(np.abs(cache.inputs[layer + 1]), axis=0)
                     * np.mean(abs_w(w_out), axis=1))
         cbp.utilities[layer] = decay * cbp.utilities[layer] + (1.0 - decay) * inst
         cbp.ages[layer] += 1

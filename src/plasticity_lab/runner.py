@@ -211,7 +211,10 @@ def _run_cell(args) -> dict:
     try:
         record = run_experiment(cfg)
     except (NumericalError, ConfigError, DataFormatError, OSError) as exc:
-        row.update(status="failed", error=str(exc), total_avg_online_accuracy=float("nan"))
+        cause = ("config" if isinstance(exc, ConfigError)
+                 else "numerical" if isinstance(exc, NumericalError) else "io")
+        row.update(status="failed", cause=cause, error=str(exc),
+                   total_avg_online_accuracy=float("nan"))
         return row
     row.update(
         status="incomplete" if record.incomplete else "ok",
@@ -226,7 +229,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     The winner maximizes the seed-mean total average online accuracy;
     exact ties break toward smaller hyper-parameters (lambda / shrink /
     noise / replacement rate, then step size). Failed or incomplete cells
-    are recorded but excluded from winner selection.
+    are recorded but excluded from winner selection; a failed row names
+    its `cause` ("config", "io" or "numerical") and its `error` text.
     """
     base = dataclasses.replace(spec.base, method=spec.method)
     cells = spec.cells()

@@ -162,7 +162,7 @@ def test_layer_norm_normalizes_preactivations():
     spec = tiny_mlp_spec(layer_norm=True)
     params, images, _ = random_instance(spec, seed=2, batch=8)
     _, cache = forward(spec, params, images)
-    for xhat in cache.ln_xhat:
+    for xhat, _ in cache.ln:
         assert np.max(np.abs(xhat.mean(axis=1))) < 1e-9
         assert np.max(np.abs(xhat.var(axis=1) - 1.0)) < 1e-9
 
@@ -189,7 +189,7 @@ def test_logit_gradient_is_softmax_minus_onehot():
     dlogits = (probs - onehot) / logits.shape[0]
     # last-layer bias gradient is the column sum of dlogits
     assert np.allclose(grads["b2"], dlogits.sum(axis=0), atol=1e-12)
-    a_last = cache.dense_inputs[-1]
+    a_last = cache.inputs[-1]
     assert np.allclose(grads["w2"], a_last.T @ dlogits, atol=1e-12)
 
 
@@ -229,7 +229,7 @@ def test_dead_unit_gets_zero_incoming_gradient():
     params, images, labels = random_instance(spec, seed=6)
     params.values["b0"][2] = -100.0  # unit 2 of layer 0 never activates
     logits, cache = forward(spec, params, images)
-    assert np.all(cache.dense_preacts[0][:, 2] <= 0)
+    assert np.all(cache.preacts[0][:, 2] <= 0)
     _, grads = loss_and_grad(spec, params, cache, logits, labels)
     assert np.array_equal(grads["w0"][:, 2], np.zeros(spec.input_shape[0]))
     assert grads["b0"][2] == 0.0
@@ -248,6 +248,42 @@ def test_hidden_feature_matrix_shapes():
     cmats = hidden_feature_matrices(cspec, cparams, cimages)
     # post-pool maps: (16->12->pool 6), (6->2->pool 1); fc hidden width 4
     assert [m.shape for m in cmats] == [(9, 3 * 6 * 6), (9, 3 * 1 * 1), (9, 4)]
+
+
+def direct_conv_relu_pool(x, w, b):
+    """Valid cross-correlation, ReLU and 2x2 max pool, one output pixel at a time."""
+    n, _, height, width = x.shape
+    f, _, kh, kw = w.shape
+    z = np.empty((n, f, height - kh + 1, width - kw + 1))
+    for i in range(z.shape[2]):
+        for j in range(z.shape[3]):
+            z[:, :, i, j] = np.tensordot(x[:, :, i:i + kh, j:j + kw], w,
+                                         axes=([1, 2, 3], [1, 2, 3])) + b
+    a = np.maximum(z, 0.0)
+    pooled = np.empty((n, f, a.shape[2] // 2, a.shape[3] // 2))
+    for i in range(pooled.shape[2]):
+        for j in range(pooled.shape[3]):
+            pooled[:, :, i, j] = a[:, :, 2 * i:2 * i + 2, 2 * j:2 * j + 2].max(axis=(2, 3))
+    return pooled
+
+
+def test_cnn_feature_matrices_match_a_direct_computation():
+    spec = tiny_cnn_spec()
+    params, images, _ = random_instance(spec, seed=7, batch=5)
+    v = params.values
+    n_conv = len(spec.convs)
+    expected, h = [], images
+    for l in range(n_conv):
+        h = direct_conv_relu_pool(h, v[f"w{l}"], v[f"b{l}"])
+        expected.append(h.reshape(len(h), -1))
+    for l in range(n_conv, n_conv + len(spec.hidden_widths)):
+        h = np.maximum(h.reshape(len(h), -1) @ v[f"w{l}"] + v[f"b{l}"], 0.0)
+        expected.append(h)
+    mats = hidden_feature_matrices(spec, params, images)
+    assert len(mats) == len(expected) == 3
+    for got, want in zip(mats, expected):
+        assert np.count_nonzero(want) > 0  # the comparison is non-vacuous
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def test_feature_matrices_are_post_relu():

@@ -486,7 +486,7 @@ def per_tensor_trajectory(cfg, optimizer="adam", steps=30, seed=11, alpha=1e-2, 
                     with np.errstate(divide="ignore"):
                         inst = np.where(mean_in > 0, 1.0 / mean_in, np.inf)
                 else:
-                    inst = (np.mean(np.abs(cache.dense_acts[layer]), axis=0)
+                    inst = (np.mean(np.abs(cache.inputs[layer + 1]), axis=0)
                             * np.mean(np.abs(values[w_out]), axis=1))
                 decay = cfg.utility_decay
                 utilities[layer] = decay * utilities[layer] + (1.0 - decay) * inst
@@ -546,6 +546,24 @@ def test_flat_update_matches_per_tensor_oracle_on_cnn(optimizer):
     cfg, spec = ORACLE_CONFIGS["l2_init"], tiny_cnn_spec()
     assert_same_tensors(run_trajectory(cfg, optimizer, spec=spec),
                         per_tensor_trajectory(cfg, optimizer, spec=spec))
+
+
+# (sum of theta, sum of |theta - theta0|, theta . linspace(-1, 1)) after 20 Adam + l2_init
+# steps on the tiny CNN, recorded before the conv and dense layers shared one layer loop
+PINNED_CNN_RUN = {
+    False: (-1.3402258011559758, 4.07329752433461, 2.6449889778314946),
+    True: (448.35926676706947, 15.96203172388693, -1.2170881020574429),
+}
+
+
+@pytest.mark.parametrize("layer_norm", (False, True))
+def test_cnn_training_run_is_pinned(layer_norm):
+    params = run_trajectory(ORACLE_CONFIGS["l2_init"], "adam", steps=20,
+                            spec=tiny_cnn_spec(layer_norm=layer_norm))
+    theta = params.flat
+    got = (theta.sum(), np.abs(theta - params.flat0).sum(),
+           theta @ np.linspace(-1.0, 1.0, theta.size))
+    np.testing.assert_allclose(got, PINNED_CNN_RUN[layer_norm], rtol=1e-9, atol=0.0)
 
 
 def test_contribution_utility_matches_per_tensor_oracle():

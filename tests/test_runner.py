@@ -329,9 +329,30 @@ def test_cli_sweep_over_missing_data_names_the_error(tmp_path, capsys):
         "problem=permuted_mnist", f"mnist_images={tmp_path}/absent.idx",
         f"mnist_labels={tmp_path}/absent.idx",
     ])
-    assert code == 3
+    assert code == 2
     out = capsys.readouterr().out
     assert "all sweep cells failed" in out and "absent.idx" in out
+
+
+def test_cli_sweep_of_config_errors_is_a_usage_error(tmp_path, capsys):
+    rng = RngStream(0)
+    write_idx_images(tmp_path / "i.idx", (rng.uniform(0, 1, (200, 28, 28)) * 255).astype(np.uint8))
+    write_idx_labels(tmp_path / "l.idx", np.asarray(rng.integers(0, 10, 200)))
+    code = main(["sweep", "--method", "baseline", "--seeds", "1", "--out", str(tmp_path / "o"),
+                 "problem=permuted_mnist", "dataset_size=500",
+                 f"mnist_images={tmp_path / 'i.idx'}", f"mnist_labels={tmp_path / 'l.idx'}"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "all sweep cells failed", "  cannot subsample 500 from 200 samples"]
+
+
+def test_cli_sweep_where_every_cell_diverges_is_a_numerical_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "DIVERGENCE_MAGNITUDE", 0.0)  # every run stops at step 0
+    code = main(["sweep", "--method", "baseline", "--seeds", "1", "--out", str(tmp_path / "o"),
+                 "problem=synthetic_permuted", "num_tasks=1", "steps_per_task=2"])
+    assert code == 3
+    rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["incomplete", "incomplete"]
 
 
 def test_cli_gradcheck_passes(capsys):
