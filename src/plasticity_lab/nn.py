@@ -6,10 +6,10 @@ then the linear output layer L-1. An MLP is the case with no conv layers;
 a CNN has `conv_channels`. Every hidden layer runs the same steps: conv
 or affine map, optional layer norm over each sample's features, ReLU,
 and, on a conv layer, a 2x2 max pool. `forward` and `loss_and_grad` are
-one loop each over these layers. Parameters live in one flat vector, read
-through named views (`ParameterSet`); layer l uses keys "w{l}"/"b{l}"
-and, when layer normalization is enabled, hidden layer l adds
-"gain{l}"/"shift{l}".
+one loop each over these layers. Parameters, and the gradient, live in
+flat vectors read through named views (`ParameterSet`); layer l uses
+keys "w{l}"/"b{l}" and, when layer normalization is enabled, hidden
+layer l adds "gain{l}"/"shift{l}".
 
 Weights and biases are drawn uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)),
 and the flat vector is snapshotted at construction; that frozen snapshot
@@ -94,7 +94,8 @@ class ParameterSet:
     reinitialization -- can match it exactly: `draw_initial` gives every
     entry `lo + span * u`. Uniform tensors come first, so one draw of
     `n_uniform` values covers them in order. `work` holds three scratch
-    vectors for the update terms, so no step allocates a full-length array.
+    vectors, the gradient (row 0) and the update terms, so no step
+    allocates a full-length array.
     """
 
     def __init__(self, values: dict[str, np.ndarray], init_spec: dict[str, tuple[str, float]]):
@@ -255,11 +256,12 @@ def loss_and_grad(
     cache: ForwardCache,
     logits: np.ndarray,
     labels: np.ndarray,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy over the batch and its exact gradients.
+) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over the batch and its exact gradient.
 
-    Returns gradients for every trainable tensor, keyed like
-    `params.values`. The cache is single-use.
+    The gradient goes into the row `params.work[0]`, laid out like
+    `params.flat`, which is returned; the update consumes it (adding the
+    regularizer in place), just as the cache is single-use.
     """
     if cache.consumed:
         raise ValueError("loss_and_grad: forward cache was already consumed")
@@ -270,19 +272,18 @@ def loss_and_grad(
     if labels.min() < 0 or labels.max() >= spec.num_classes:
         raise ValueError(f"labels out of range [0, {spec.num_classes})")
 
-    v = params.values
+    v, g = params.values, params.named(params.work[0])
     batch = logits.shape[0]
     logp = _log_softmax(logits)
     loss = float(-logp[np.arange(batch), labels].mean())
 
-    grads: dict[str, np.ndarray] = {}
     d = np.exp(logp)
     d[np.arange(batch), labels] -= 1.0
     d /= batch
 
     out_layer = len(cache.preacts)
-    grads[f"w{out_layer}"] = cache.inputs[out_layer].T @ d
-    grads[f"b{out_layer}"] = d.sum(axis=0)
+    np.matmul(cache.inputs[out_layer].T, d, out=g[f"w{out_layer}"])
+    d.sum(axis=0, out=g[f"b{out_layer}"])
     da = d @ v[f"w{out_layer}"].T  # gradient w.r.t. the output layer's input
 
     n_conv = len(spec.convs)
@@ -296,20 +297,20 @@ def loss_and_grad(
         if spec.layer_norm:
             gain = v[f"gain{l}"]
             dz2d, dgain, dshift = _ln_backward(dz.reshape(len(dz), -1), gain, *cache.ln[l])
-            grads[f"gain{l}"] = dgain.reshape(gain.shape)
-            grads[f"shift{l}"] = dshift.reshape(gain.shape)
+            g[f"gain{l}"][...] = dgain.reshape(gain.shape)
+            g[f"shift{l}"][...] = dshift.reshape(gain.shape)
             dz = dz2d.reshape(dz.shape)
         w, x_in = v[f"w{l}"], cache.inputs[l]
         if conv:
-            grads[f"w{l}"] = conv2d_kernel_gradient(x_in, dz, w.shape[2], w.shape[3])
-            grads[f"b{l}"] = dz.sum(axis=(0, 2, 3))
+            g[f"w{l}"][...] = conv2d_kernel_gradient(x_in, dz, w.shape[2], w.shape[3])
+            dz.sum(axis=(0, 2, 3), out=g[f"b{l}"])
         else:
-            grads[f"w{l}"] = x_in.T @ dz
-            grads[f"b{l}"] = dz.sum(axis=0)
+            np.matmul(x_in.T, dz, out=g[f"w{l}"])
+            dz.sum(axis=0, out=g[f"b{l}"])
         if l > 0:  # the network's input needs no gradient
             da = conv2d_input_gradient(dz, w) if conv else dz @ w.T
 
-    return loss, grads
+    return loss, params.work[0]
 
 
 def hidden_feature_matrices(
@@ -347,20 +348,18 @@ def finite_difference_max_error(
     are indistinguishable from float64 roundoff in the difference quotient.
     """
     logits, cache = forward(spec, params, images)
-    _, grads = loss_and_grad(spec, params, cache, logits, labels)
+    _, grad = loss_and_grad(spec, params, cache, logits, labels)
+    theta = params.flat
     worst = 0.0
-    for name, arr in params.values.items():
-        flat = arr.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = training_loss(spec, params, images, labels)
-            flat[i] = orig - step
-            down = training_loss(spec, params, images, labels)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
-            analytic = grads[name].ravel()[i]
-            diff = abs(numeric - analytic)
-            if diff > abs_floor:
-                worst = max(worst, diff / max(abs(numeric), abs(analytic)))
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + step
+        up = training_loss(spec, params, images, labels)
+        theta[i] = orig - step
+        down = training_loss(spec, params, images, labels)
+        theta[i] = orig
+        numeric = (up - down) / (2.0 * step)
+        diff = abs(numeric - grad[i])
+        if diff > abs_floor:
+            worst = max(worst, diff / max(abs(numeric), abs(grad[i])))
     return worst

@@ -14,8 +14,9 @@ biases, and layer-norm affines where present), and none of them ever sees
 a task boundary.
 
 Every term is computed in place on the flat parameter vector, into its
-scratch rows `params.work` (row 0 holds the total gradient), with the
-per-element operation order of the per-tensor formulas.
+scratch rows `params.work`, with the per-element operation order of the
+per-tensor formulas. Row 0 holds the loss gradient that `nn.loss_and_grad`
+wrote; the update adds the regularizer term into it.
 
 Nothing here checks for non-finite values: the runner's divergence check
 on the parameters, made before every update, is the one numerical check.
@@ -246,20 +247,22 @@ def apply_method_step(
     config: MethodConfig,
     opt: OptimizerState,
     params: ParameterSet,
-    grads: dict[str, np.ndarray],
+    grad: np.ndarray,
     rng: RngStream,
     cache: ForwardCache | None = None,
     cbp: CbpState | None = None,
 ) -> ParameterSet:
-    """One full update: regularizer gradient, optimizer step, post-step edits."""
-    total = np.concatenate([grads[name].ravel() for name in params.values],
-                           out=params.work[0])
+    """One full update: regularizer gradient, optimizer step, post-step edits.
+
+    `grad` is the row `loss_and_grad` returned, laid out like `params.flat`;
+    the update consumes it, adding the regularizer term in place.
+    """
     if config.method in REGULARIZED and config.lam != 0.0:
-        total += regularizer_gradient(config, params, rng)
+        grad += regularizer_gradient(config, params, rng)
     if opt.kind == "sgd":
-        sgd_step(opt, params, total)
+        sgd_step(opt, params, grad)
     else:
-        adam_step(opt, params, total)
+        adam_step(opt, params, grad)
     if config.method == "shrink_perturb":
         shrink_perturb_apply(config, params, rng)
     elif config.method == "continual_backprop":

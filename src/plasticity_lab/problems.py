@@ -125,14 +125,6 @@ def load_cifar10_bin(path: str) -> Dataset:
     return Dataset(images=images, labels=labels)
 
 
-def write_cifar10_bin(path: str, dataset: Dataset) -> None:
-    """Inverse of load_cifar10_bin, for building test fixtures."""
-    pixels = np.round(dataset.images * 255.0).astype(np.uint8).reshape(dataset.size, 3072)
-    with open(path, "wb") as fh:
-        for label, row in zip(dataset.labels, pixels):
-            fh.write(bytes([int(label)]) + row.tobytes())
-
-
 def subsample(dataset: Dataset, n: int, rng: RngStream) -> Dataset:
     """Draw n distinct samples without replacement, order fixed by rng."""
     if n > dataset.size:

@@ -127,12 +127,12 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
                 images, labels = next_batch(task, j)
                 logits, cache = forward(spec, params, images)
                 per_step[step] = batch_accuracy(logits, labels)
-                _, grads = loss_and_grad(spec, params, cache, logits, labels)
+                _, grad = loss_and_grad(spec, params, cache, logits, labels)
                 magnitude = mean_param_magnitude(params)
                 if not magnitude <= DIVERGENCE_MAGNITUDE:
                     raise NumericalError(f"run diverged at step {step} (mean |theta|={magnitude})")
                 apply_method_step(
-                    method, opt, params, grads, rng=noise_rng, cache=cache, cbp=cbp
+                    method, opt, params, grad, rng=noise_rng, cache=cache, cbp=cbp
                 )
                 step += 1
             probe = probe_batch(task, cfg.probe_size)

@@ -43,6 +43,14 @@ def write_idx_labels(path, labels):
         fh.write(bytes(int(v) for v in labels))
 
 
+def write_cifar10_bin(path, dataset):
+    """Inverse of problems.load_cifar10_bin: one label byte, then 3072 pixel bytes."""
+    pixels = np.round(dataset.images * 255.0).astype(np.uint8).reshape(dataset.size, 3072)
+    with open(path, "wb") as fh:
+        for label, row in zip(dataset.labels, pixels):
+            fh.write(bytes([int(label)]) + row.tobytes())
+
+
 @pytest.fixture
 def rng():
     return RngStream(1234)

@@ -8,17 +8,12 @@ for real, so the whole module takes a few minutes of CPU.
 import numpy as np
 import pytest
 
-from conftest import random_instance, tiny_cnn_spec, tiny_mlp_spec
+from conftest import random_instance, tiny_cnn_spec, tiny_mlp_spec, write_cifar10_bin
 from plasticity_lab.config import RunConfig, parse_config
 from plasticity_lab.metrics import srank
 from plasticity_lab.nn import ParameterSet, finite_difference_max_error
 from plasticity_lab.optim import MethodConfig, adam_step, apply_method_step, make_optimizer
-from plasticity_lab.problems import (
-    Dataset,
-    load_cifar10_bin,
-    load_idx,
-    write_cifar10_bin,
-)
+from plasticity_lab.problems import Dataset, load_cifar10_bin, load_idx
 from plasticity_lab.rng import RngStream
 from plasticity_lab.runner import run_experiment, write_outputs
 
@@ -75,8 +70,9 @@ def test_criterion_1_gradient_correctness():
             params, images, labels = random_instance(spec, seed=seed, batch=6)
             # non-vacuity: every tensor must carry gradient signal on this draw
             logits, cache = forward(spec, params, images)
-            _, grads = loss_and_grad(spec, params, cache, logits, labels)
-            assert all(np.abs(g).max() > 1e-8 for g in grads.values()), (spec.kind, seed)
+            _, grad = loss_and_grad(spec, params, cache, logits, labels)
+            tensors = params.named(grad).values()
+            assert all(np.abs(g).max() > 1e-8 for g in tensors), (spec.kind, seed)
             worst = max(worst, finite_difference_max_error(spec, params, images, labels))
             draws += 1
     assert draws == 20
@@ -96,8 +92,8 @@ def test_criterion_2_sgd_regularizer_identity():
         ps = ParameterSet({"w0": np.array([theta0])}, {"w0": ("uniform", 1.0)})
         ps.values["w0"][...] = theta
         opt = make_optimizer("sgd", alpha, ps)
-        apply_method_step(MethodConfig(method="l2_init", lam=lam), opt, ps,
-                          {"w0": np.array([g])}, rng=RngStream(0))
+        apply_method_step(MethodConfig(method="l2_init", lam=lam), opt, ps, np.array([g]),
+                          rng=RngStream(0))
         closed = (1 - 2 * alpha * lam) * theta + 2 * alpha * lam * theta0 - alpha * g
         worst = max(worst, abs(float(ps.values["w0"][0]) - closed))
 
@@ -107,11 +103,12 @@ def test_criterion_2_sgd_regularizer_identity():
         spec = tiny_mlp_spec()
         params, images, labels = random_instance(spec, seed=200 + seed)
         logits, cache = forward(spec, params, images)
-        _, grads = loss_and_grad(spec, params, cache, logits, labels)
+        _, grad = loss_and_grad(spec, params, cache, logits, labels)
+        grads = params.named(grad.copy())  # the update consumes the row
         alpha, lam = 0.07, 0.013
         before = {k: v.copy() for k, v in params.values.items()}
         opt = make_optimizer("sgd", alpha, params)
-        apply_method_step(MethodConfig(method="l2_init", lam=lam), opt, params, grads,
+        apply_method_step(MethodConfig(method="l2_init", lam=lam), opt, params, grad,
                           rng=RngStream(0))
         for k in before:
             closed = ((1 - 2 * alpha * lam) * before[k]

@@ -182,7 +182,8 @@ def test_logit_gradient_is_softmax_minus_onehot():
     spec = tiny_mlp_spec()
     params, images, labels = random_instance(spec, seed=3)
     logits, cache = forward(spec, params, images)
-    _, grads = loss_and_grad(spec, params, cache, logits, labels)
+    _, grad = loss_and_grad(spec, params, cache, logits, labels)
+    grads = params.named(grad)
     probs = np.exp(logits - logits.max(1, keepdims=True))
     probs /= probs.sum(1, keepdims=True)
     onehot = np.eye(spec.num_classes)[labels]
@@ -218,7 +219,8 @@ def test_gradients_match_finite_differences(kind, layer_norm):
     spec = tiny_mlp_spec(layer_norm) if kind == "mlp" else tiny_cnn_spec(layer_norm)
     params, images, labels = random_instance(spec, seed=17, batch=6)
     logits, cache = forward(spec, params, images)
-    _, grads = loss_and_grad(spec, params, cache, logits, labels)
+    _, grad = loss_and_grad(spec, params, cache, logits, labels)
+    grads = params.named(grad)
     assert all(np.abs(g).max() > 1e-8 for g in grads.values())  # check is non-vacuous
     numeric = fd_gradients(spec, params, images, labels)
     assert max_rel_error(grads, numeric) < 1e-4
@@ -230,7 +232,8 @@ def test_dead_unit_gets_zero_incoming_gradient():
     params.values["b0"][2] = -100.0  # unit 2 of layer 0 never activates
     logits, cache = forward(spec, params, images)
     assert np.all(cache.preacts[0][:, 2] <= 0)
-    _, grads = loss_and_grad(spec, params, cache, logits, labels)
+    _, grad = loss_and_grad(spec, params, cache, logits, labels)
+    grads = params.named(grad)
     assert np.array_equal(grads["w0"][:, 2], np.zeros(spec.input_shape[0]))
     assert grads["b0"][2] == 0.0
 

@@ -1,5 +1,4 @@
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -216,8 +215,8 @@ def cbp_fixture(widths=(4, 3), seed=0):
     spec = type(spec)(kind="mlp", input_shape=(6,), hidden_widths=widths, num_classes=3)
     params, images, labels = random_instance(spec, seed=seed)
     logits, cache = forward(spec, params, images)
-    _, grads = loss_and_grad(spec, params, cache, logits, labels)
-    return spec, params, cache, grads
+    _, grad = loss_and_grad(spec, params, cache, logits, labels)
+    return spec, params, cache, grad
 
 
 def test_cbp_no_resets_before_maturity():
@@ -316,8 +315,8 @@ def run_trajectory(method_cfg, optimizer="adam", steps=30, seed=11, alpha=1e-2, 
         images = data.uniform(0, 1, (4,) + spec.input_shape)
         labels = np.asarray(data.integers(0, 3, 4))
         logits, cache = forward(spec, params, images)
-        _, grads = loss_and_grad(spec, params, cache, logits, labels)
-        apply_method_step(method_cfg, opt, params, grads, rng=noise, cache=cache, cbp=cbp)
+        _, grad = loss_and_grad(spec, params, cache, logits, labels)
+        apply_method_step(method_cfg, opt, params, grad, rng=noise, cache=cache, cbp=cbp)
     return params
 
 
@@ -350,7 +349,7 @@ def test_sgd_l2init_step_matches_shrink_perturb_form():
         ps = single_weight_params([theta], theta0=[theta0])
         cfg = MethodConfig(method="l2_init", lam=lam)
         opt = make_optimizer("sgd", alpha, ps)
-        apply_method_step(cfg, opt, ps, {"w0": np.array([g])}, rng=RngStream(0))
+        apply_method_step(cfg, opt, ps, np.array([g]), rng=RngStream(0))
         closed_form = (1 - 2 * alpha * lam) * theta + 2 * alpha * lam * theta0 - alpha * g
         assert abs(ps.values["w0"][0] - closed_form) <= 1e-12
 
@@ -363,12 +362,13 @@ def test_sgd_l2init_identity_on_small_networks():
         images = master.uniform(0, 1, (4, 6))
         labels = np.asarray(master.integers(0, 3, 4))
         logits, cache = forward(spec, params, images)
-        _, grads = loss_and_grad(spec, params, cache, logits, labels)
+        _, grad = loss_and_grad(spec, params, cache, logits, labels)
+        grads = params.named(grad.copy())  # the update consumes the row
         alpha, lam = 0.05, 0.01
         before = {k: v.copy() for k, v in params.values.items()}
         cfg = MethodConfig(method="l2_init", lam=lam)
         opt = make_optimizer("sgd", alpha, params)
-        apply_method_step(cfg, opt, params, grads, rng=RngStream(0))
+        apply_method_step(cfg, opt, params, grad, rng=RngStream(0))
         for k in before:
             closed = (
                 (1 - 2 * alpha * lam) * before[k]
@@ -385,7 +385,7 @@ def test_l2init_converges_monotonically_to_anchor_under_sgd():
     opt = make_optimizer("sgd", 0.1, ps)
     gaps = [np.abs(ps.values["w0"] - np.array([1.0, 1.0]))]
     for _ in range(200):
-        apply_method_step(cfg, opt, ps, {"w0": np.zeros(2)}, rng=RngStream(0))
+        apply_method_step(cfg, opt, ps, np.zeros(2), rng=RngStream(0))
         gaps.append(np.abs(ps.values["w0"] - np.array([1.0, 1.0])))
     gaps = np.array(gaps)
     assert np.all(np.diff(gaps, axis=0) <= 0)
@@ -397,7 +397,7 @@ def test_l2_converges_to_origin_under_sgd():
     cfg = MethodConfig(method="l2", lam=0.5)
     opt = make_optimizer("sgd", 0.1, ps)
     for _ in range(300):
-        apply_method_step(cfg, opt, ps, {"w0": np.zeros(2)}, rng=RngStream(0))
+        apply_method_step(cfg, opt, ps, np.zeros(2), rng=RngStream(0))
     assert np.all(np.abs(ps.values["w0"]) < 1e-6)
 
 
@@ -405,7 +405,7 @@ def test_baseline_is_plain_optimizer_step():
     ps = single_weight_params([1.0])
     cfg = MethodConfig(method="baseline")
     opt = make_optimizer("sgd", 0.1, ps)
-    apply_method_step(cfg, opt, ps, {"w0": np.array([2.0])}, rng=RngStream(0))
+    apply_method_step(cfg, opt, ps, np.array([2.0]), rng=RngStream(0))
     assert np.isclose(ps.values["w0"][0], 0.8, atol=1e-15)
 
 
@@ -431,7 +431,6 @@ def per_tensor_trajectory(cfg, optimizer="adam", steps=30, seed=11, alpha=1e-2, 
     master = RngStream(seed)
     start = init_params(spec, master.split("init"))
     values = {k: x.copy() for k, x in start.values.items()}
-    net = SimpleNamespace(values=values)  # all that forward and loss_and_grad read
     m = {k: np.zeros_like(x) for k, x in values.items()}
     v = {k: np.zeros_like(x) for k, x in values.items()}
     b1, b2, eps = 0.9, 0.999, 1e-8
@@ -450,8 +449,10 @@ def per_tensor_trajectory(cfg, optimizer="adam", steps=30, seed=11, alpha=1e-2, 
     for t in range(1, steps + 1):
         images = data.uniform(0, 1, (4,) + spec.input_shape)
         labels = np.asarray(data.integers(0, 3, 4))
+        net = ParameterSet(values, start.init_spec)  # a copy, for forward and loss_and_grad
         logits, cache = forward(spec, net, images)
-        _, grads = loss_and_grad(spec, net, cache, logits, labels)
+        _, grad = loss_and_grad(spec, net, cache, logits, labels)
+        grads = dict(net.named(grad))
         total = grads
         if cfg.method in REGULARIZED and cfg.lam != 0.0:
             two_lam = 2.0 * cfg.lam
@@ -598,12 +599,28 @@ def test_update_allocates_no_full_length_array(method, optimizer):
     cbp = make_cbp_state(spec) if method == "continual_backprop" else None
     data = master.split("data")
     logits, cache = forward(spec, params, data.uniform(0, 1, (16, 784)))
-    _, grads = loss_and_grad(spec, params, cache, logits, np.asarray(data.integers(0, 10, 16)))
+    _, grad = loss_and_grad(spec, params, cache, logits, np.asarray(data.integers(0, 10, 16)))
     noise = master.split("noise")
 
     def step():
-        apply_method_step(cfg, opt, params, grads, rng=noise, cache=cache, cbp=cbp)
+        apply_method_step(cfg, opt, params, grad, rng=noise, cache=cache, cbp=cbp)
 
     step()  # warm-up
     assert peak_new_bytes(step) < 64 * 1024
     assert peak_new_bytes(lambda: mean_param_magnitude(params)) < 64 * 1024
+
+
+def test_backward_pass_allocates_no_gradient_tensors():
+    # 784-100-100-10, batch 16: the 784x100 weight gradient alone would be 613 KiB
+    spec = NetworkSpec(kind="mlp", input_shape=(784,), hidden_widths=(100, 100))
+    master = RngStream(0)
+    params = init_params(spec, master.split("init"))
+    data = master.split("data")
+    images, labels = data.uniform(0, 1, (16, 784)), np.asarray(data.integers(0, 10, 16))
+
+    def forward_backward():
+        logits, cache = forward(spec, params, images)
+        loss_and_grad(spec, params, cache, logits, labels)
+
+    forward_backward()  # warm-up
+    assert peak_new_bytes(forward_backward) < 256 * 1024

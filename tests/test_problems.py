@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import write_idx_images, write_idx_labels
+from conftest import write_cifar10_bin, write_idx_images, write_idx_labels
 from plasticity_lab.config import RunConfig
 from plasticity_lab.errors import DataFormatError
 from plasticity_lab.nn import NetworkSpec, forward, init_params, loss_and_grad
@@ -16,7 +16,6 @@ from plasticity_lab.problems import (
     next_batch,
     probe_batch,
     subsample,
-    write_cifar10_bin,
 )
 from plasticity_lab.rng import RngStream
 from plasticity_lab.runner import build_stream

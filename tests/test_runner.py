@@ -1,15 +1,16 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from conftest import write_idx_images, write_idx_labels
+from conftest import write_cifar10_bin, write_idx_images, write_idx_labels
 from plasticity_lab import runner
 from plasticity_lab.cli import main
 from plasticity_lab.config import RunConfig, SweepSpec
 from plasticity_lab.nn import init_params
-from plasticity_lab.problems import Dataset, write_cifar10_bin
+from plasticity_lab.problems import Dataset
 from plasticity_lab.rng import RngStream
 from plasticity_lab.runner import (
     build_network_spec,
@@ -357,7 +358,12 @@ def test_cli_sweep_where_every_cell_diverges_is_a_numerical_failure(tmp_path, mo
 
 def test_cli_gradcheck_passes(capsys):
     assert main(["gradcheck"]) == 0
-    assert "overall max relative error" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "overall max relative error" in out
+    # the unfloored worst relative error of each network: a real difference, under the gate
+    unfloored = [float(x) for x in re.findall(r"\(unfloored (\S+)\)", out)]
+    assert len(unfloored) == 4
+    assert all(0.0 < err < 1e-4 for err in unfloored), unfloored
 
 
 def test_cli_sweep(tmp_path):
