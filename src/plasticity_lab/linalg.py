@@ -14,35 +14,42 @@ import numpy as np
 from .errors import DimensionError
 
 
+def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """im2col (C*kh*kw, N*Ho*Wo): entry ((c, u, v), (n, i, j)) is x[n, c, i+u, j+v]. A fresh
+    copy, dropped after its one GEMM: a 512-sample probe's layer-0 columns are 230 MiB."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(x.shape[1] * kh * kw, -1)
+
+
 def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Valid cross-correlation of a batch with a kernel bank, plus bias.
+    """Valid cross-correlation of a batch with a kernel bank, plus bias: one GEMM.
 
     x: (N, C, H, W), kernels: (F, C, kh, kw), bias: (F,).
-    Returns (N, F, H-kh+1, W-kw+1).
+    Returns a C-contiguous (N, F, H-kh+1, W-kw+1).
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
     bias = np.asarray(bias, dtype=np.float64)
     if x.ndim != 4 or kernels.ndim != 4 or x.shape[1] != kernels.shape[1]:
         raise DimensionError(f"conv2d: incompatible shapes {x.shape} x {kernels.shape}")
-    kh, kw = kernels.shape[2], kernels.shape[3]
+    f, _, kh, kw = kernels.shape
     if x.shape[2] < kh or x.shape[3] < kw:
         raise DimensionError(
             f"conv2d: spatial dims {x.shape[2:]} smaller than kernel {(kh, kw)}"
         )
-    if bias.shape != (kernels.shape[0],):
-        raise DimensionError(f"conv2d: bias shape {bias.shape} != ({kernels.shape[0]},)")
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    out = np.einsum("nchwuv,fcuv->nfhw", windows, kernels, optimize=True)
-    return out + bias[None, :, None, None]
+    if bias.shape != (f,):
+        raise DimensionError(f"conv2d: bias shape {bias.shape} != ({f},)")
+    n, ho, wo = x.shape[0], x.shape[2] - kh + 1, x.shape[3] - kw + 1
+    prod = kernels.reshape(f, -1) @ _columns(x, kh, kw)
+    out = np.empty((n, f, ho, wo))
+    return np.add(prod.reshape(f, n, ho, wo).transpose(1, 0, 2, 3), bias[:, None, None], out=out)
 
 
 def conv2d_kernel_gradient(x: np.ndarray, grad_out: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Gradient of conv2d w.r.t. the kernels given upstream grad (N,F,Ho,Wo)."""
-    ho, wo = grad_out.shape[2], grad_out.shape[3]
-    windows = np.lib.stride_tricks.sliding_window_view(x, (ho, wo), axis=(2, 3))
-    # windows: (N, C, kh, kw, Ho, Wo)
-    return np.einsum("nfij,ncuvij->fcuv", grad_out, windows, optimize=True)
+    """Gradient of conv2d w.r.t. the kernels given upstream grad (N,F,Ho,Wo): one GEMM."""
+    f = grad_out.shape[1]
+    grad = grad_out.transpose(1, 0, 2, 3).reshape(f, -1) @ _columns(x, kh, kw).T
+    return grad.reshape(f, x.shape[1], kh, kw)
 
 
 def conv2d_input_gradient(grad_out: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -54,35 +61,25 @@ def conv2d_input_gradient(grad_out: np.ndarray, kernels: np.ndarray) -> np.ndarr
     return np.einsum("nfyxuv,fcuv->ncyx", windows, flipped, optimize=True)
 
 
-def maxpool2(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 max pool with stride 2; trailing odd rows/columns are dropped.
-
-    Returns (pooled, argmax) where argmax holds each window's winning
-    position in row-major window order (0..3); ties go to the first
-    element, so a constant window reports index 0.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4:
-        raise DimensionError(f"maxpool2: expected 4-D input, got shape {x.shape}")
-    n, f, h, w = x.shape
-    if h < 2 or w < 2:
-        raise DimensionError(f"maxpool2: spatial dims {(h, w)} must be >= 2")
-    ho, wo = h // 2, w // 2
-    t = x[:, :, : ho * 2, : wo * 2].reshape(n, f, ho, 2, wo, 2)
-    t = t.transpose(0, 1, 2, 4, 3, 5).reshape(n, f, ho, wo, 4)
-    idx = t.argmax(axis=-1)
-    out = np.take_along_axis(t, idx[..., None], axis=-1)[..., 0]
-    return out, idx
+def maxpool2(x: np.ndarray) -> np.ndarray:
+    """2x2 max pool, stride 2, odd trailing rows/columns dropped (sizes checked in nn)."""
+    even = x[:, :, : x.shape[2] // 2 * 2, : x.shape[3] // 2 * 2]
+    out = np.maximum(even[..., 0::2, 0::2], even[..., 0::2, 1::2])
+    np.maximum(out, even[..., 1::2, 0::2], out=out)
+    return np.maximum(out, even[..., 1::2, 1::2], out=out)
 
 
-def maxpool2_backward(grad_out: np.ndarray, idx: np.ndarray, input_shape) -> np.ndarray:
-    """Route pooled gradients back to the argmax positions recorded by maxpool2."""
-    n, f, h, w = input_shape
-    ho, wo = grad_out.shape[2], grad_out.shape[3]
-    scattered = np.zeros((n, f, ho, wo, 4), dtype=np.float64)
-    np.put_along_axis(scattered, idx[..., None], grad_out[..., None], axis=-1)
-    grad_trim = scattered.reshape(n, f, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    grad_trim = grad_trim.reshape(n, f, ho * 2, wo * 2)
-    grad_in = np.zeros((n, f, h, w), dtype=np.float64)
-    grad_in[:, :, : ho * 2, : wo * 2] = grad_trim
+def maxpool2_backward(grad_out: np.ndarray, x: np.ndarray, pooled: np.ndarray) -> np.ndarray:
+    """Route each window's gradient to its first entry of x (row-major) equal to `pooled`,
+    as argmax breaks ties, so a constant window routes to its top-left; elsewhere +0.0."""
+    grad_in = np.zeros(x.shape)
+    ho2, wo2 = 2 * pooled.shape[2], 2 * pooled.shape[3]
+    free = np.ones(pooled.shape, dtype=bool)  # windows not routed yet
+    for du, dv in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        slot = (..., slice(du, ho2, 2), slice(dv, wo2, 2))
+        hit = (x[slot] == pooled) & free
+        free ^= hit
+        # grad_out's exact bits where hit, else +0.0: np.where's result without its branches
+        mask = np.negative(hit, dtype=np.int64)
+        np.bitwise_and(grad_out.view(np.int64), mask, out=grad_in[slot].view(np.int64))
     return grad_in

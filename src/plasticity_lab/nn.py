@@ -178,14 +178,15 @@ class ForwardCache:
     `inputs` holds the input to every layer, the output layer last, so
     `inputs[l + 1]` is hidden layer l's output (pooled on a conv layer);
     `preacts` the post-layer-norm, pre-ReLU output of each hidden layer;
-    `ln` its layer norm's (xhat, inv_std), empty when layer norm is off;
-    `pool_indices` each conv layer's max-pool argmax.
+    `ln` its layer norm's (xhat, inv_std), empty when layer norm is off.
+    A conv layer's max pool keeps nothing: the backward pass routes each
+    window's gradient to the first position of `max(preacts[l], 0)` equal
+    to the pooled value in `inputs[l + 1]`, which is argmax's tie rule.
     """
 
     inputs: list = field(default_factory=list)
     preacts: list = field(default_factory=list)
     ln: list = field(default_factory=list)
-    pool_indices: list = field(default_factory=list)
     consumed: bool = False
 
 
@@ -234,8 +235,7 @@ def forward(
         cache.preacts.append(z)
         h = np.maximum(z, 0.0)
         if conv:
-            h, idx = maxpool2(h)
-            cache.pool_indices.append(idx)
+            h = maxpool2(h)
             if l == n_conv - 1:  # dense layers take each sample's features flat
                 h = h.reshape(len(h), -1)
 
@@ -291,8 +291,8 @@ def loss_and_grad(
         conv = l < n_conv
         y = cache.preacts[l]
         if conv:
-            idx = cache.pool_indices[l]
-            da = maxpool2_backward(da.reshape(idx.shape), idx, y.shape)
+            pooled = cache.inputs[l + 1].reshape(len(y), y.shape[1], y.shape[2] // 2, -1)
+            da = maxpool2_backward(da.reshape(pooled.shape), np.maximum(y, 0.0), pooled)
         dz = da * (y > 0)
         if spec.layer_norm:
             gain = v[f"gain{l}"]

@@ -53,6 +53,33 @@ def maxpool2_loops(x):
     return out, idx
 
 
+def scatter_to_window_index(grad_out, idx, shape):
+    """Each window's gradient at its position idx (0..3, row-major), +0.0 elsewhere."""
+    grad = np.zeros(shape)
+    n, f, ho, wo = idx.shape
+    for ni in range(n):
+        for fi in range(f):
+            for i in range(ho):
+                for j in range(wo):
+                    t = idx[ni, fi, i, j]
+                    grad[ni, fi, 2 * i + t // 2, 2 * j + t % 2] = grad_out[ni, fi, i, j]
+    return grad
+
+
+def same_bytes(a, b):
+    """Bit-for-bit equality, so +0.0 and -0.0 count as different."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def check_maxpool_against_loops(x, grad_out):
+    """maxpool2 and its backward against the loop oracle and a scatter to its argmax."""
+    want, idx = maxpool2_loops(x)
+    got = maxpool2(x)
+    assert np.array_equal(got, want)
+    back = maxpool2_backward(grad_out, x, got)
+    assert same_bytes(back, scatter_to_window_index(grad_out, idx, x.shape))
+
+
 # --- conv2d ---------------------------------------------------------------
 
 def test_conv2d_all_ones_sums_window():
@@ -92,11 +119,11 @@ def test_conv2d_and_maxpool_match_loop_oracles(trial):
     assert np.allclose(conv2d(x, k, b), conv2d_loops(x, k, b), rtol=1e-12, atol=1e-12)
 
     hp = max(h, 2)
-    xp = rng.uniform(-1, 1, (n, f, hp, hp + 1))
-    got, got_idx = maxpool2(xp)
-    want, want_idx = maxpool2_loops(xp)
-    assert np.array_equal(got, want)
-    assert np.array_equal(got_idx, want_idx)
+    xp = rng.uniform(-1, 1, (n, f, hp, hp + 1))  # one odd spatial size
+    grad_out = rng.uniform(-1, 1, (n, f, hp // 2, (hp + 1) // 2))
+    check_maxpool_against_loops(xp, grad_out)
+    check_maxpool_against_loops(np.maximum(xp, 0.0), grad_out)  # post-ReLU: zero ties
+    check_maxpool_against_loops(np.full(xp.shape, xp[0, 0, 0, 0]), grad_out)  # constant windows
 
 
 def test_conv2d_rejects_small_spatial():
@@ -132,23 +159,91 @@ def test_conv2d_gradients_match_finite_differences():
 # --- maxpool2 ---------------------------------------------------------------
 
 def test_maxpool_basic_window():
-    out, idx = maxpool2(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+    x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+    out = maxpool2(x)
     assert out[0, 0, 0, 0] == 4.0
-    assert idx[0, 0, 0, 0] == 3
+    back = maxpool2_backward(np.full_like(out, -2.0), x, out)
+    assert np.array_equal(back, [[[[0.0, 0.0], [0.0, -2.0]]]])
 
 
 def test_maxpool_tie_goes_to_first():
-    out, idx = maxpool2(np.full((1, 2, 4, 4), 2.5))
+    x = np.full((1, 2, 4, 4), 2.5)
+    out = maxpool2(x)
     assert np.all(out == 2.5)
-    assert np.all(idx == 0)
+    back = maxpool2_backward(np.ones_like(out), x, out)
+    assert np.all(back[:, :, 0::2, 0::2] == 1.0)  # each window's top-left entry
+    assert back.sum() == out.size
 
 
 def test_maxpool_odd_dims_dropped_and_backward_routes():
     x = RngStream(6).uniform(-1, 1, (1, 1, 5, 5))
-    out, idx = maxpool2(x)
+    out = maxpool2(x)
     assert out.shape == (1, 1, 2, 2)
     g = np.ones_like(out)
-    back = maxpool2_backward(g, idx, x.shape)
+    back = maxpool2_backward(g, x, out)
     assert back.shape == x.shape
     assert back.sum() == out.size  # each window routes exactly one unit of gradient
     assert np.all(back[:, :, 4, :] == 0) and np.all(back[:, :, :, 4] == 0)
+
+
+# --- bit-exactness tripwire -------------------------------------------------
+# The einsum convolutions and argmax pooling the lab used before its im2col
+# GEMMs and strided pooling. Every recorded run was made with them, so the
+# replacements must match them bit for bit, not just to a tolerance.
+
+def conv2d_einsum(x, kernels, bias):
+    windows = np.lib.stride_tricks.sliding_window_view(x, kernels.shape[2:], axis=(2, 3))
+    return np.einsum("nchwuv,fcuv->nfhw", windows, kernels, optimize=True) + bias[None, :, None, None]
+
+
+def conv2d_kernel_gradient_einsum(x, grad_out):
+    windows = np.lib.stride_tricks.sliding_window_view(x, grad_out.shape[2:], axis=(2, 3))
+    return np.einsum("nfij,ncuvij->fcuv", grad_out, windows, optimize=True)
+
+
+def maxpool2_argmax(x):
+    n, f, h, w = x.shape
+    ho, wo = h // 2, w // 2
+    t = x[:, :, : ho * 2, : wo * 2].reshape(n, f, ho, 2, wo, 2)
+    t = t.transpose(0, 1, 2, 4, 3, 5).reshape(n, f, ho, wo, 4)
+    idx = t.argmax(axis=-1)
+    return np.take_along_axis(t, idx[..., None], axis=-1)[..., 0], idx
+
+
+def maxpool2_backward_argmax(grad_out, idx, shape):
+    n, f, h, w = shape
+    ho, wo = grad_out.shape[2], grad_out.shape[3]
+    scattered = np.zeros((n, f, ho, wo, 4))
+    np.put_along_axis(scattered, idx[..., None], grad_out[..., None], axis=-1)
+    grad_trim = scattered.reshape(n, f, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    grad_in = np.zeros(shape)
+    grad_in[:, :, : ho * 2, : wo * 2] = grad_trim.reshape(n, f, ho * 2, wo * 2)
+    return grad_in
+
+
+# the inputs of the CIFAR CNN's two conv layers at batch 16; conv 5x5 then pool 2x2:
+# 3x32x32 -> 16x28x28 -> 16x14x14 -> 16x10x10 -> 16x5x5
+@pytest.mark.parametrize("in_shape", ((16, 3, 32, 32), (16, 16, 14, 14)))
+def test_conv_and_pool_match_the_einsum_and_argmax_code_bit_for_bit(in_shape):
+    rng = RngStream(77).split(*in_shape)
+    x = rng.uniform(0, 1, in_shape)
+    if in_shape[1] > 3:  # the second layer reads pooled post-ReLU maps
+        x = np.maximum(x - 0.5, 0.0)
+    fan_in = in_shape[1] * 25
+    k = rng.uniform(-1, 1, (16, in_shape[1], 5, 5)) / np.sqrt(fan_in)
+    b = rng.uniform(-1, 1, (16,)) / np.sqrt(fan_in)
+
+    z = conv2d(x, k, b)
+    assert same_bytes(z, conv2d_einsum(x, k, b))
+    assert z.flags.c_contiguous
+    a = np.maximum(z, 0.0)
+    assert np.mean(a == 0.0) > 0.2  # many zero ties inside pool windows
+
+    pooled, idx = maxpool2_argmax(a)
+    assert same_bytes(maxpool2(a), pooled)
+    grad_out = rng.uniform(-1, 1, pooled.shape)
+    back = maxpool2_backward(grad_out, a, pooled)
+    assert same_bytes(back, maxpool2_backward_argmax(grad_out, idx, a.shape))
+
+    dz = back * (z > 0)
+    assert same_bytes(conv2d_kernel_gradient(x, dz, 5, 5), conv2d_kernel_gradient_einsum(x, dz))

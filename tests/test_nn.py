@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,23 @@ def test_cnn_feature_matrices_match_a_direct_computation():
     for got, want in zip(mats, expected):
         assert np.count_nonzero(want) > 0  # the comparison is non-vacuous
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+def test_cnn_probe_keeps_no_im2col_columns():
+    # one 512-sample srank probe on the CIFAR CNN: layer 0's im2col columns
+    # (75 x 512*28*28) are 230 MiB and its GEMM output 49 MiB, which is the
+    # peak; columns kept past their GEMM add layer 1's 156 MiB on top
+    spec = NetworkSpec(kind="cnn", input_shape=(3, 32, 32), hidden_widths=(10,))
+    rng = RngStream(0)
+    params = init_params(spec, rng.split("params"))
+    images = rng.split("images").uniform(0.0, 1.0, (512, 3, 32, 32))
+    tracemalloc.start()
+    try:
+        hidden_feature_matrices(spec, params, images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 2**20
 
 
 def test_feature_matrices_are_post_relu():
