@@ -2,6 +2,7 @@ import pytest
 
 from plasticity_lab.config import RunConfig, SweepSpec, parse_config
 from plasticity_lab.errors import ConfigError
+from plasticity_lab.optim import METHODS
 
 
 def write(tmp_path, text):
@@ -123,3 +124,27 @@ def test_grid_matches_published_sweeps():
 
     assert len(SweepSpec(base_adam, "baseline").cells()) == 2
     assert len(SweepSpec(base_adam, "layer_norm").cells()) == 2
+
+
+# each method's swept axes, smallest value first; every cell then takes each alpha
+SMALL_FIRST = (1e-5, 1e-4, 1e-3, 1e-2)
+PINNED_AXES = {
+    "baseline": [[]],
+    "layer_norm": [[]],
+    "l2": [[("lam", v)] for v in SMALL_FIRST],
+    "l2_init": [[("lam", v)] for v in SMALL_FIRST],
+    "l2_init_resample": [[("lam", v)] for v in SMALL_FIRST],
+    "shrink_perturb": [[("shrink", s), ("noise", n)] for s in SMALL_FIRST for n in SMALL_FIRST],
+    "continual_backprop": [[("replacement_rate", r)] for r in (1e-6, 1e-5, 1e-4)],
+}
+
+
+@pytest.mark.parametrize("optimizer, alphas", [("sgd", (1e-3, 1e-2)), ("adam", (1e-4, 1e-3))],
+                         ids=("sgd", "adam"))
+@pytest.mark.parametrize("method", sorted(PINNED_AXES))
+def test_sweep_cells_are_pinned_in_order(method, optimizer, alphas):
+    # the order fixes the rows of sweep.csv; key order fixes the printed winner
+    cells = SweepSpec(RunConfig(problem="synthetic_permuted", optimizer=optimizer), method).cells()
+    expected = [axis + [("alpha", a)] for axis in PINNED_AXES[method] for a in alphas]
+    assert [list(cell.items()) for cell in cells] == expected
+    assert set(PINNED_AXES) == set(METHODS)

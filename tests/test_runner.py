@@ -192,6 +192,20 @@ def test_select_winner_tie_breaks_toward_smaller_hypers():
     assert winner["lam"] == 1e-3 and winner["alpha"] == 1e-4
 
 
+def test_select_winner_breaks_ties_on_shrink_then_noise_then_alpha():
+    cells = [
+        {"shrink": 1e-3, "noise": 1e-5, "alpha": 1e-4, "mean_total_avg_online_accuracy": 0.5,
+         "status": "ok"},
+        {"shrink": 1e-4, "noise": 1e-2, "alpha": 1e-4, "mean_total_avg_online_accuracy": 0.5,
+         "status": "ok"},
+        {"shrink": 1e-4, "noise": 1e-3, "alpha": 1e-2, "mean_total_avg_online_accuracy": 0.5,
+         "status": "ok"},
+        {"shrink": 1e-4, "noise": 1e-3, "alpha": 1e-3, "mean_total_avg_online_accuracy": 0.5,
+         "status": "ok"},
+    ]
+    assert select_winner(cells) is cells[3]
+
+
 def test_select_winner_none_when_all_failed():
     assert select_winner([{"mean_total_avg_online_accuracy": 0.1, "status": "failed"}]) is None
 
@@ -205,6 +219,10 @@ def test_single_cell_sweep_wins(tmp_path):
     write_sweep_outputs(result, tmp_path)
     lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 2
+    assert lines[0] == ("method,alpha,lam,shrink,noise,replacement_rate,"
+                        "seed,total_avg_online_accuracy,status")
+    assert [line.split(",")[:7] for line in lines[1:]] == [
+        ["baseline", "0.0001", "", "", "", "", "0"], ["baseline", "0.001", "", "", "", "", "0"]]
     summary = json.loads((tmp_path / "sweep_summary.json").read_text())
     assert summary["winner"]["alpha"] == result.winner["alpha"]
 
