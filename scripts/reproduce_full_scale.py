@@ -80,8 +80,7 @@ OPTIMAL = {
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--problem", required=True,
-                    choices=["permuted_mnist", "random_label_mnist", "random_label_cifar"])
+    ap.add_argument("--problem", required=True, choices=list(dict.fromkeys(p for p, _ in OPTIMAL)))
     ap.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
     ap.add_argument("--methods", nargs="*", default=None,
                     help="subset of methods (default: full roster for the problem)")

@@ -2,47 +2,44 @@
 
 Config files are flat `key = value` lines ('#' starts a comment). Unknown
 keys and malformed values are rejected with the offending key and line.
-With no overrides, each problem resolves to its full-scale defaults
-(Permuted MNIST: 10,000 samples, batch 16, 625 steps x 500 tasks; the
-random-label problems: 1,200 samples, batch 16, 30,000 steps x 50 tasks);
-the synthetic problems default to desk scale so the whole pipeline runs in
-minutes.
+With no overrides, each problem resolves to its row of `PROBLEMS`: full
+scale for the image problems, desk scale for the synthetic ones, so the
+whole pipeline runs in minutes.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import ConfigError
 from .optim import METHODS, UTILITY_KINDS, MethodConfig
 
-PROBLEMS = (
-    "permuted_mnist",
-    "random_label_mnist",
-    "random_label_cifar",
-    "synthetic_permuted",
-    "synthetic_random_label",
-)
 
-# problem -> (dataset_size, num_tasks, steps_per_task, batch_size)
-PROBLEM_DEFAULTS: dict[str, tuple[int, int, int, int]] = {
-    "permuted_mnist": (10_000, 500, 625, 16),
-    "random_label_mnist": (1_200, 50, 30_000, 16),
-    "random_label_cifar": (1_200, 50, 30_000, 16),
-    # desk scale: 32 samples -> 25 epochs/task; 300 samples -> 100 epochs/task
-    "synthetic_permuted": (32, 40, 50, 16),
-    "synthetic_random_label": (300, 10, 1_900, 16),
-}
+class Problem(NamedTuple):
+    """One base dataset under one kind of non-stationarity, at one scale."""
 
-MLP_DEFAULT_HIDDEN = (100, 100)
-# the permuted run is deliberately capacity-starved so plasticity loss
-# shows within 40 tasks; the random-label run needs enough width to
-# memorize 300 random labels inside 100 epochs
-DEFAULT_HIDDEN = {
-    "random_label_cifar": (10,),  # the CNN's dense layer, after its two convs
-    "synthetic_permuted": (30, 30),
-    "synthetic_random_label": (100, 100),
+    data: str       # "mnist" | "cifar" (the CNN) | "synthetic"
+    transform: str  # "permute" | "relabel"
+    dataset_size: int
+    num_tasks: int
+    steps_per_task: int
+    batch_size: int
+    hidden_widths: tuple[int, ...]
+
+
+PROBLEMS: dict[str, Problem] = {
+    "permuted_mnist": Problem("mnist", "permute", 10_000, 500, 625, 16, (100, 100)),
+    "random_label_mnist": Problem("mnist", "relabel", 1_200, 50, 30_000, 16, (100, 100)),
+    # the CNN's dense layer, after its two convs
+    "random_label_cifar": Problem("cifar", "relabel", 1_200, 50, 30_000, 16, (10,)),
+    # desk scale: 32 samples -> 25 epochs/task; deliberately capacity-starved
+    # so plasticity loss shows within 40 tasks
+    "synthetic_permuted": Problem("synthetic", "permute", 32, 40, 50, 16, (30, 30)),
+    # 300 samples -> 100 epochs/task; wide enough to memorize 300 random
+    # labels inside 100 epochs
+    "synthetic_random_label": Problem("synthetic", "relabel", 300, 10, 1_900, 16, (100, 100)),
 }
 
 
@@ -79,18 +76,9 @@ class RunConfig:
         """Fill in problem defaults for any unset scale fields."""
         if self.problem not in PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}")
-        n, k, m, b = PROBLEM_DEFAULTS[self.problem]
-        hidden = self.hidden_widths
-        if hidden is None:
-            hidden = DEFAULT_HIDDEN.get(self.problem, MLP_DEFAULT_HIDDEN)
-        return replace(
-            self,
-            dataset_size=self.dataset_size if self.dataset_size is not None else n,
-            num_tasks=self.num_tasks if self.num_tasks is not None else k,
-            steps_per_task=self.steps_per_task if self.steps_per_task is not None else m,
-            batch_size=self.batch_size if self.batch_size is not None else b,
-            hidden_widths=hidden,
-        )
+        row = PROBLEMS[self.problem]
+        scale = Problem._fields[2:]  # every field after data and transform
+        return replace(self, **{f: getattr(row, f) for f in scale if getattr(self, f) is None})
 
     def method_config(self) -> MethodConfig:
         return MethodConfig(
@@ -116,13 +104,19 @@ class RunConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.method == "continual_backprop" and self.problem == "random_label_cifar":
+        if not 0 < self.alpha < float("inf"):
+            raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
+        data = PROBLEMS[self.problem].data
+        if any(w <= 0 for w in self.hidden_widths):
+            raise ConfigError(f"hidden_widths must be > 0, got {self.hidden_widths}")
+        if not self.hidden_widths and data != "cifar":  # the CNN may be conv-only
+            raise ConfigError(f"{self.problem} needs at least one hidden width")
+        if self.method == "continual_backprop" and data == "cifar":
             raise ConfigError("continual_backprop is not supported on the CNN problem")
-        if self.problem == "permuted_mnist" or self.problem == "random_label_mnist":
-            if self.mnist_images is None or self.mnist_labels is None:
-                raise ConfigError(f"{self.problem} needs mnist_images and mnist_labels paths")
-        if self.problem == "random_label_cifar" and self.cifar_bin is None:
-            raise ConfigError("random_label_cifar needs a cifar_bin path")
+        if data == "mnist" and (self.mnist_images is None or self.mnist_labels is None):
+            raise ConfigError(f"{self.problem} needs mnist_images and mnist_labels paths")
+        if data == "cifar" and self.cifar_bin is None:
+            raise ConfigError(f"{self.problem} needs a cifar_bin path")
 
 
 def _parse_bool(text: str) -> bool:
@@ -210,13 +204,23 @@ def parse_config(
     return config
 
 
-# -- hyper-parameter sweep grids (one list of cells per method) --
+# -- hyper-parameter sweep grids --
 
 ALPHA_GRID = {"sgd": (1e-2, 1e-3), "adam": (1e-3, 1e-4)}
-LAMBDA_GRID = (1e-2, 1e-3, 1e-4, 1e-5)
-SHRINK_GRID = (1e-2, 1e-3, 1e-4, 1e-5)
-NOISE_GRID = (1e-2, 1e-3, 1e-4, 1e-5)
-REPLACEMENT_GRID = (1e-4, 1e-5, 1e-6)
+# the swept hyper-parameters, in tie-break and sweep.csv column order
+GRIDS = {
+    "lam": (1e-2, 1e-3, 1e-4, 1e-5),
+    "shrink": (1e-2, 1e-3, 1e-4, 1e-5),
+    "noise": (1e-2, 1e-3, 1e-4, 1e-5),
+    "replacement_rate": (1e-4, 1e-5, 1e-6),
+}
+# method -> the hyper-parameters it sweeps besides alpha
+SWEPT: dict[str, tuple[str, ...]] = {
+    "baseline": (), "layer_norm": (),
+    "l2": ("lam",), "l2_init": ("lam",), "l2_init_resample": ("lam",),
+    "shrink_perturb": ("shrink", "noise"),
+    "continual_backprop": ("replacement_rate",),
+}
 
 
 @dataclass
@@ -227,26 +231,11 @@ class SweepSpec:
 
     def cells(self) -> list[dict[str, float]]:
         """Grid cells, ordered small-hyper-parameter-first for tie-breaking."""
-        alphas = ALPHA_GRID[self.base.optimizer]
-        cells: list[dict[str, float]] = []
-        if self.method in ("baseline", "layer_norm"):
-            axes = [{}]
-        elif self.method in ("l2", "l2_init", "l2_init_resample"):
-            axes = [{"lam": lam} for lam in sorted(LAMBDA_GRID)]
-        elif self.method == "shrink_perturb":
-            axes = [
-                {"shrink": s, "noise": sig}
-                for s in sorted(SHRINK_GRID)
-                for sig in sorted(NOISE_GRID)
-            ]
-        elif self.method == "continual_backprop":
-            axes = [{"replacement_rate": r} for r in sorted(REPLACEMENT_GRID)]
-        else:
+        if self.method not in SWEPT:
             raise ConfigError(f"unknown method {self.method!r}")
-        for cell in axes:
-            for alpha in sorted(alphas):
-                cells.append({**cell, "alpha": alpha})
-        return cells
+        names = SWEPT[self.method]
+        grids = [sorted(GRIDS[n]) for n in names] + [sorted(ALPHA_GRID[self.base.optimizer])]
+        return [dict(zip((*names, "alpha"), v)) for v in itertools.product(*grids)]
 
 
 @dataclass

@@ -155,10 +155,6 @@ class TaskStream:
     def batches_per_epoch(self) -> int:
         return -(-self.base.size // self.batch_size)
 
-    @property
-    def total_steps(self) -> int:
-        return self.num_tasks * self.steps_per_task
-
 
 @dataclass(frozen=True)
 class Task:

@@ -31,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, SweepResult, SweepSpec
+from .config import GRIDS, PROBLEMS, RunConfig, SweepResult, SweepSpec
 from .errors import ConfigError, DataFormatError, NumericalError
 from .metrics import (
     RunRecord,
@@ -66,21 +66,22 @@ TASK_CSV_HEADER = "task_index,start_step,avg_online_task_accuracy,weight_magnitu
 def build_stream(cfg: RunConfig) -> TaskStream:
     """The problem's task stream: its base dataset under its transform."""
     cfg = cfg.resolved()
+    problem = PROBLEMS[cfg.problem]
     rng = RngStream(cfg.seed)
-    if cfg.problem.startswith("synthetic"):
+    if problem.data == "synthetic":
         classes = cfg.classes
         base = make_synthetic_dataset(
             cfg.input_width, classes, cfg.dataset_size, rng.split("base")
         )
     else:
         classes = 10
-        if cfg.problem == "random_label_cifar":
+        if problem.data == "cifar":
             full = load_cifar10_bin(cfg.cifar_bin)
         else:
             full = load_mnist(cfg.mnist_images, cfg.mnist_labels)
         base = subsample(full, cfg.dataset_size, rng.split("subsample"))
     return TaskStream(
-        transform="permute" if "permuted" in cfg.problem else "relabel",
+        transform=problem.transform,
         base=base,
         num_tasks=cfg.num_tasks,
         steps_per_task=cfg.steps_per_task,
@@ -93,7 +94,7 @@ def build_stream(cfg: RunConfig) -> TaskStream:
 def build_network_spec(cfg: RunConfig, stream: TaskStream) -> NetworkSpec:
     cfg = cfg.resolved()
     return NetworkSpec(
-        kind="cnn" if cfg.problem == "random_label_cifar" else "mlp",
+        kind="cnn" if PROBLEMS[cfg.problem].data == "cifar" else "mlp",
         input_shape=stream.base.images.shape[1:],
         hidden_widths=cfg.hidden_widths,
         num_classes=stream.num_classes,
@@ -264,9 +265,7 @@ def select_winner(cell_means: list[dict]) -> dict | None:
     """Argmax over cell means; ties break toward smaller hyper-parameters."""
 
     def sort_key(cm):
-        hypers = tuple(
-            cm.get(k, 0.0) for k in ("lam", "shrink", "noise", "replacement_rate", "alpha")
-        )
+        hypers = tuple(cm.get(k, 0.0) for k in (*GRIDS, "alpha"))
         return (-cm["mean_total_avg_online_accuracy"],) + hypers
 
     viable = [cm for cm in cell_means if cm["status"] == "ok"]
@@ -275,7 +274,7 @@ def select_winner(cell_means: list[dict]) -> dict | None:
 
 def write_sweep_outputs(result: SweepResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    keys = ["alpha", "lam", "shrink", "noise", "replacement_rate"]
+    keys = ("alpha", *GRIDS)
     lines = ["method," + ",".join(keys) + ",seed,total_avg_online_accuracy,status"]
     for row in result.rows:
         vals = [repr(row[k]) if k in row else "" for k in keys]

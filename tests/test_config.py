@@ -1,6 +1,6 @@
 import pytest
 
-from plasticity_lab.config import RunConfig, SweepSpec, parse_config
+from plasticity_lab.config import SWEPT, RunConfig, SweepSpec, parse_config
 from plasticity_lab.errors import ConfigError
 from plasticity_lab.optim import METHODS
 
@@ -148,3 +148,7 @@ def test_sweep_cells_are_pinned_in_order(method, optimizer, alphas):
     expected = [axis + [("alpha", a)] for axis in PINNED_AXES[method] for a in alphas]
     assert [list(cell.items()) for cell in cells] == expected
     assert set(PINNED_AXES) == set(METHODS)
+
+
+def test_every_method_has_a_sweep_row():
+    assert set(SWEPT) == set(METHODS)

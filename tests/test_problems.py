@@ -243,7 +243,7 @@ def test_batch_count_totals():
         for s in range(stream.steps_per_task):
             next_batch(task, s)
             total += 1
-    assert total == stream.total_steps == 24
+    assert total == stream.num_tasks * stream.steps_per_task == 24
 
 
 def test_relabel_label_marginals_within_5_sigma():

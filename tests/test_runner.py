@@ -8,7 +8,7 @@ import pytest
 from conftest import write_cifar10_bin, write_idx_images, write_idx_labels
 from plasticity_lab import runner
 from plasticity_lab.cli import main
-from plasticity_lab.config import RunConfig, SweepSpec
+from plasticity_lab.config import PROBLEMS, RunConfig, SweepSpec
 from plasticity_lab.nn import init_params
 from plasticity_lab.problems import Dataset
 from plasticity_lab.rng import RngStream
@@ -159,6 +159,39 @@ def test_default_cifar_network_has_a_10_wide_dense_layer(tmp_path):
 def test_hidden_widths_set_the_cnn_dense_layers(tmp_path):
     shapes = weight_shapes(cifar_config(tmp_path, hidden_widths=(7,)))
     assert (shapes["w2"], shapes["w3"]) == ((400, 7), (7, 10))
+
+
+def test_conv_only_cnn_runs(tmp_path):
+    cfg = cifar_config(tmp_path, hidden_widths=())
+    assert weight_shapes(cfg)["w2"] == (400, 10)
+    record = run_experiment(cfg)
+    assert record.steps_completed == 1 and not record.incomplete
+
+
+# problem -> (stream transform, network kind, default hidden widths)
+PROBLEM_SHAPES = {
+    "permuted_mnist": ("permute", "mlp", (100, 100)),
+    "random_label_mnist": ("relabel", "mlp", (100, 100)),
+    "random_label_cifar": ("relabel", "cnn", (10,)),
+    "synthetic_permuted": ("permute", "mlp", (30, 30)),
+    "synthetic_random_label": ("relabel", "mlp", (100, 100)),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+def test_problem_table_sets_transform_network_and_widths(tmp_path, problem):
+    rng = RngStream(5)
+    write_idx_images(tmp_path / "i.idx", (rng.uniform(0, 1, (12, 28, 28)) * 255).astype(np.uint8))
+    write_idx_labels(tmp_path / "l.idx", np.asarray(rng.integers(0, 10, 12)))
+    write_cifar10_bin(str(tmp_path / "c.bin"),
+                      Dataset(images=np.round(rng.uniform(0, 1, (12, 3, 32, 32)) * 255) / 255,
+                              labels=np.asarray(rng.integers(0, 10, 12))))
+    cfg = RunConfig(problem=problem, dataset_size=8, mnist_images=str(tmp_path / "i.idx"),
+                    mnist_labels=str(tmp_path / "l.idx"), cifar_bin=str(tmp_path / "c.bin"))
+    stream = build_stream(cfg)
+    spec = build_network_spec(cfg, stream)
+    assert (stream.transform, spec.kind, cfg.resolved().hidden_widths) == PROBLEM_SHAPES[problem]
+    assert set(PROBLEM_SHAPES) == set(PROBLEMS)
 
 
 def test_classes_set_the_output_width():
@@ -323,6 +356,40 @@ def test_cli_more_than_ten_classes_is_a_usage_error(tmp_path, capsys):
     assert code == 1
     assert "error: classes must be <= 10, got 12" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+WIDTH_ERRORS = [
+    ("hidden_widths=", "synthetic_permuted needs at least one hidden width"),
+    ("hidden_widths=-3", "hidden_widths must be > 0, got (-3,)"),
+    ("hidden_widths=0", "hidden_widths must be > 0, got (0,)"),
+    ("hidden_widths=4,0", "hidden_widths must be > 0, got (4, 0)"),
+]
+
+
+ALPHA_ERRORS = [
+    (f"alpha={text}", f"alpha must be finite and > 0, got {float(text)}")
+    for text in ("-1", "0", "nan", "inf")
+]
+
+
+@pytest.mark.parametrize("override, message", WIDTH_ERRORS + ALPHA_ERRORS,
+                         ids=[o for o, _ in WIDTH_ERRORS + ALPHA_ERRORS])
+def test_cli_bad_widths_and_step_sizes_are_usage_errors(tmp_path, capsys, override, message):
+    code = main(["run", "--out", str(tmp_path / "o"), "problem=synthetic_permuted", override])
+    assert code == 1
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
+    assert errors == [f"error: {message}"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("override, message", WIDTH_ERRORS, ids=[o for o, _ in WIDTH_ERRORS])
+def test_cli_sweep_records_bad_widths_per_cell(tmp_path, capsys, override, message):
+    code = main(["sweep", "--method", "baseline", "--seeds", "1", "--out", str(tmp_path / "o"),
+                 "problem=synthetic_permuted", override])
+    assert code == 1  # every cell failed with cause "config"
+    assert capsys.readouterr().out.splitlines() == ["all sweep cells failed", f"  {message}"]
+    rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["failed", "failed"]
 
 
 def test_cli_io_error_exit_code(tmp_path):
