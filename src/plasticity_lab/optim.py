@@ -68,8 +68,12 @@ class MethodConfig:
         if self.utility_kind not in UTILITY_KINDS:
             raise ConfigError(f"unknown utility kind {self.utility_kind!r}")
         for name in ("lam", "shrink", "noise", "replacement_rate"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < float("inf"):
+                raise ConfigError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+        if not 0 <= self.utility_decay <= 1:
+            raise ConfigError(f"utility_decay must be in [0, 1], got {self.utility_decay}")
+        if not self.maturity_threshold >= 0:
+            raise ConfigError(f"maturity_threshold must be >= 0, got {self.maturity_threshold}")
 
 
 @dataclass

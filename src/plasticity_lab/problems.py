@@ -6,6 +6,8 @@ task, labels kept) or random relabelling (inputs kept, labels redrawn per
 task). The base dataset is an MNIST IDX pair (`load_mnist`), a CIFAR-10
 binary batch (`load_cifar10_bin`), or a seeded synthetic set
 (`make_synthetic_dataset`); `runner.build_stream` picks one per problem.
+The file loaders check the byte format and return raw read-only uint8 rows;
+`subsample` checks every row, then scales to [0, 1] only the rows it keeps.
 All task construction is pure: task i is a function of (stream seed, i)
 only, so streams are random-access and reproducible.
 
@@ -43,32 +45,13 @@ class Dataset:
     images: np.ndarray
     labels: np.ndarray
 
-    def __post_init__(self):
-        self.images = np.asarray(self.images, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        n = self.images.shape[0]
-        if n == 0:
-            raise DataFormatError("dataset is empty")
-        if self.labels.shape != (n,):
-            raise DataFormatError(
-                f"label count {self.labels.shape} != image count {n}"
-            )
-        if self.labels.min() < 0 or self.labels.max() >= 10:
-            raise DataFormatError("labels outside [0, 10)")
-        if self.images.min() < 0.0 or self.images.max() > 1.0:
-            raise DataFormatError("image values outside [0, 1]")
-
     @property
     def size(self) -> int:
         return self.images.shape[0]
 
 
-def _file_digest(path: str, payload: bytes) -> None:
-    log.info("loaded %s (sha256 %s)", path, hashlib.sha256(payload).hexdigest())
-
-
 def load_idx(path: str) -> np.ndarray:
-    """Parse one IDX file into pixel data in [0,1] or an int label vector."""
+    """Parse one IDX file into its read-only uint8 payload, shaped by its header."""
     with open(path, "rb") as fh:
         payload = fh.read()
     if len(payload) < 4:
@@ -89,26 +72,24 @@ def load_idx(path: str) -> np.ndarray:
         raise DataFormatError(
             f"{path}: payload length {len(payload) - header} != expected {count}"
         )
-    _file_digest(path, payload)
-    raw = np.frombuffer(payload, dtype=np.uint8, offset=header).reshape(dims)
-    if magic == IDX_LABELS_MAGIC:
-        return raw.astype(np.int64)
-    return raw.astype(np.float64) / 255.0
+    log.info("loaded %s (sha256 %s)", path, hashlib.sha256(payload).hexdigest())
+    return np.frombuffer(payload, dtype=np.uint8, offset=header).reshape(dims)
 
 
-def load_mnist(images_path: str, labels_path: str) -> Dataset:
-    """Parse an MNIST IDX image/label pair, images flattened to 784 features."""
+def load_mnist(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse an MNIST IDX image/label pair: raw (N, 784) pixel rows and N labels."""
     images = load_idx(images_path)
     labels = load_idx(labels_path)
     if images.ndim != 3:
         raise DataFormatError(f"{images_path}: expected an image IDX file")
     if labels.ndim != 1:
         raise DataFormatError(f"{labels_path}: expected a label IDX file")
-    return Dataset(images=images.reshape(images.shape[0], -1), labels=labels)
+    n, rows, cols = images.shape  # not reshape(n, -1): that fails on an empty file
+    return images.reshape(n, rows * cols), labels
 
 
-def load_cifar10_bin(path: str) -> Dataset:
-    """Parse one CIFAR-10 binary batch into (N,3,32,32) images and labels."""
+def load_cifar10_bin(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse one CIFAR-10 binary batch: raw (N,3,32,32) pixels and N labels."""
     with open(path, "rb") as fh:
         payload = fh.read()
     if len(payload) % CIFAR_RECORD_BYTES != 0:
@@ -118,19 +99,24 @@ def load_cifar10_bin(path: str) -> Dataset:
     n = len(payload) // CIFAR_RECORD_BYTES
     if n == 0:
         raise DataFormatError(f"{path}: no records")
-    _file_digest(path, payload)
+    log.info("loaded %s (sha256 %s)", path, hashlib.sha256(payload).hexdigest())
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(n, CIFAR_RECORD_BYTES)
-    labels = raw[:, 0].astype(np.int64)
-    images = raw[:, 1:].reshape(n, 3, 32, 32).astype(np.float64) / 255.0
-    return Dataset(images=images, labels=labels)
+    return raw[:, 1:].reshape(n, 3, 32, 32), raw[:, 0]
 
 
-def subsample(dataset: Dataset, n: int, rng: RngStream) -> Dataset:
-    """Draw n distinct samples without replacement, order fixed by rng."""
-    if n > dataset.size:
-        raise ConfigError(f"cannot subsample {n} from {dataset.size} samples")
-    idx = rng.permutation(dataset.size)[:n]
-    return Dataset(images=dataset.images[idx], labels=dataset.labels[idx])
+def subsample(images: np.ndarray, labels: np.ndarray, n: int, rng: RngStream) -> Dataset:
+    """Check every raw uint8 row of a file, then keep n rows, in rng's order, scaled to [0,1]."""
+    size = images.shape[0]
+    if size == 0:
+        raise DataFormatError("dataset is empty")
+    if labels.shape != (size,):
+        raise DataFormatError(f"label count {labels.shape} != image count {size}")
+    if labels.max() >= 10:
+        raise DataFormatError("labels outside [0, 10)")
+    if n > size:
+        raise ConfigError(f"cannot subsample {n} from {size} samples")
+    idx = rng.permutation(size)[:n]
+    return Dataset(images[idx].astype(np.float64) / 255.0, labels[idx].astype(np.int64))
 
 
 @dataclass(frozen=True)

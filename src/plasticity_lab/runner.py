@@ -15,7 +15,9 @@ that fails the check stops and its record is flagged incomplete.
 Outputs: `task_metrics.csv` (one row per task), `summary.json`, optional
 `steps.csv` (per-step accuracies), and `sweep.csv` / `sweep_summary.json`
 for sweeps. CSV floats use repr formatting, '.' decimal, LF endings, so a
-(config, seed) pair determines every output byte.
+(config, seed) pair determines every output byte. Each file is written
+whole to a temporary file beside it and renamed into place, so none is
+ever left half-written.
 """
 
 from __future__ import annotations
@@ -76,10 +78,10 @@ def build_stream(cfg: RunConfig) -> TaskStream:
     else:
         classes = 10
         if problem.data == "cifar":
-            full = load_cifar10_bin(cfg.cifar_bin)
+            images, labels = load_cifar10_bin(cfg.cifar_bin)
         else:
-            full = load_mnist(cfg.mnist_images, cfg.mnist_labels)
-        base = subsample(full, cfg.dataset_size, rng.split("subsample"))
+            images, labels = load_mnist(cfg.mnist_images, cfg.mnist_labels)
+        base = subsample(images, labels, cfg.dataset_size, rng.split("subsample"))
     return TaskStream(
         transform=problem.transform,
         base=base,
@@ -106,10 +108,10 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
     """Execute one run; deterministic given (config, seed)."""
     cfg = cfg.resolved()
     cfg.validate()
+    method = cfg.method_config()
     started = time.perf_counter()
     stream = build_stream(cfg)
     spec = build_network_spec(cfg, stream)
-    method = cfg.method_config()
 
     master = RngStream(cfg.seed)
     params = init_params(spec, master.split("init"))
@@ -173,6 +175,18 @@ def _version_string() -> str:
     return f"plasticity-lab {__version__}" + (f" ({rev})" if rev else "")
 
 
+def _write_atomic(path: str, text: str, newline: str | None = "") -> None:
+    """Write text to a temporary file beside path, then rename it into place."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.unlink(tmp)
+
+
 def write_outputs(record: RunRecord, out_dir: str) -> None:
     """Write task_metrics.csv, summary.json, and (if recorded) steps.csv."""
     os.makedirs(out_dir, exist_ok=True)
@@ -182,8 +196,7 @@ def write_outputs(record: RunRecord, out_dir: str) -> None:
             f"{row.task_index},{row.start_step},{row.avg_online_task_accuracy!r},"
             f"{row.weight_magnitude!r},{row.feature_srank!r}"
         )
-    with open(os.path.join(out_dir, "task_metrics.csv"), "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(os.path.join(out_dir, "task_metrics.csv"), "\n".join(lines) + "\n")
 
     summary = {
         "total_avg_online_accuracy": record.total_avg_online_accuracy,
@@ -194,15 +207,13 @@ def write_outputs(record: RunRecord, out_dir: str) -> None:
         "wall_clock_seconds": record.wall_clock_seconds,
         "version": _version_string(),
     }
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    _write_atomic(os.path.join(out_dir, "summary.json"), text, newline=None)
 
     if record.per_step_accuracy is not None:
         steps = ["step,online_accuracy"]
         steps += [f"{i},{float(a)!r}" for i, a in enumerate(record.per_step_accuracy)]
-        with open(os.path.join(out_dir, "steps.csv"), "w", newline="") as fh:
-            fh.write("\n".join(steps) + "\n")
+        _write_atomic(os.path.join(out_dir, "steps.csv"), "\n".join(steps) + "\n")
 
 
 def _run_cell(args) -> dict:
@@ -231,7 +242,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     exact ties break toward smaller hyper-parameters (lambda / shrink /
     noise / replacement rate, then step size). Failed or incomplete cells
     are recorded but excluded from winner selection; a failed row names
-    its `cause` ("config", "io" or "numerical") and its `error` text.
+    its `cause` ("config", "io" or "numerical") and its `error` text, which
+    its cell also lists under `errors`, as distinct "<cause>: <error>" strings.
     """
     base = dataclasses.replace(spec.base, method=spec.method)
     cells = spec.cells()
@@ -256,6 +268,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             {**cell, "mean_total_avg_online_accuracy": mean,
              "status": "ok" if len(ok) == per_cell else "failed"}
         )
+        errors = sorted({f"{r['cause']}: {r['error']}" for r in chunk if "error" in r})
+        if errors:
+            cell_means[-1]["errors"] = errors
 
     winner = select_winner(cell_means)
     return SweepResult(method=spec.method, rows=rows, cell_means=cell_means, winner=winner)
@@ -282,13 +297,7 @@ def write_sweep_outputs(result: SweepResult, out_dir: str) -> None:
             f"{result.method},{','.join(vals)},{row['seed']},"
             f"{row['total_avg_online_accuracy']!r},{row['status']}"
         )
-    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(out_dir, "sweep_summary.json"), "w") as fh:
-        json.dump(
-            {"method": result.method, "winner": result.winner, "cells": result.cell_means},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_atomic(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
+    summary = {"method": result.method, "winner": result.winner, "cells": result.cell_means}
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    _write_atomic(os.path.join(out_dir, "sweep_summary.json"), text, newline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plasticity_lab.nn import NetworkSpec, init_params
+from plasticity_lab.problems import subsample
 from plasticity_lab.rng import RngStream
 
 
@@ -49,6 +50,13 @@ def write_cifar10_bin(path, dataset):
     with open(path, "wb") as fh:
         for label, row in zip(dataset.labels, pixels):
             fh.write(bytes([int(label)]) + row.tobytes())
+
+
+def scaled_in_file_order(images, labels):
+    """Every raw row through subsample, put back in file order."""
+    kept = subsample(images, labels, len(labels), RngStream(0))
+    back = np.argsort(RngStream(0).permutation(len(labels)))
+    return kept.images[back], kept.labels[back]
 
 
 @pytest.fixture

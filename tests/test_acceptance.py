@@ -8,7 +8,13 @@ for real, so the whole module takes a few minutes of CPU.
 import numpy as np
 import pytest
 
-from conftest import random_instance, tiny_cnn_spec, tiny_mlp_spec, write_cifar10_bin
+from conftest import (
+    random_instance,
+    scaled_in_file_order,
+    tiny_cnn_spec,
+    tiny_mlp_spec,
+    write_cifar10_bin,
+)
 from plasticity_lab.config import RunConfig, parse_config
 from plasticity_lab.metrics import srank
 from plasticity_lab.nn import ParameterSet, finite_difference_max_error
@@ -267,11 +273,15 @@ def test_criterion_10_determinism_and_formats(tmp_path):
         fh.write(struct.pack(">IIII", 0x00000803, 2, 2, 2))
         fh.write(bytes([0, 255, 10, 20, 30, 40, 50, 60]))
     images = load_idx(str(ipath))
-    idx_ok = images.shape == (2, 2, 2) and images[0, 0, 0] == 0.0 and images[0, 0, 1] == 1.0
     lpath = tmp_path / "lab.idx"
     with open(lpath, "wb") as fh:
         fh.write(struct.pack(">II", 0x00000801, 2) + bytes([5, 0]))
-    idx_ok = idx_ok and np.array_equal(load_idx(str(lpath)), [5, 0])
+    labels = load_idx(str(lpath))
+    idx_ok = images.shape == (2, 2, 2)
+    idx_ok = idx_ok and images.tobytes() == bytes([0, 255, 10, 20, 30, 40, 50, 60])
+    scaled, _ = scaled_in_file_order(images.reshape(2, 4), labels)
+    idx_ok = idx_ok and scaled[0, 0] == 0.0 and scaled[0, 1] == 1.0
+    idx_ok = idx_ok and np.array_equal(labels, [5, 0])
 
     # CIFAR fixture round-trip
     rng = RngStream(10)
@@ -279,8 +289,8 @@ def test_criterion_10_determinism_and_formats(tmp_path):
                  labels=np.array([1, 8]))
     cpath = tmp_path / "c.bin"
     write_cifar10_bin(str(cpath), ds)
-    back = load_cifar10_bin(str(cpath))
-    cifar_ok = np.array_equal(back.images, ds.images) and np.array_equal(back.labels, ds.labels)
+    back_images, back_labels = scaled_in_file_order(*load_cifar10_bin(str(cpath)))
+    cifar_ok = np.array_equal(back_images, ds.images) and np.array_equal(back_labels, ds.labels)
 
     # full-scale defaults from an empty override set
     table = parse_config(None, ["problem=permuted_mnist"]).resolved()

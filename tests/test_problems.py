@@ -1,11 +1,18 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import write_cifar10_bin, write_idx_images, write_idx_labels
+from conftest import (
+    scaled_in_file_order,
+    write_cifar10_bin,
+    write_idx_images,
+    write_idx_labels,
+)
+from plasticity_lab.cli import main
 from plasticity_lab.config import RunConfig
-from plasticity_lab.errors import DataFormatError
+from plasticity_lab.errors import ConfigError, DataFormatError
 from plasticity_lab.nn import NetworkSpec, forward, init_params, loss_and_grad
 from plasticity_lab.optim import MethodConfig, apply_method_step, make_optimizer
 from plasticity_lab.problems import (
@@ -28,17 +35,19 @@ def test_idx_images_fixture_scaled(tmp_path):
     path = tmp_path / "imgs.idx"
     write_idx_images(path, imgs)
     out = load_idx(str(path))
-    assert out.shape == (2, 2, 2)
-    assert out[0, 0, 0] == 0.0
-    assert out[0, 0, 1] == 1.0
-    assert np.isclose(out[0, 1, 0], 128 / 255)
+    assert out.dtype == np.uint8 and not out.flags.writeable
+    assert np.array_equal(out, imgs)
+    # only subsample scales, and only the rows it keeps
+    scaled, _ = scaled_in_file_order(out.reshape(2, 4), np.array([5, 0], dtype=np.uint8))
+    assert scaled.tolist() == [[0.0, 1.0, 128 / 255, 64 / 255],
+                               [1 / 255, 2 / 255, 3 / 255, 4 / 255]]
 
 
 def test_idx_labels_fixture(tmp_path):
     path = tmp_path / "labels.idx"
     write_idx_labels(path, [5, 0])
     out = load_idx(str(path))
-    assert out.dtype == np.int64
+    assert out.dtype == np.uint8
     assert np.array_equal(out, [5, 0])
 
 
@@ -65,10 +74,13 @@ def test_cifar_single_record(tmp_path):
     path = tmp_path / "one.bin"
     with open(path, "wb") as fh:
         fh.write(bytes([7]) + b"\xff" * 3072)
-    ds = load_cifar10_bin(str(path))
+    images, labels = load_cifar10_bin(str(path))
+    assert images.dtype == np.uint8 and images.shape == (1, 3, 32, 32)
+    assert np.all(images == 255)
+    assert labels.tolist() == [7]
+    ds = subsample(images, labels, 1, RngStream(0))
     assert ds.size == 1
-    assert ds.labels[0] == 7
-    assert ds.images.shape == (1, 3, 32, 32)
+    assert ds.labels.dtype == np.int64 and ds.labels[0] == 7
     assert np.all(ds.images == 1.0)
 
 
@@ -92,41 +104,46 @@ def test_cifar_round_trip(tmp_path):
     labels = np.array([3, 9])
     path = tmp_path / "two.bin"
     write_cifar10_bin(str(path), Dataset(images=images, labels=labels))
-    back = load_cifar10_bin(str(path))
-    assert np.array_equal(back.images, images)
-    assert np.array_equal(back.labels, labels)
+    raw_images, raw_labels = load_cifar10_bin(str(path))
+    assert np.array_equal(raw_images, np.round(images * 255))
+    back_images, back_labels = scaled_in_file_order(raw_images, raw_labels)
+    assert np.array_equal(back_images, images)
+    assert np.array_equal(back_labels, labels)
 
 
 # --- subsample ------------------------------------------------------------------
 
-def full_dataset(n=40, d=8, seed=0):
+def raw_rows(n=40, d=8, seed=0):
     rng = RngStream(seed)
-    return Dataset(images=rng.uniform(0, 1, (n, d)), labels=np.asarray(rng.integers(0, 10, n)))
+    images = rng.integers(0, 256, (n, d)).astype(np.uint8)
+    return images, rng.integers(0, 10, n).astype(np.uint8)
 
 
 def test_subsample_full_size_is_permutation():
-    ds = full_dataset()
-    out = subsample(ds, ds.size, RngStream(1).split("s"))
-    assert sorted(map(tuple, out.images)) == sorted(map(tuple, ds.images))
+    images, labels = raw_rows()
+    out = subsample(images, labels, len(labels), RngStream(1).split("s"))
+    assert sorted(map(tuple, out.images)) == sorted(map(tuple, images / 255.0))
 
 
 def test_subsample_deterministic():
-    ds = full_dataset()
-    a = subsample(ds, 10, RngStream(2).split("s"))
-    b = subsample(ds, 10, RngStream(2).split("s"))
+    images, labels = raw_rows()
+    a = subsample(images, labels, 10, RngStream(2).split("s"))
+    b = subsample(images, labels, 10, RngStream(2).split("s"))
     assert np.array_equal(a.images, b.images)
+    assert np.array_equal(a.labels, b.labels)
 
 
 def test_subsample_distinct_indices_fuzz():
-    ds = full_dataset(n=25)
+    images, labels = raw_rows(n=25)
+    assert len({tuple(row) for row in images}) == 25
     for trial in range(1000):
-        out = subsample(ds, 10, RngStream(trial).split("s"))
+        out = subsample(images, labels, 10, RngStream(trial).split("s"))
         assert len({tuple(row) for row in out.images}) == 10
 
 
 def test_subsample_too_large_rejected():
-    with pytest.raises(ValueError):
-        subsample(full_dataset(n=5), 6, RngStream(0))
+    with pytest.raises(ConfigError):
+        subsample(*raw_rows(n=5), 6, RngStream(0))
 
 
 # --- task construction -----------------------------------------------------------
@@ -298,6 +315,67 @@ def test_cifar_stream_batch_shapes(tmp_path):
     x, y = next_batch(task, 0)
     assert x.shape == (16, 3, 32, 32)
     assert y.shape == (16,)
+
+
+# --- file data enters through subsample ---------------------------------------------
+
+def dropped_row(n, keep, seed):
+    """A row index that build_stream's subsample of `keep` from `n` rows leaves out."""
+    kept = set(RngStream(seed).split("subsample").permutation(n)[:keep].tolist())
+    return min(set(range(n)) - kept)
+
+
+def bad_idx_files(tmp_path, n_images, n_labels, bad_label_row=None):
+    rng = RngStream(5)
+    labels = np.asarray(rng.integers(0, 10, n_labels))
+    if bad_label_row is not None:
+        labels[bad_label_row] = 10
+    write_idx_images(tmp_path / "i.idx", rng.integers(0, 256, (n_images, 28, 28)))
+    write_idx_labels(tmp_path / "l.idx", labels)
+    return {"problem": "permuted_mnist", "mnist_images": str(tmp_path / "i.idx"),
+            "mnist_labels": str(tmp_path / "l.idx")}
+
+
+def bad_cifar_file(tmp_path, n, bad_label_row):
+    rng = RngStream(6)
+    records = rng.integers(0, 256, (n, 3073)).astype(np.uint8)
+    records[:, 0] = rng.integers(0, 10, n)
+    records[bad_label_row, 0] = 10
+    (tmp_path / "b.bin").write_bytes(records.tobytes())
+    return {"problem": "random_label_cifar", "cifar_bin": str(tmp_path / "b.bin")}
+
+
+BAD_FILES = {
+    "idx_label_10_in_a_dropped_row":
+        lambda tmp: bad_idx_files(tmp, 30, 30, bad_label_row=dropped_row(30, 10, seed=1)),
+    "cifar_label_10_in_a_dropped_row":
+        lambda tmp: bad_cifar_file(tmp, 20, bad_label_row=dropped_row(20, 10, seed=1)),
+    "idx_image_and_label_counts_differ": lambda tmp: bad_idx_files(tmp, 30, 29),
+    "idx_empty_image_file": lambda tmp: bad_idx_files(tmp, 0, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_bad_data_files_are_format_errors(tmp_path, case):
+    fields = {**BAD_FILES[case](tmp_path), "dataset_size": 10, "seed": 1}
+    with pytest.raises(DataFormatError):
+        build_stream(RunConfig(**fields))
+    overrides = [f"{key}={value}" for key, value in fields.items()]
+    assert main(["run", "--out", str(tmp_path / "o"), *overrides]) == 2
+
+
+def test_build_stream_scales_only_the_kept_rows(tmp_path):
+    fields = bad_idx_files(tmp_path, 2000, 2000)
+    cfg = RunConfig(**fields, dataset_size=100, seed=1)
+    tracemalloc.start()
+    try:
+        stream = build_stream(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.base.images.shape == (100, 784)
+    whole_file_as_float64 = 2000 * 784 * 8
+    assert peak < whole_file_as_float64 / 3, peak
 
 
 def test_seed_isolation_changes_all_randomness():

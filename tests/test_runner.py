@@ -243,6 +243,24 @@ def test_select_winner_none_when_all_failed():
     assert select_winner([{"mean_total_avg_online_accuracy": 0.1, "status": "failed"}]) is None
 
 
+def test_a_write_that_raises_part_way_leaves_the_earlier_files(tmp_path):
+    record = run_experiment(desk_config(num_tasks=2, log_steps=True))
+    write_outputs(record, tmp_path)
+    sweep = run_sweep(SweepSpec(base=desk_config(num_tasks=1), method="baseline", seeds=(0,)))
+    write_sweep_outputs(sweep, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["steps.csv", "summary.json", "sweep.csv", "sweep_summary.json",
+                              "task_metrics.csv"]
+
+    record.config["out"] = object()  # summary.json cannot encode it
+    with pytest.raises(TypeError):
+        write_outputs(record, tmp_path)
+    sweep.method = "baseline\udc80"  # sweep.csv's text cannot be encoded
+    with pytest.raises(UnicodeEncodeError):
+        write_sweep_outputs(sweep, tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_single_cell_sweep_wins(tmp_path):
     base = desk_config(num_tasks=2, optimizer="adam")
     spec = SweepSpec(base=base, method="baseline", seeds=(0,))
@@ -372,24 +390,42 @@ ALPHA_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("override, message", WIDTH_ERRORS + ALPHA_ERRORS,
-                         ids=[o for o, _ in WIDTH_ERRORS + ALPHA_ERRORS])
+# MethodConfig checks every field whatever the method, so a sweep of baseline fails on each
+HYPER_ERRORS = [
+    ("method=l2_init lambda=nan", "lam must be >= 0 and finite, got nan"),
+    ("method=l2 lambda=inf", "lam must be >= 0 and finite, got inf"),
+    ("method=shrink_perturb shrink=nan", "shrink must be >= 0 and finite, got nan"),
+    ("method=shrink_perturb noise=nan", "noise must be >= 0 and finite, got nan"),
+    ("method=continual_backprop replacement_rate=nan",
+     "replacement_rate must be >= 0 and finite, got nan"),
+    ("method=continual_backprop utility_decay=5", "utility_decay must be in [0, 1], got 5.0"),
+    ("method=continual_backprop utility_decay=nan", "utility_decay must be in [0, 1], got nan"),
+    ("method=continual_backprop maturity_threshold=-5", "maturity_threshold must be >= 0, got -5"),
+]
+
+
+@pytest.mark.parametrize("override, message", WIDTH_ERRORS + ALPHA_ERRORS + HYPER_ERRORS,
+                         ids=[o for o, _ in WIDTH_ERRORS + ALPHA_ERRORS + HYPER_ERRORS])
 def test_cli_bad_widths_and_step_sizes_are_usage_errors(tmp_path, capsys, override, message):
-    code = main(["run", "--out", str(tmp_path / "o"), "problem=synthetic_permuted", override])
+    code = main(["run", "--out", str(tmp_path / "o"), "problem=synthetic_permuted",
+                 *override.split()])
     assert code == 1
     errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
     assert errors == [f"error: {message}"]
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("override, message", WIDTH_ERRORS, ids=[o for o, _ in WIDTH_ERRORS])
+@pytest.mark.parametrize("override, message", WIDTH_ERRORS + HYPER_ERRORS,
+                         ids=[o for o, _ in WIDTH_ERRORS + HYPER_ERRORS])
 def test_cli_sweep_records_bad_widths_per_cell(tmp_path, capsys, override, message):
     code = main(["sweep", "--method", "baseline", "--seeds", "1", "--out", str(tmp_path / "o"),
-                 "problem=synthetic_permuted", override])
+                 "problem=synthetic_permuted", *override.split()])
     assert code == 1  # every cell failed with cause "config"
     assert capsys.readouterr().out.splitlines() == ["all sweep cells failed", f"  {message}"]
     rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
     assert [row.split(",")[-1] for row in rows] == ["failed", "failed"]
+    summary = json.loads((tmp_path / "o" / "sweep_summary.json").read_text())
+    assert [cell["errors"] for cell in summary["cells"]] == [[f"config: {message}"]] * 2
 
 
 def test_cli_io_error_exit_code(tmp_path):
@@ -439,6 +475,9 @@ def test_cli_sweep_where_every_cell_diverges_is_a_numerical_failure(tmp_path, mo
     assert code == 3
     rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
     assert [row.split(",")[-1] for row in rows] == ["incomplete", "incomplete"]
+    cells = json.loads((tmp_path / "o" / "sweep_summary.json").read_text())["cells"]
+    assert [cell["status"] for cell in cells] == ["failed", "failed"]
+    assert not any("errors" in cell for cell in cells)  # no row raised an error
 
 
 def test_cli_gradcheck_passes(capsys):
