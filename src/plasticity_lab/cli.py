@@ -135,9 +135,8 @@ def _cmd_gradcheck() -> int:
         if not all(np.abs(g).max() > 1e-8 for g in params.named(grad).values()):
             print(f"{spec.kind}: degenerate draw (a tensor has no gradient signal)")
             return EXIT_NUMERICAL
-        err = finite_difference_max_error(spec, params, images, labels)
         # the gate ignores differences at roundoff level; the unfloored figure shows the margin
-        raw = finite_difference_max_error(spec, params, images, labels, abs_floor=0.0)
+        err, raw = finite_difference_max_error(spec, params, images, labels)
         worst = max(worst, err)
         label = f"{spec.kind}{'+ln' if spec.layer_norm else '':4}"
         print(f"{label} max relative gradient error: {err:.3e} (unfloored {raw:.3e})")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Any, NamedTuple
 
 from .errors import ConfigError
-from .optim import METHODS, UTILITY_KINDS, MethodConfig
+from .optim import METHODS, MethodConfig
 
 
 class Problem(NamedTuple):
@@ -55,7 +55,6 @@ class RunConfig:
     replacement_rate: float = 1e-4
     maturity_threshold: int = 100
     utility_decay: float = 0.99
-    utility_kind: str = "adaptive_contribution"
     seed: int = 0
     # scale overrides; None means "use the problem default"
     dataset_size: int | None = None
@@ -89,7 +88,6 @@ class RunConfig:
             replacement_rate=self.replacement_rate,
             maturity_threshold=self.maturity_threshold,
             utility_decay=self.utility_decay,
-            utility_kind=self.utility_kind,
         )
 
     def validate(self) -> None:
@@ -152,7 +150,6 @@ CONFIG_KEYS: dict[str, tuple[str, Any]] = {
     "replacement_rate": ("replacement_rate", float),
     "maturity_threshold": ("maturity_threshold", int),
     "utility_decay": ("utility_decay", float),
-    "utility_kind": ("utility_kind", _choice(UTILITY_KINDS)),
     "seed": ("seed", int),
     "dataset_size": ("dataset_size", int),
     "num_tasks": ("num_tasks", int),

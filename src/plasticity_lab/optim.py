@@ -24,8 +24,7 @@ on the parameters, made before every update, is the one numerical check.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +42,7 @@ METHODS = (
     "l2_init_resample",
 )
 REGULARIZED = ("l2_init", "l2", "l2_init_resample")
-UTILITY_KINDS = ("contribution", "adaptive_contribution")
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's constants
 
 
 @dataclass
@@ -60,13 +59,10 @@ class MethodConfig:
     replacement_rate: float = 0.0
     maturity_threshold: int = 100
     utility_decay: float = 0.99
-    utility_kind: str = "adaptive_contribution"
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.utility_kind not in UTILITY_KINDS:
-            raise ConfigError(f"unknown utility kind {self.utility_kind!r}")
         for name in ("lam", "shrink", "noise", "replacement_rate"):
             if not 0 <= getattr(self, name) < float("inf"):
                 raise ConfigError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
@@ -78,27 +74,19 @@ class MethodConfig:
 
 @dataclass
 class OptimizerState:
-    """SGD or Adam state; Adam's flat m and v are the rows of `moments`."""
+    """SGD or Adam state: the step count and the moment rows, each laid out
+    like `params.flat` (Adam's m and v; SGD has none). Nothing else holds them."""
 
     kind: str
     alpha: float
+    moments: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    moments: np.ndarray | None = None
-    m: Mapping[str, np.ndarray] = field(default_factory=dict)
-    v: Mapping[str, np.ndarray] = field(default_factory=dict)
 
 
 def make_optimizer(kind: str, alpha: float, params: ParameterSet) -> OptimizerState:
     if kind not in ("sgd", "adam"):
         raise ValueError(f"unknown optimizer {kind!r}")
-    state = OptimizerState(kind=kind, alpha=alpha)
-    if kind == "adam":
-        state.moments = np.zeros((2, params.flat.size))
-        state.m, state.v = (params.named(row) for row in state.moments)
-    return state
+    return OptimizerState(kind, alpha, np.zeros((2 if kind == "adam" else 0, params.flat.size)))
 
 
 def regularizer_gradient(
@@ -130,20 +118,19 @@ def adam_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> 
     """One bias-corrected Adam update for a flat `grad`."""
     assert state.kind == "adam"
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1**state.t
-    bias2 = 1.0 - b2**state.t
+    bias1 = 1.0 - BETA1**state.t
+    bias2 = 1.0 - BETA2**state.t
     theta, (m, v) = params.flat, state.moments
     tmp, tmp2 = params.work[1], params.work[2]
-    m *= b1
-    m += np.multiply(grad, 1.0 - b1, out=tmp)
-    v *= b2
-    np.multiply(grad, 1.0 - b2, out=tmp)
+    m *= BETA1
+    m += np.multiply(grad, 1.0 - BETA1, out=tmp)
+    v *= BETA2
+    np.multiply(grad, 1.0 - BETA2, out=tmp)
     v += np.multiply(tmp, grad, out=tmp)
     np.divide(m, bias1, out=tmp)  # m_hat
     np.divide(v, bias2, out=tmp2)  # v_hat
     np.sqrt(tmp2, out=tmp2)
-    tmp2 += state.eps
+    tmp2 += EPS
     tmp *= state.alpha
     tmp /= tmp2
     theta -= tmp
@@ -196,30 +183,21 @@ def cbp_step(
 ) -> tuple[CbpState, ParameterSet]:
     """Track neuron utilities and reinitialize mature, low-utility neurons.
 
-    Each hidden layer accumulates replacement_rate * width per step; when
-    the accumulator reaches 1, the lowest-utility neurons with age >=
-    maturity_threshold are reset: incoming weights redrawn from the
-    initialization distribution, bias and outgoing weights zeroed, utility
-    and age cleared, and any Adam moments touching them zeroed.
+    A hidden neuron's utility is an EMA of its batch-mean |activation| times
+    the mean |weight| of its outgoing row. Each hidden layer accumulates
+    replacement_rate * width per step; when the accumulator reaches 1, the
+    lowest-utility neurons with age >= maturity_threshold are reset in one
+    pass: incoming weights redrawn from the initialization distribution;
+    bias, outgoing weights, utility, age and every optimizer moment zeroed.
     """
     decay = config.utility_decay
     scratch = params.work[1]
-
-    def abs_w(w):  # |w| in the scratch row, not in a fresh array
-        return np.abs(w, out=scratch[: w.size].reshape(w.shape))
-
     for layer in range(len(cbp.utilities)):
         width = cbp.utilities[layer].shape[0]
         w_in_name, b_name, w_out_name = f"w{layer}", f"b{layer}", f"w{layer + 1}"
-        w_in = params.values[w_in_name]
-        w_out = params.values[w_out_name]
-        if config.utility_kind == "contribution":
-            mean_in = np.mean(abs_w(w_in), axis=0)
-            with np.errstate(divide="ignore"):
-                inst = np.where(mean_in > 0, 1.0 / mean_in, np.inf)
-        else:  # adaptive: batch activation magnitude times outgoing weight magnitude
-            inst = (np.mean(np.abs(cache.inputs[layer + 1]), axis=0)
-                    * np.mean(abs_w(w_out), axis=1))
+        w_in, w_out = params.values[w_in_name], params.values[w_out_name]
+        abs_out = np.abs(w_out, out=scratch[: w_out.size].reshape(w_out.shape))
+        inst = np.mean(np.abs(cache.inputs[layer + 1]), axis=0) * np.mean(abs_out, axis=1)
         cbp.utilities[layer] = decay * cbp.utilities[layer] + (1.0 - decay) * inst
         cbp.ages[layer] += 1
 
@@ -231,19 +209,22 @@ def cbp_step(
         mature = np.flatnonzero(cbp.ages[layer] >= config.maturity_threshold)
         if mature.size == 0:
             continue
-        order = mature[np.argsort(cbp.utilities[layer][mature], kind="stable")]
-        for neuron in order[:n_fire]:
-            _, bound = params.init_spec[w_in_name]
-            w_in[:, neuron] = rng.uniform(-bound, bound, (w_in.shape[0],))
-            params.values[b_name][neuron] = 0.0
-            w_out[neuron, :] = 0.0
-            cbp.utilities[layer][neuron] = 0.0
-            cbp.ages[layer][neuron] = 0
-            if opt.kind == "adam":
-                for moment in (opt.m, opt.v):
-                    moment[w_in_name][:, neuron] = 0.0
-                    moment[b_name][neuron] = 0.0
-                    moment[w_out_name][neuron, :] = 0.0
+        reset = mature[np.argsort(cbp.utilities[layer][mature], kind="stable")][:n_fire]
+        cbp.utilities[layer][reset] = 0.0
+        cbp.ages[layer][reset] = 0
+        for row in (params.flat, *opt.moments):  # incoming weights are redrawn below
+            tensors = params.named(row)
+            tensors[w_in_name][:, reset] = 0.0
+            tensors[b_name][reset] = 0.0
+            tensors[w_out_name][reset, :] = 0.0
+        # RngStream.uniform(-bound, bound)'s arithmetic, -bound + 2 * bound * u,
+        # on one draw: the same values as one draw per neuron, in reset order
+        _, bound = params.init_spec[w_in_name]
+        fresh = scratch[: reset.size * w_in.shape[0]].reshape(reset.size, -1)
+        rng.random_into(fresh)
+        fresh *= 2.0 * bound
+        fresh -= bound
+        w_in[:, reset] = fresh.T
     return cbp, params
 
 

@@ -79,7 +79,7 @@ def test_criterion_1_gradient_correctness():
             _, grad = loss_and_grad(spec, params, cache, logits, labels)
             tensors = params.named(grad).values()
             assert all(np.abs(g).max() > 1e-8 for g in tensors), (spec.kind, seed)
-            worst = max(worst, finite_difference_max_error(spec, params, images, labels))
+            worst = max(worst, finite_difference_max_error(spec, params, images, labels)[0])
             draws += 1
     assert draws == 20
     report(1, f"analytic vs central differences, 20 draws, max rel err {worst:.2e} < 1e-4",

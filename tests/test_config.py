@@ -50,6 +50,12 @@ def test_unknown_key_rejected(tmp_path):
     path = write(tmp_path, "stepsize = 3\n")
     with pytest.raises(ConfigError, match="stepsize"):
         parse_config(path)
+    # continual backprop has one utility, so its old selector is gone
+    path = write(tmp_path, "utility_kind = contribution\n")
+    with pytest.raises(ConfigError, match="unknown key 'utility_kind'"):
+        parse_config(path)
+    with pytest.raises(ConfigError, match="unknown key 'utility_kind'"):
+        parse_config(None, ["utility_kind=contribution"])
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):

@@ -251,14 +251,14 @@ def test_cbp_resets_lowest_utility_mature_neuron():
     params.values["w1"][...] = 0.5
     cfg = MethodConfig(
         method="continual_backprop", replacement_rate=0.5, maturity_threshold=100,
-        utility_kind="contribution",
     )
     cbp = make_cbp_state(spec)
     cbp.utilities[0] = np.array([0.1, 5.0])
     cbp.ages[0] = np.array([200, 200])
     opt = make_optimizer("adam", 1e-3, params)
-    opt.m["w0"][...] += 1.0
-    opt.v["w1"][...] += 1.0
+    m, v = (params.named(row) for row in opt.moments)
+    m["w0"][...] += 1.0
+    v["w1"][...] += 1.0
     bound = params.init_spec["w0"][1]
     cbp_step(cbp, cfg, opt, params, cache, RngStream(0).split("noise"))
     # brute-force argmin over the hand-set utilities says unit 0 resets
@@ -269,8 +269,42 @@ def test_cbp_resets_lowest_utility_mature_neuron():
     assert np.all(params.values["w1"][0, :] == 0.0)
     assert cbp.utilities[0][0] == 0.0
     assert cbp.ages[0][0] == 0
-    assert np.all(opt.m["w0"][:, 0] == 0.0)
-    assert np.all(opt.v["w1"][0, :] == 0.0)
+    assert np.all(m["w0"][:, 0] == 0.0)
+    assert np.all(v["w1"][0, :] == 0.0)
+
+
+def test_cbp_resets_zero_the_live_moments_after_a_resume():
+    spec, params, _, _ = cbp_fixture(widths=(4, 3))
+    # large biases keep every hidden unit active, so every neuron's moments are nonzero
+    params.values["b0"][...] = 3.0
+    params.values["b1"][...] = 3.0
+    # every step fires 2 resets in layer 0 and 1 or 2 in layer 1; none is mature before step 3
+    cfg = MethodConfig(method="continual_backprop", replacement_rate=0.5, maturity_threshold=3)
+    cbp = make_cbp_state(spec)
+    opt = make_optimizer("adam", 1e-2, params)
+    noise, data = RngStream(5).split("noise"), RngStream(6)
+
+    def step():
+        images = data.uniform(0, 1, (4, 6))
+        labels = np.asarray(data.integers(0, 3, 4))
+        logits, cache = forward(spec, params, images)
+        _, grad = loss_and_grad(spec, params, cache, logits, labels)
+        apply_method_step(cfg, opt, params, grad, rng=noise, cache=cache, cbp=cbp)
+
+    step()
+    step()
+    assert all(np.all(age == 2) for age in cbp.ages)  # no reset yet
+    assert np.all(opt.moments != 0.0)
+    opt.moments = opt.moments.copy()  # a resume loads the rows into fresh arrays
+    step()
+    for layer, n_reset in enumerate((2, 1)):
+        reset = np.flatnonzero(cbp.ages[layer] == 0)
+        assert reset.size == n_reset
+        for row in opt.moments:
+            moment = params.named(row)
+            assert np.all(moment[f"w{layer}"][:, reset] == 0.0)
+            assert np.all(moment[f"b{layer}"][reset] == 0.0)
+            assert np.all(moment[f"w{layer + 1}"][reset, :] == 0.0)
 
 
 def test_cbp_maturity_respected_under_fuzz():
@@ -482,13 +516,8 @@ def per_tensor_trajectory(cfg, optimizer="adam", steps=30, seed=11, alpha=1e-2, 
         elif cfg.method == "continual_backprop":
             for layer, width in enumerate(widths):
                 w_in, b, w_out = f"w{layer}", f"b{layer}", f"w{layer + 1}"
-                if cfg.utility_kind == "contribution":
-                    mean_in = np.mean(np.abs(values[w_in]), axis=0)
-                    with np.errstate(divide="ignore"):
-                        inst = np.where(mean_in > 0, 1.0 / mean_in, np.inf)
-                else:
-                    inst = (np.mean(np.abs(cache.inputs[layer + 1]), axis=0)
-                            * np.mean(np.abs(values[w_out]), axis=1))
+                inst = (np.mean(np.abs(cache.inputs[layer + 1]), axis=0)
+                        * np.mean(np.abs(values[w_out]), axis=1))
                 decay = cfg.utility_decay
                 utilities[layer] = decay * utilities[layer] + (1.0 - decay) * inst
                 ages[layer] += 1
@@ -565,12 +594,6 @@ def test_cnn_training_run_is_pinned(layer_norm):
     got = (theta.sum(), np.abs(theta - params.flat0).sum(),
            theta @ np.linspace(-1.0, 1.0, theta.size))
     np.testing.assert_allclose(got, PINNED_CNN_RUN[layer_norm], rtol=1e-9, atol=0.0)
-
-
-def test_contribution_utility_matches_per_tensor_oracle():
-    cfg = MethodConfig(method="continual_backprop", replacement_rate=0.1, maturity_threshold=5,
-                       utility_kind="contribution")
-    assert_same_tensors(run_trajectory(cfg), per_tensor_trajectory(cfg))
 
 
 # --- no full-length allocation per step -----------------------------------------------

@@ -332,6 +332,19 @@ def test_cli_usage_error_exit_code():
     assert main(["run", "problem=mnist"]) == 1
 
 
+@pytest.mark.parametrize("from_file", (False, True))
+def test_cli_removed_utility_kind_is_an_unknown_key(tmp_path, capsys, from_file):
+    args = ["run", "--out", str(tmp_path / "o"), "problem=synthetic_permuted"]
+    if from_file:
+        (tmp_path / "run.cfg").write_text("utility_kind = contribution\n")
+        args[1:1] = ["--config", str(tmp_path / "run.cfg")]
+    else:
+        args.append("utility_kind=contribution")
+    assert main(args) == 1
+    assert "unknown key 'utility_kind'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "problem, override",
     [("permuted_mnist", "batch_size=0"), ("synthetic_permuted", "batch_size=0"),
