@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
-
 
 def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """im2col (C*kh*kw, N*Ho*Wo): entry ((c, u, v), (n, i, j)) is x[n, c, i+u, j+v]. A fresh
@@ -24,21 +22,11 @@ def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
 def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid cross-correlation of a batch with a kernel bank, plus bias: one GEMM.
 
-    x: (N, C, H, W), kernels: (F, C, kh, kw), bias: (F,).
+    x: (N, C, H, W), kernels: (F, C, kh, kw), bias: (F,), float64 arrays
+    with H >= kh and W >= kw (`nn.NetworkSpec` checks the extents).
     Returns a C-contiguous (N, F, H-kh+1, W-kw+1).
     """
-    x = np.asarray(x, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if x.ndim != 4 or kernels.ndim != 4 or x.shape[1] != kernels.shape[1]:
-        raise DimensionError(f"conv2d: incompatible shapes {x.shape} x {kernels.shape}")
     f, _, kh, kw = kernels.shape
-    if x.shape[2] < kh or x.shape[3] < kw:
-        raise DimensionError(
-            f"conv2d: spatial dims {x.shape[2:]} smaller than kernel {(kh, kw)}"
-        )
-    if bias.shape != (f,):
-        raise DimensionError(f"conv2d: bias shape {bias.shape} != ({f},)")
     n, ho, wo = x.shape[0], x.shape[2] - kh + 1, x.shape[3] - kw + 1
     prod = kernels.reshape(f, -1) @ _columns(x, kh, kw)
     out = np.empty((n, f, ho, wo))

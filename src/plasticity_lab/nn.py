@@ -85,7 +85,7 @@ class ParameterSet:
     """Trainable tensors in one flat float64 vector, plus its step-0 snapshot.
 
     `values` maps each name to a view of its tensor in `flat` (tensors in
-    construction order), `initial` the same over the read-only `flat0`.
+    construction order), `grad` the same over the gradient row `work[0]`.
     Neither mapping can be replaced: write tensors in place.
 
     `init_spec` records each tensor's initialization distribution
@@ -111,18 +111,18 @@ class ParameterSet:
         self._flat = np.concatenate([a.ravel() for a in arrays.values()])
         self._flat0 = self._flat.copy()
         self._flat0.setflags(write=False)
-        self._values, self._initial = self.named(self._flat), self.named(self._flat0)
         # uniform(-b, b) draws -b + (b - -b) * u; a constant c is c + 0 * u
         bounds = [(-v, v) if kind == "uniform" else (v, v) for kind, v in specs]
         self.lo = np.repeat([lo for lo, _ in bounds], sizes)
         self.span = np.repeat([hi - lo for lo, hi in bounds], sizes)
         self.n_uniform = sum(n for n, kind in zip(sizes, kinds) if kind == "uniform")
         self.work = np.zeros((3, self._flat.size))
+        self._values, self._grad = self.named(self._flat), self.named(self.work[0])
 
     flat = property(lambda self: self._flat)
     flat0 = property(lambda self: self._flat0)
     values = property(lambda self: self._values)
-    initial = property(lambda self: self._initial)
+    grad = property(lambda self: self._grad)
 
     def named(self, vec: np.ndarray) -> MappingProxyType:
         """Read-only name -> tensor-shaped view mapping over a flat vector."""
@@ -272,7 +272,7 @@ def loss_and_grad(
     if labels.min() < 0 or labels.max() >= spec.num_classes:
         raise ValueError(f"labels out of range [0, {spec.num_classes})")
 
-    v, g = params.values, params.named(params.work[0])
+    v, g = params.values, params.grad
     batch = logits.shape[0]
     logp = _log_softmax(logits)
     loss = float(-logp[np.arange(batch), labels].mean())
@@ -339,7 +339,6 @@ def finite_difference_max_error(
     params: ParameterSet,
     images: np.ndarray,
     labels: np.ndarray,
-    step: float = 1e-5,
 ) -> tuple[float, float]:
     """Max relative error of analytic gradients vs central finite differences.
 
@@ -347,6 +346,7 @@ def finite_difference_max_error(
     absolute differences at or below 1e-8 as zero error: they are
     indistinguishable from float64 roundoff in the difference quotient.
     """
+    step = 1e-5
     logits, cache = forward(spec, params, images)
     _, grad = loss_and_grad(spec, params, cache, logits, labels)
     theta = params.flat

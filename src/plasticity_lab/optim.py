@@ -18,7 +18,8 @@ scratch rows `params.work`, with the per-element operation order of the
 per-tensor formulas. Row 0 holds the loss gradient that `nn.loss_and_grad`
 wrote; the update adds the regularizer term into it.
 
-Nothing here checks for non-finite values: the runner's divergence check
+Nothing here re-checks its inputs: `RunConfig.validate` admits only SGD or
+Adam, and continual backprop only on an MLP; the runner's divergence check
 on the parameters, made before every update, is the one numerical check.
 """
 
@@ -84,8 +85,6 @@ class OptimizerState:
 
 
 def make_optimizer(kind: str, alpha: float, params: ParameterSet) -> OptimizerState:
-    if kind not in ("sgd", "adam"):
-        raise ValueError(f"unknown optimizer {kind!r}")
     return OptimizerState(kind, alpha, np.zeros((2 if kind == "adam" else 0, params.flat.size)))
 
 
@@ -107,7 +106,6 @@ def regularizer_gradient(
 
 def sgd_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> ParameterSet:
     """theta <- theta - alpha * grad, for a flat `grad`."""
-    assert state.kind == "sgd"
     state.t += 1
     theta = params.flat
     theta -= np.multiply(grad, state.alpha, out=params.work[1])
@@ -116,7 +114,6 @@ def sgd_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> P
 
 def adam_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> ParameterSet:
     """One bias-corrected Adam update for a flat `grad`."""
-    assert state.kind == "adam"
     state.t += 1
     bias1 = 1.0 - BETA1**state.t
     bias2 = 1.0 - BETA2**state.t
@@ -163,8 +160,6 @@ class CbpState:
 
 
 def make_cbp_state(spec: NetworkSpec) -> CbpState:
-    if spec.kind != "mlp":
-        raise ValueError("continual backprop supports only the MLP architecture")
     widths = spec.hidden_widths
     return CbpState(
         utilities=[np.zeros(w, dtype=np.float64) for w in widths],

@@ -8,8 +8,9 @@ binary batch (`load_cifar10_bin`), or a seeded synthetic set
 (`make_synthetic_dataset`); `runner.build_stream` picks one per problem.
 The file loaders check the byte format and return raw read-only uint8 rows;
 `subsample` checks every row, then scales to [0, 1] only the rows it keeps.
-All task construction is pure: task i is a function of (stream seed, i)
-only, so streams are random-access and reproducible.
+Nothing downstream re-checks: the runner's loops keep task and step indices
+in range. Task i is a pure function of (stream seed, i), so streams are
+random-access and reproducible.
 
 File formats:
   IDX (big endian): [magic u32][dim sizes u32 x ndim][payload u8...],
@@ -21,7 +22,6 @@ File formats:
 from __future__ import annotations
 
 import functools
-import hashlib
 import logging
 import struct
 from dataclasses import dataclass
@@ -72,7 +72,7 @@ def load_idx(path: str) -> np.ndarray:
         raise DataFormatError(
             f"{path}: payload length {len(payload) - header} != expected {count}"
         )
-    log.info("loaded %s (sha256 %s)", path, hashlib.sha256(payload).hexdigest())
+    log.info("loaded %s", path)
     return np.frombuffer(payload, dtype=np.uint8, offset=header).reshape(dims)
 
 
@@ -99,7 +99,7 @@ def load_cifar10_bin(path: str) -> tuple[np.ndarray, np.ndarray]:
     n = len(payload) // CIFAR_RECORD_BYTES
     if n == 0:
         raise DataFormatError(f"{path}: no records")
-    log.info("loaded %s (sha256 %s)", path, hashlib.sha256(payload).hexdigest())
+    log.info("loaded %s", path)
     raw = np.frombuffer(payload, dtype=np.uint8).reshape(n, CIFAR_RECORD_BYTES)
     return raw[:, 1:].reshape(n, 3, 32, 32), raw[:, 0]
 
@@ -155,9 +155,7 @@ class Task:
 
 
 def make_task(stream: TaskStream, i: int) -> Task:
-    """Materialize task i. Pure: calling twice yields identical datasets."""
-    if not 0 <= i < stream.num_tasks:
-        raise ValueError(f"task index {i} outside [0, {stream.num_tasks})")
+    """Materialize task i < num_tasks. Pure: calling twice yields identical datasets."""
     task_rng = RngStream(stream.seed).split("task", i)
     if stream.transform == "permute":
         perm = task_rng.permutation(stream.base.images.shape[1])
@@ -172,15 +170,13 @@ def make_task(stream: TaskStream, i: int) -> Task:
 
 
 def next_batch(task: Task, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Batch for one step of a task, under fresh-shuffle-per-epoch delivery.
+    """Batch for `step` (< steps_per_task) of a task, under fresh-shuffle-per-epoch delivery.
 
     Each epoch visits every sample exactly once; epoch e of task i is
     ordered by the substream (seed, "shuffle", i, e), so delivery is
     random-access in `step`. The order is drawn once per epoch and cached.
     """
     stream = task.stream
-    if not 0 <= step < stream.steps_per_task:
-        raise ValueError(f"step {step} outside [0, {stream.steps_per_task})")
     epoch, b = divmod(step, stream.batches_per_epoch)
     order = _epoch_order(stream.seed, task.index, epoch, task.images.shape[0])
     take = order[b * stream.batch_size : (b + 1) * stream.batch_size]

@@ -5,6 +5,9 @@ lines stream. The desk-scale trend criteria (6-9) retrain small networks
 for real, so the whole module takes a few minutes of CPU.
 """
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -37,25 +40,34 @@ SEEDS = (0, 1, 2)
 
 @pytest.fixture(scope="module")
 def concept_runs():
-    """Concept-shift desk runs: 300 random-label samples, 100 epochs/task, K=10."""
+    """Concept-shift desk runs: 300 random-label samples, 100 epochs/task, K=10.
+
+    The 12 runs are independent, so two worker processes share them; each
+    run's bytes depend only on its (config, seed).
+    """
+    keys = [(method, seed) for method in CONCEPT_METHODS for seed in SEEDS]
+    cfgs = [
+        RunConfig(
+            problem="synthetic_random_label", method=method, lam=1e-2,
+            optimizer="adam", alpha=1e-3, seed=seed, log_steps=True,
+        )
+        for method, seed in keys
+    ]
+    spawn = multiprocessing.get_context("spawn")  # workers import afresh, share no state
+    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+        records = list(pool.map(run_experiment, cfgs))
     out = {}
-    for method in CONCEPT_METHODS:
-        for seed in SEEDS:
-            cfg = RunConfig(
-                problem="synthetic_random_label", method=method, lam=1e-2,
-                optimizer="adam", alpha=1e-3, seed=seed, log_steps=True,
-            )
-            rec = run_experiment(cfg)
-            steps_per_task = cfg.resolved().steps_per_task
-            batches_per_epoch = 19  # ceil(300 / 16)
-            out[(method, seed)] = {
-                "task_accs": np.array([r.avg_online_task_accuracy for r in rec.task_rows]),
-                "final_wmag": rec.task_rows[-1].weight_magnitude,
-                "final_srank": rec.task_rows[-1].feature_srank,
-                "task1_final_epoch": float(
-                    rec.per_step_accuracy[steps_per_task - batches_per_epoch : steps_per_task].mean()
-                ),
-            }
+    for key, cfg, rec in zip(keys, cfgs, records):
+        steps_per_task = cfg.resolved().steps_per_task
+        batches_per_epoch = 19  # ceil(300 / 16)
+        out[key] = {
+            "task_accs": np.array([r.avg_online_task_accuracy for r in rec.task_rows]),
+            "final_wmag": rec.task_rows[-1].weight_magnitude,
+            "final_srank": rec.task_rows[-1].feature_srank,
+            "task1_final_epoch": float(
+                rec.per_step_accuracy[steps_per_task - batches_per_epoch : steps_per_task].mean()
+            ),
+        }
     return out
 
 
@@ -116,9 +128,10 @@ def test_criterion_2_sgd_regularizer_identity():
         opt = make_optimizer("sgd", alpha, params)
         apply_method_step(MethodConfig(method="l2_init", lam=lam), opt, params, grad,
                           rng=RngStream(0))
+        initial = params.named(params.flat0)
         for k in before:
             closed = ((1 - 2 * alpha * lam) * before[k]
-                      + 2 * alpha * lam * params.initial[k] - alpha * grads[k])
+                      + 2 * alpha * lam * initial[k] - alpha * grads[k])
             worst = max(worst, float(np.max(np.abs(params.values[k] - closed))))
     report(2, f"theta' = (1-2al)theta + 2al theta0 - a g, worst |diff| {worst:.2e} <= 1e-12",
            worst <= 1e-12)

@@ -100,11 +100,6 @@ def test_task_average_matches_kahan_oracle():
     assert abs(got - kahan_mean(list(vals))) < 1e-12
 
 
-def test_task_average_rejects_wrong_window():
-    with pytest.raises(ValueError):
-        avg_online_task_accuracy(np.zeros(10), 5, 10)
-
-
 def test_total_average_constant():
     assert total_avg_online_accuracy(np.full(7, 0.25)) == 0.25
 
@@ -113,11 +108,6 @@ def test_total_average_equals_mean_of_task_averages():
     vals = RngStream(4).uniform(0, 1, 12 * 50)
     per_task = [avg_online_task_accuracy(vals, i * 50, 50) for i in range(12)]
     assert abs(total_avg_online_accuracy(vals) - np.mean(per_task)) < 1e-12
-
-
-def test_total_average_rejects_empty():
-    with pytest.raises(ValueError):
-        total_avg_online_accuracy(np.array([]))
 
 
 # --- parameter magnitude ------------------------------------------------------
@@ -168,21 +158,6 @@ def test_srank_flat_spectrum_100():
 def test_srank_worked_example():
     assert srank(np.array([10.0, 1.0, 0.01])) == 2
     assert srank_by_cumulative_scan([10.0, 1.0, 0.01]) == 2
-
-
-def test_srank_all_zero_warns_and_returns_zero(caplog):
-    with caplog.at_level(logging.WARNING):
-        assert srank(np.zeros(5)) == 0
-    assert any("all-zero" in r.message for r in caplog.records)
-
-
-def test_srank_rejects_bad_spectra():
-    with pytest.raises(ValueError):
-        srank(np.array([1.0, 2.0]))  # ascending
-    with pytest.raises(ValueError):
-        srank(np.array([1.0, -0.5]))
-    with pytest.raises(ValueError):
-        srank(np.array([]))
 
 
 @settings(max_examples=1000, deadline=None)

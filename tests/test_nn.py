@@ -92,21 +92,22 @@ def test_init_deterministic_per_seed():
 def test_initial_snapshot_frozen_and_equal():
     spec = tiny_mlp_spec()
     params = init_params(spec, RngStream(1).split("init"))
+    initial = params.named(params.flat0)
     for k in params.values:
-        assert np.array_equal(params.values[k], params.initial[k])
+        assert np.array_equal(params.values[k], initial[k])
     with pytest.raises(ValueError):
-        params.initial["w0"][0, 0] = 5.0
+        initial["w0"][0, 0] = 5.0
 
 
 def test_values_are_fixed_views_of_one_flat_vector():
     params = init_params(tiny_mlp_spec(layer_norm=True), RngStream(1).split("init"))
     for k in params.values:
         assert np.shares_memory(params.values[k], params.flat)
-        assert np.shares_memory(params.initial[k], params.flat0)
-    for name in ("values", "initial", "flat", "flat0"):
+        assert np.shares_memory(params.grad[k], params.work[0])
+    for name in ("values", "grad", "flat", "flat0"):
         with pytest.raises(AttributeError):
             setattr(params, name, {})
-    for mapping in (params.values, params.initial):
+    for mapping in (params.values, params.grad):
         with pytest.raises(TypeError):
             mapping["w0"] = np.zeros((6, 5))
     assert params.n_uniform == sum(params.values[k].size for k in params.values
@@ -150,6 +151,12 @@ def test_forward_rejects_wrong_batch_shape():
     params, _, _ = random_instance(spec, seed=0)
     with pytest.raises(DimensionError):
         forward(spec, params, np.zeros((4, 7)))
+
+
+def test_cnn_spec_rejects_small_spatial():
+    # the one check on conv extents: conv2d trusts the shapes NetworkSpec admits
+    with pytest.raises(DimensionError):
+        NetworkSpec(kind="cnn", input_shape=(1, 4, 5))
 
 
 def test_forward_deterministic():

@@ -190,14 +190,6 @@ def test_distinct_tasks_differ():
         assert not np.array_equal(a.labels, b.labels)
 
 
-def test_task_index_bounds():
-    stream = synthetic_stream()
-    with pytest.raises(ValueError):
-        make_task(stream, -1)
-    with pytest.raises(ValueError):
-        make_task(stream, stream.num_tasks)
-
-
 def test_task_start_steps():
     stream = synthetic_stream(m=10)
     assert [make_task(stream, i).start_step for i in range(3)] == [0, 10, 20]
