@@ -193,23 +193,27 @@ class ForwardCache:
 def _ln_forward(z2d, gain, shift):
     mu = z2d.mean(axis=1, keepdims=True)
     centered = z2d - mu
-    var = np.mean(centered * centered, axis=1, keepdims=True)
+    squared = centered * centered
+    var = np.mean(squared, axis=1, keepdims=True)
     # exact normalization; a constant pre-activation vector maps to zeros
     inv_std = np.where(var > 0.0, 1.0 / np.sqrt(np.where(var > 0.0, var, 1.0)), 0.0)
-    xhat = centered * inv_std
-    return xhat * gain.reshape(1, -1) + shift.reshape(1, -1), xhat, inv_std
+    xhat = np.multiply(centered, inv_std, out=centered)
+    out = np.multiply(xhat, gain.reshape(1, -1), out=squared)
+    out += shift.reshape(1, -1)
+    return out, xhat, inv_std
 
 
 def _ln_backward(dy2d, gain, xhat, inv_std):
-    dgain = (dy2d * xhat).sum(axis=0)
+    scratch = dy2d * xhat
+    dgain = scratch.sum(axis=0)
     dshift = dy2d.sum(axis=0)
     dxhat = dy2d * gain.reshape(1, -1)
-    dz = inv_std * (
-        dxhat
-        - dxhat.mean(axis=1, keepdims=True)
-        - xhat * np.mean(dxhat * xhat, axis=1, keepdims=True)
-    )
-    return dz, dgain, dshift
+    m2 = np.mean(np.multiply(dxhat, xhat, out=scratch), axis=1, keepdims=True)
+    # in place, the same operations as inv_std * (dxhat - mean(dxhat) - xhat * m2)
+    dxhat -= dxhat.mean(axis=1, keepdims=True)
+    dxhat -= np.multiply(xhat, m2, out=scratch)
+    dxhat *= inv_std
+    return dxhat, dgain, dshift
 
 
 def forward(

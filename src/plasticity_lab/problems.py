@@ -3,9 +3,11 @@
 A `TaskStream` turns one base dataset into a sequence of tasks by one of
 two kinds of non-stationarity: input permutation (pixels shuffled per
 task, labels kept) or random relabelling (inputs kept, labels redrawn per
-task). The base dataset is an MNIST IDX pair (`load_mnist`), a CIFAR-10
-binary batch (`load_cifar10_bin`), or a seeded synthetic set
-(`make_synthetic_dataset`); `runner.build_stream` picks one per problem.
+task). A permuted task is only a column order over the base rows, applied
+to the rows each batch gathers, so no task copies the images. The base
+dataset is an MNIST IDX pair (`load_mnist`), a CIFAR-10 binary batch
+(`load_cifar10_bin`), or a seeded synthetic set (`make_synthetic_dataset`);
+`runner.build_stream` picks one per problem.
 The file loaders check the byte format and return raw read-only uint8 rows;
 `subsample` checks every row, then scales to [0, 1] only the rows it keeps.
 Nothing downstream re-checks: the runner's loops keep task and step indices
@@ -146,27 +148,31 @@ class TaskStream:
 class Task:
     stream: TaskStream
     index: int
-    images: np.ndarray
+    perm: np.ndarray | None  # a permuted task's column order; None for a relabel task
     labels: np.ndarray
 
     @property
     def start_step(self) -> int:
         return self.index * self.stream.steps_per_task
 
+    def rows(self, idx) -> np.ndarray:
+        """Base rows `idx` as this task sees them, C-ordered."""
+        rows = self.stream.base.images[idx]
+        return rows if self.perm is None else np.take(rows, self.perm, axis=1)
+
 
 def make_task(stream: TaskStream, i: int) -> Task:
-    """Materialize task i < num_tasks. Pure: calling twice yields identical datasets."""
+    """Task i < num_tasks. Pure: calling twice yields identical column orders and labels."""
     task_rng = RngStream(stream.seed).split("task", i)
     if stream.transform == "permute":
         perm = task_rng.permutation(stream.base.images.shape[1])
-        images = stream.base.images[:, perm]
         labels = stream.base.labels
     else:
-        images = stream.base.images
+        perm = None
         labels = np.asarray(
             task_rng.integers(0, stream.num_classes, stream.base.size), dtype=np.int64
         )
-    return Task(stream=stream, index=i, images=images, labels=labels)
+    return Task(stream=stream, index=i, perm=perm, labels=labels)
 
 
 def next_batch(task: Task, step: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,9 +184,9 @@ def next_batch(task: Task, step: int) -> tuple[np.ndarray, np.ndarray]:
     """
     stream = task.stream
     epoch, b = divmod(step, stream.batches_per_epoch)
-    order = _epoch_order(stream.seed, task.index, epoch, task.images.shape[0])
+    order = _epoch_order(stream.seed, task.index, epoch, stream.base.size)
     take = order[b * stream.batch_size : (b + 1) * stream.batch_size]
-    return task.images[take], task.labels[take]
+    return task.rows(take), task.labels[take]
 
 
 @functools.lru_cache(maxsize=4)
@@ -193,11 +199,11 @@ def _epoch_order(seed: int, task_index: int, epoch: int, n: int) -> np.ndarray:
 
 def probe_batch(task: Task, size: int) -> np.ndarray:
     """Deterministic probe sample from a task for diagnostics."""
-    n = task.images.shape[0]
+    n = task.stream.base.size
     if size >= n:
-        return task.images
+        return task.rows(slice(None))
     idx = RngStream(task.stream.seed).split("probe", task.index).permutation(n)[:size]
-    return task.images[idx]
+    return task.rows(idx)
 
 
 def make_synthetic_dataset(width: int, classes: int, n: int, rng: RngStream) -> Dataset:

@@ -158,23 +158,26 @@ def test_make_task_is_pure():
     stream = synthetic_stream()
     a = make_task(stream, 3)
     b = make_task(stream, 3)
-    assert np.array_equal(a.images, b.images)
+    assert np.array_equal(a.perm, b.perm)
+    assert np.array_equal(a.rows(slice(None)), b.rows(slice(None)))
     assert np.array_equal(a.labels, b.labels)
 
 
 def test_permuted_tasks_permute_pixels_only():
     stream = synthetic_stream("permute")
     task = make_task(stream, 1)
+    images = task.rows(slice(None))
     assert np.array_equal(task.labels, stream.base.labels)
-    assert not np.array_equal(task.images, stream.base.images)
+    assert not np.array_equal(images, stream.base.images)
     # the permutation is a bijection: every row keeps the same multiset of pixels
-    assert np.allclose(np.sort(task.images, axis=1), np.sort(stream.base.images, axis=1))
+    assert np.allclose(np.sort(images, axis=1), np.sort(stream.base.images, axis=1))
 
 
 def test_relabel_tasks_keep_images_and_fix_labels_within_task():
     stream = synthetic_stream("relabel")
     task = make_task(stream, 2)
-    assert task.images is stream.base.images
+    assert task.perm is None
+    assert np.shares_memory(task.rows(slice(None)), stream.base.images)
     again = make_task(stream, 2)
     assert np.array_equal(task.labels, again.labels)
 
@@ -183,11 +186,39 @@ def test_distinct_tasks_differ():
     stream = synthetic_stream("permute", n=16, k=10)
     for i in range(0, 10, 2):
         a, b = make_task(stream, i), make_task(stream, i + 1)
-        assert not np.array_equal(a.images, b.images)
+        assert not np.array_equal(a.rows(slice(None)), b.rows(slice(None)))
     rstream = synthetic_stream("relabel", n=64, k=10)
     for i in range(0, 10, 2):
         a, b = make_task(rstream, i), make_task(rstream, i + 1)
         assert not np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("transform", ["permute", "relabel"])
+def test_batches_and_probes_are_c_ordered_base_rows(transform):
+    # an F-ordered batch would be slower, and could take another BLAS path and change bits
+    stream = synthetic_stream(transform, n=40, m=10)
+    task = make_task(stream, 1)
+    columns = slice(None) if task.perm is None else task.perm
+    order = RngStream(stream.seed).split("shuffle", 1, 1).permutation(40)
+    probe_idx = RngStream(stream.seed).split("probe", 1).permutation(40)[:24]
+    got = [(next_batch(task, 4)[0], order[16:32]),
+           (probe_batch(task, 24), probe_idx),
+           (probe_batch(task, 40), np.arange(40))]
+    for x, rows in got:
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        assert np.array_equal(x, stream.base.images[rows][:, columns])
+
+
+def test_permuted_task_holds_no_copy_of_the_images():
+    stream = synthetic_stream("permute", n=2000, width=784)
+    tracemalloc.start()
+    try:
+        task = make_task(stream, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert task.perm.shape == (784,)
+    assert peak < stream.base.images.nbytes / 10, peak
 
 
 def test_task_start_steps():
@@ -207,7 +238,7 @@ def test_epoch_partitions_dataset():
         assert y.shape == (16,)
         seen.extend(map(tuple, x))
     assert len(seen) == 32
-    assert {tuple(row) for row in task.images} == set(seen)
+    assert {tuple(row) for row in task.rows(slice(None))} == set(seen)
 
 
 def test_ragged_final_batch_covers_dataset():
@@ -217,7 +248,7 @@ def test_ragged_final_batch_covers_dataset():
     x1, _ = next_batch(task, 1)
     assert x0.shape[0] == 16 and x1.shape[0] == 4
     rows = {tuple(r) for r in np.vstack([x0, x1])}
-    assert rows == {tuple(r) for r in task.images}
+    assert rows == {tuple(r) for r in task.rows(slice(None))}
 
 
 def test_epochs_reshuffle_but_are_deterministic():
@@ -375,7 +406,7 @@ def test_seed_isolation_changes_all_randomness():
     b = synthetic_stream("permute", seed=1)
     assert not np.array_equal(a.base.images, b.base.images)  # base draw
     ta, tb = make_task(a, 0), make_task(b, 0)
-    assert not np.array_equal(ta.images, tb.images)  # permutations differ
+    assert not np.array_equal(ta.rows(slice(None)), tb.rows(slice(None)))  # permutations differ
     ra = make_task(synthetic_stream("relabel", seed=0, n=64), 0)
     rb = make_task(synthetic_stream("relabel", seed=1, n=64), 0)
     assert not np.array_equal(ra.labels, rb.labels)  # label draws differ
