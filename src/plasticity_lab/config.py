@@ -230,6 +230,8 @@ class SweepSpec:
         """Grid cells, ordered small-hyper-parameter-first for tie-breaking."""
         if self.method not in SWEPT:
             raise ConfigError(f"unknown method {self.method!r}")
+        if not self.seeds:  # a cell mean over no seeds would be NaN
+            raise ConfigError("a sweep needs at least 1 seed")
         names = SWEPT[self.method]
         grids = [sorted(GRIDS[n]) for n in names] + [sorted(ALPHA_GRID[self.base.optimizer])]
         return [dict(zip((*names, "alpha"), v)) for v in itertools.product(*grids)]

@@ -9,7 +9,8 @@ dataset is an MNIST IDX pair (`load_mnist`), a CIFAR-10 binary batch
 (`load_cifar10_bin`), or a seeded synthetic set (`make_synthetic_dataset`);
 `runner.build_stream` picks one per problem.
 The file loaders check the byte format and return raw read-only uint8 rows;
-`subsample` checks every row, then scales to [0, 1] only the rows it keeps.
+`subsample` checks counts and labels and keeps n raw rows; only `Task.rows`
+scales, by `Dataset.divisor`, the rows each batch or probe gathers.
 Nothing downstream re-checks: the runner's loops keep task and step indices
 in range. Task i is a pure function of (stream seed, i), so streams are
 random-access and reproducible.
@@ -42,10 +43,11 @@ CIFAR_RECORD_BYTES = 3073
 
 @dataclass
 class Dataset:
-    """Images scaled to [0,1] with integer labels in [0,10)."""
+    """Base rows, integer labels in [0,10); tasks see images / divisor (255.0 for uint8 rows)."""
 
     images: np.ndarray
     labels: np.ndarray
+    divisor: float = 1.0
 
     @property
     def size(self) -> int:
@@ -107,7 +109,7 @@ def load_cifar10_bin(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def subsample(images: np.ndarray, labels: np.ndarray, n: int, rng: RngStream) -> Dataset:
-    """Check every raw uint8 row of a file, then keep n rows, in rng's order, scaled to [0,1]."""
+    """Keep n raw uint8 rows of a file, in rng's order, after checking counts and label range."""
     size = images.shape[0]
     if size == 0:
         raise DataFormatError("dataset is empty")
@@ -118,7 +120,7 @@ def subsample(images: np.ndarray, labels: np.ndarray, n: int, rng: RngStream) ->
     if n > size:
         raise ConfigError(f"cannot subsample {n} from {size} samples")
     idx = rng.permutation(size)[:n]
-    return Dataset(images[idx].astype(np.float64) / 255.0, labels[idx].astype(np.int64))
+    return Dataset(images[idx], labels[idx].astype(np.int64), divisor=255.0)
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,10 @@ class Task:
         return self.index * self.stream.steps_per_task
 
     def rows(self, idx) -> np.ndarray:
-        """Base rows `idx` as this task sees them, C-ordered."""
+        """Base rows `idx` as this task sees them: C-ordered float64 over the divisor."""
         rows = self.stream.base.images[idx]
-        return rows if self.perm is None else np.take(rows, self.perm, axis=1)
+        rows = rows if self.perm is None else np.take(rows, self.perm, axis=1)
+        return rows / self.stream.base.divisor
 
 
 def make_task(stream: TaskStream, i: int) -> Task:

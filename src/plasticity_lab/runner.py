@@ -258,16 +258,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     per_cell = len(spec.seeds)
     for idx, cell in enumerate(cells):
         chunk = rows[idx * per_cell : (idx + 1) * per_cell]
-        ok = [r for r in chunk if r["status"] == "ok"]
-        mean = (
-            float(np.mean([r["total_avg_online_accuracy"] for r in ok]))
-            if len(ok) == per_cell
-            else float("nan")
-        )
-        cell_means.append(
-            {**cell, "mean_total_avg_online_accuracy": mean,
-             "status": "ok" if len(ok) == per_cell else "failed"}
-        )
+        ok = all(r["status"] == "ok" for r in chunk)
+        scores = [r["total_avg_online_accuracy"] for r in chunk]
+        mean = float(np.mean(scores)) if ok else float("nan")
+        cell_means.append({**cell, "mean_total_avg_online_accuracy": mean,
+                           "status": "ok" if ok else "failed"})
         errors = sorted({f"{r['cause']}: {r['error']}" for r in chunk if "error" in r})
         if errors:
             cell_means[-1]["errors"] = errors

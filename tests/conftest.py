@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plasticity_lab.nn import NetworkSpec, init_params
-from plasticity_lab.problems import subsample
+from plasticity_lab.problems import TaskStream, make_task, subsample
 from plasticity_lab.rng import RngStream
 
 
@@ -52,11 +52,18 @@ def write_cifar10_bin(path, dataset):
             fh.write(bytes([int(label)]) + row.tobytes())
 
 
+def scaled_rows(dataset, idx=slice(None)):
+    """Rows `idx` of a dataset as a task sees them (Task.rows scales the raw rows)."""
+    stream = TaskStream(transform="relabel", base=dataset, num_tasks=1, steps_per_task=1,
+                        batch_size=1, seed=0)
+    return make_task(stream, 0).rows(idx)
+
+
 def scaled_in_file_order(images, labels):
-    """Every raw row through subsample, put back in file order."""
+    """Every raw row through subsample and Task.rows, put back in file order."""
     kept = subsample(images, labels, len(labels), RngStream(0))
     back = np.argsort(RngStream(0).permutation(len(labels)))
-    return kept.images[back], kept.labels[back]
+    return scaled_rows(kept, back), kept.labels[back]
 
 
 @pytest.fixture

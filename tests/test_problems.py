@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     scaled_in_file_order,
+    scaled_rows,
     write_cifar10_bin,
     write_idx_images,
     write_idx_labels,
@@ -81,7 +82,7 @@ def test_cifar_single_record(tmp_path):
     ds = subsample(images, labels, 1, RngStream(0))
     assert ds.size == 1
     assert ds.labels.dtype == np.int64 and ds.labels[0] == 7
-    assert np.all(ds.images == 1.0)
+    assert np.all(scaled_rows(ds) == 1.0)
 
 
 def test_cifar_empty_file_rejected(tmp_path):
@@ -122,7 +123,7 @@ def raw_rows(n=40, d=8, seed=0):
 def test_subsample_full_size_is_permutation():
     images, labels = raw_rows()
     out = subsample(images, labels, len(labels), RngStream(1).split("s"))
-    assert sorted(map(tuple, out.images)) == sorted(map(tuple, images / 255.0))
+    assert sorted(map(tuple, scaled_rows(out))) == sorted(map(tuple, images / 255.0))
 
 
 def test_subsample_deterministic():
@@ -174,10 +175,16 @@ def test_permuted_tasks_permute_pixels_only():
 
 
 def test_relabel_tasks_keep_images_and_fix_labels_within_task():
-    stream = synthetic_stream("relabel")
-    task = make_task(stream, 2)
+    stream = synthetic_stream("relabel", n=2000, width=784)
+    tracemalloc.start()
+    try:
+        task = make_task(stream, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert task.perm is None
-    assert np.shares_memory(task.rows(slice(None)), stream.base.images)
+    assert peak < stream.base.images.nbytes / 10, peak  # the task holds no copy of the images
+    assert np.array_equal(task.rows(slice(None)), stream.base.images)
     again = make_task(stream, 2)
     assert np.array_equal(task.labels, again.labels)
 
@@ -397,8 +404,45 @@ def test_build_stream_scales_only_the_kept_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert stream.base.images.shape == (100, 784)
+    # the kept rows stay raw bytes; only a batch or probe is ever float64
+    assert stream.base.images.dtype == np.uint8 and stream.base.divisor == 255.0
+    assert stream.base.images.nbytes == 100 * 784
     whole_file_as_float64 = 2000 * 784 * 8
     assert peak < whole_file_as_float64 / 3, peak
+
+
+def every_byte_value_stream(tmp_path, problem, n=40):
+    """A stream over a file whose every row holds all 256 byte values."""
+    if problem == "random_label_cifar":
+        records = (np.arange(n * 3073) % 256).astype(np.uint8).reshape(n, 3073)
+        records[:, 0] %= 10
+        (tmp_path / "b.bin").write_bytes(records.tobytes())
+        files = {"cifar_bin": str(tmp_path / "b.bin")}
+    else:
+        write_idx_images(tmp_path / "i.idx", np.arange(n * 784).reshape(n, 28, 28) % 256)
+        write_idx_labels(tmp_path / "l.idx", np.arange(n) % 10)
+        files = {"mnist_images": str(tmp_path / "i.idx"), "mnist_labels": str(tmp_path / "l.idx")}
+    return build_stream(RunConfig(problem=problem, dataset_size=n, num_tasks=2,
+                                  steps_per_task=10, seed=3, **files))
+
+
+@pytest.mark.parametrize("problem", ["permuted_mnist", "random_label_mnist",
+                                     "random_label_cifar"])
+def test_batches_and_probes_have_the_bits_of_the_float64_scaled_rows(tmp_path, problem):
+    stream = every_byte_value_stream(tmp_path, problem)
+    raw = stream.base.images
+    task = make_task(stream, 1)
+    columns = slice(None) if task.perm is None else task.perm
+    order = RngStream(stream.seed).split("shuffle", 1, 1).permutation(40)
+    probe_idx = RngStream(stream.seed).split("probe", 1).permutation(40)[:24]
+    got = [(next_batch(task, 4)[0], order[16:32]),
+           (probe_batch(task, 24), probe_idx),
+           (probe_batch(task, 40), np.arange(40))]
+    for x, rows in got:
+        assert np.unique(raw[rows]).size == 256
+        want = raw[rows][:, columns].astype(np.float64) / 255.0
+        assert x.dtype == np.float64 and x.flags.c_contiguous and x.shape == want.shape
+        assert np.array_equal(x.view(np.int64), want.view(np.int64))
 
 
 def test_seed_isolation_changes_all_randomness():

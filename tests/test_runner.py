@@ -481,6 +481,15 @@ def test_cli_sweep_of_config_errors_is_a_usage_error(tmp_path, capsys):
         "all sweep cells failed", "  cannot subsample 500 from 200 samples"]
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_cli_sweep_over_no_seeds_is_a_usage_error(tmp_path, capsys, seeds):
+    code = main(["sweep", "--method", "baseline", "--seeds", seeds, "--out", str(tmp_path / "o"),
+                 "problem=synthetic_permuted"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: a sweep needs at least 1 seed"]
+    assert not (tmp_path / "o").exists()  # no sweep_summary.json with a NaN winner
+
+
 def test_cli_sweep_where_every_cell_diverges_is_a_numerical_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "DIVERGENCE_MAGNITUDE", 0.0)  # every run stops at step 0
     code = main(["sweep", "--method", "baseline", "--seeds", "1", "--out", str(tmp_path / "o"),
