@@ -5,12 +5,14 @@ two kinds of non-stationarity: input permutation (pixels shuffled per
 task, labels kept) or random relabelling (inputs kept, labels redrawn per
 task). A permuted task is only a column order over the base rows, applied
 to the rows each batch gathers, so no task copies the images. The base
-dataset is an MNIST IDX pair (`load_mnist`), a CIFAR-10 binary batch
-(`load_cifar10_bin`), or a seeded synthetic set (`make_synthetic_dataset`);
-`runner.build_stream` picks one per problem.
-The file loaders check the byte format and return raw read-only uint8 rows;
-`subsample` checks counts and labels and keeps n raw rows; only `Task.rows`
-scales, by `Dataset.divisor`, the rows each batch or probe gathers.
+dataset is n rows of an MNIST IDX pair (`load_idx`), of a CIFAR-10 binary
+batch (`load_cifar10_bin`), or a seeded synthetic set
+(`make_synthetic_dataset`); `runner.build_stream` picks one per problem.
+A file loader checks each header against the file's length and reads every
+label; `subsample` checks counts and labels and draws the n kept indices;
+then one pass over the file, through one reused READ_BYTES buffer, copies
+out only the kept raw uint8 rows, so no whole file is ever held. Only
+`Task.rows` scales, by `Dataset.divisor`, the rows each batch or probe gathers.
 Nothing downstream re-checks: the runner's loops keep task and step indices
 in range. Task i is a pure function of (stream seed, i), so streams are
 random-access and reproducible.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import os
 import struct
 from dataclasses import dataclass
 
@@ -39,6 +42,7 @@ log = logging.getLogger(__name__)
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073
+READ_BYTES = 1 << 20  # the loaders' read buffer
 
 
 @dataclass
@@ -54,63 +58,88 @@ class Dataset:
         return self.images.shape[0]
 
 
-def load_idx(path: str) -> np.ndarray:
-    """Parse one IDX file into its read-only uint8 payload, shaped by its header."""
+def _idx_dims(path: str) -> tuple[int, ...]:
+    """An IDX file's dimension sizes, after checking its header against its length."""
     with open(path, "rb") as fh:
-        payload = fh.read()
-    if len(payload) < 4:
-        raise DataFormatError(f"{path}: truncated IDX header")
-    (magic,) = struct.unpack(">I", payload[:4])
-    if magic == IDX_IMAGES_MAGIC:
-        ndim = 3
-    elif magic == IDX_LABELS_MAGIC:
-        ndim = 1
-    else:
-        raise DataFormatError(f"{path}: unexpected IDX magic 0x{magic:08x}")
-    header = 4 + 4 * ndim
-    if len(payload) < header:
-        raise DataFormatError(f"{path}: truncated IDX dimension header")
-    dims = struct.unpack(f">{ndim}I", payload[4:header])
+        head = fh.read(4)
+        if len(head) < 4:
+            raise DataFormatError(f"{path}: truncated IDX header")
+        (magic,) = struct.unpack(">I", head)
+        if magic == IDX_IMAGES_MAGIC:
+            ndim = 3
+        elif magic == IDX_LABELS_MAGIC:
+            ndim = 1
+        else:
+            raise DataFormatError(f"{path}: unexpected IDX magic 0x{magic:08x}")
+        head = fh.read(4 * ndim)
+        if len(head) < 4 * ndim:
+            raise DataFormatError(f"{path}: truncated IDX dimension header")
+        payload = os.fstat(fh.fileno()).st_size - 4 - 4 * ndim
+    dims = struct.unpack(f">{ndim}I", head)
     count = int(np.prod(dims))
-    if len(payload) != header + count:
-        raise DataFormatError(
-            f"{path}: payload length {len(payload) - header} != expected {count}"
-        )
-    log.info("loaded %s", path)
-    return np.frombuffer(payload, dtype=np.uint8, offset=header).reshape(dims)
+    if payload != count:
+        raise DataFormatError(f"{path}: payload length {payload} != expected {count}")
+    return dims
 
 
-def load_mnist(images_path: str, labels_path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse an MNIST IDX image/label pair: raw (N, 784) pixel rows and N labels."""
-    images = load_idx(images_path)
-    labels = load_idx(labels_path)
-    if images.ndim != 3:
-        raise DataFormatError(f"{images_path}: expected an image IDX file")
-    if labels.ndim != 1:
-        raise DataFormatError(f"{labels_path}: expected a label IDX file")
-    n, rows, cols = images.shape  # not reshape(n, -1): that fails on an empty file
-    return images.reshape(n, rows * cols), labels
+def _read_records(path: str, offset: int, record_bytes: int, idx, cols=slice(None)):
+    """Bytes `cols` of records `idx` (in idx order) of the fixed-size records from `offset`.
 
-
-def load_cifar10_bin(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse one CIFAR-10 binary batch: raw (N,3,32,32) pixels and N labels."""
+    One pass over the file through one reused buffer of READ_BYTES; only the
+    kept bytes are copied out, so no whole file is ever held.
+    """
+    order = np.argsort(idx, kind="stable")
+    wanted = idx[order]
+    out = np.empty((len(idx), len(range(record_bytes)[cols])), dtype=np.uint8)
+    per_read = max(1, READ_BYTES // max(record_bytes, 1))
+    buf = np.empty(per_read * record_bytes, dtype=np.uint8)
+    end = int(wanted[-1]) + 1 if len(idx) else 0
     with open(path, "rb") as fh:
-        payload = fh.read()
-    if len(payload) % CIFAR_RECORD_BYTES != 0:
-        raise DataFormatError(
-            f"{path}: length {len(payload)} is not a multiple of {CIFAR_RECORD_BYTES}"
-        )
-    n = len(payload) // CIFAR_RECORD_BYTES
-    if n == 0:
+        fh.seek(offset)
+        for start in range(0, end, per_read):
+            count = min(per_read, end - start)
+            view = buf[: count * record_bytes]
+            if fh.readinto(view) != view.nbytes:  # the file shrank after its length check
+                raise DataFormatError(f"{path}: file ended before record {start + count}")
+            lo, hi = np.searchsorted(wanted, (start, start + count))
+            out[order[lo:hi]] = view.reshape(count, record_bytes)[wanted[lo:hi] - start, cols]
+    return out
+
+
+def load_idx(images_path: str, labels_path: str, n: int, rng: RngStream) -> Dataset:
+    """Keep n rows of an MNIST IDX image/label pair, reading only the kept image rows."""
+    image_dims = _idx_dims(images_path)
+    label_dims = _idx_dims(labels_path)
+    if len(image_dims) != 3:
+        raise DataFormatError(f"{images_path}: expected an image IDX file")
+    if len(label_dims) != 1:
+        raise DataFormatError(f"{labels_path}: expected a label IDX file")
+    size, rows, cols = image_dims
+    labels = _read_records(labels_path, 8, 1, np.arange(label_dims[0]))[:, 0]
+    idx = subsample(size, labels, n, rng)
+    images = _read_records(images_path, 16, rows * cols, idx)
+    log.info("loaded %s and %s", images_path, labels_path)
+    return Dataset(images, labels[idx].astype(np.int64), divisor=255.0)
+
+
+def load_cifar10_bin(path: str, n: int, rng: RngStream) -> Dataset:
+    """Keep n records of a CIFAR-10 binary batch, reading only the kept records' pixels."""
+    with open(path, "rb") as fh:
+        length = os.fstat(fh.fileno()).st_size
+    if length % CIFAR_RECORD_BYTES != 0:
+        raise DataFormatError(f"{path}: length {length} is not a multiple of {CIFAR_RECORD_BYTES}")
+    size = length // CIFAR_RECORD_BYTES
+    if size == 0:
         raise DataFormatError(f"{path}: no records")
+    labels = _read_records(path, 0, CIFAR_RECORD_BYTES, np.arange(size), slice(0, 1))[:, 0]
+    idx = subsample(size, labels, n, rng)
+    images = _read_records(path, 0, CIFAR_RECORD_BYTES, idx, slice(1, None))
     log.info("loaded %s", path)
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(n, CIFAR_RECORD_BYTES)
-    return raw[:, 1:].reshape(n, 3, 32, 32), raw[:, 0]
+    return Dataset(images.reshape(-1, 3, 32, 32), labels[idx].astype(np.int64), divisor=255.0)
 
 
-def subsample(images: np.ndarray, labels: np.ndarray, n: int, rng: RngStream) -> Dataset:
-    """Keep n raw uint8 rows of a file, in rng's order, after checking counts and label range."""
-    size = images.shape[0]
+def subsample(size: int, labels: np.ndarray, n: int, rng: RngStream) -> np.ndarray:
+    """The n kept row indices of `size`, in rng's order, after checking counts and labels."""
     if size == 0:
         raise DataFormatError("dataset is empty")
     if labels.shape != (size,):
@@ -119,8 +148,7 @@ def subsample(images: np.ndarray, labels: np.ndarray, n: int, rng: RngStream) ->
         raise DataFormatError("labels outside [0, 10)")
     if n > size:
         raise ConfigError(f"cannot subsample {n} from {size} samples")
-    idx = rng.permutation(size)[:n]
-    return Dataset(images[idx], labels[idx].astype(np.int64), divisor=255.0)
+    return rng.permutation(size)[:n]
 
 
 @dataclass(frozen=True)

@@ -49,12 +49,11 @@ from .optim import apply_method_step, make_cbp_state, make_optimizer
 from .problems import (
     TaskStream,
     load_cifar10_bin,
-    load_mnist,
+    load_idx,
     make_synthetic_dataset,
     make_task,
     next_batch,
     probe_batch,
-    subsample,
 )
 from .rng import RngStream
 
@@ -78,10 +77,10 @@ def build_stream(cfg: RunConfig) -> TaskStream:
     else:
         classes = 10
         if problem.data == "cifar":
-            images, labels = load_cifar10_bin(cfg.cifar_bin)
+            base = load_cifar10_bin(cfg.cifar_bin, cfg.dataset_size, rng.split("subsample"))
         else:
-            images, labels = load_mnist(cfg.mnist_images, cfg.mnist_labels)
-        base = subsample(images, labels, cfg.dataset_size, rng.split("subsample"))
+            base = load_idx(cfg.mnist_images, cfg.mnist_labels, cfg.dataset_size,
+                            rng.split("subsample"))
     return TaskStream(
         transform=problem.transform,
         base=base,

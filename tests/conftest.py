@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plasticity_lab.nn import NetworkSpec, init_params
-from plasticity_lab.problems import TaskStream, make_task, subsample
+from plasticity_lab.problems import Dataset, TaskStream, make_task
 from plasticity_lab.rng import RngStream
 
 
@@ -59,11 +59,10 @@ def scaled_rows(dataset, idx=slice(None)):
     return make_task(stream, 0).rows(idx)
 
 
-def scaled_in_file_order(images, labels):
-    """Every raw row through subsample and Task.rows, put back in file order."""
-    kept = subsample(images, labels, len(labels), RngStream(0))
-    back = np.argsort(RngStream(0).permutation(len(labels)))
-    return scaled_rows(kept, back), kept.labels[back]
+def in_file_order(dataset):
+    """A loader's Dataset of every file row, drawn with RngStream(0), put back in file order."""
+    back = np.argsort(RngStream(0).permutation(dataset.size))
+    return Dataset(dataset.images[back], dataset.labels[back], divisor=dataset.divisor)
 
 
 @pytest.fixture

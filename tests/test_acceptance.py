@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    in_file_order,
     random_instance,
-    scaled_in_file_order,
+    scaled_rows,
     tiny_cnn_spec,
     tiny_mlp_spec,
     write_cifar10_bin,
@@ -285,16 +286,15 @@ def test_criterion_10_determinism_and_formats(tmp_path):
     with open(ipath, "wb") as fh:
         fh.write(struct.pack(">IIII", 0x00000803, 2, 2, 2))
         fh.write(bytes([0, 255, 10, 20, 30, 40, 50, 60]))
-    images = load_idx(str(ipath))
     lpath = tmp_path / "lab.idx"
     with open(lpath, "wb") as fh:
         fh.write(struct.pack(">II", 0x00000801, 2) + bytes([5, 0]))
-    labels = load_idx(str(lpath))
-    idx_ok = images.shape == (2, 2, 2)
-    idx_ok = idx_ok and images.tobytes() == bytes([0, 255, 10, 20, 30, 40, 50, 60])
-    scaled, _ = scaled_in_file_order(images.reshape(2, 4), labels)
+    mnist = in_file_order(load_idx(str(ipath), str(lpath), 2, RngStream(0)))
+    idx_ok = mnist.images.shape == (2, 4)
+    idx_ok = idx_ok and mnist.images.tobytes() == bytes([0, 255, 10, 20, 30, 40, 50, 60])
+    scaled = scaled_rows(mnist)
     idx_ok = idx_ok and scaled[0, 0] == 0.0 and scaled[0, 1] == 1.0
-    idx_ok = idx_ok and np.array_equal(labels, [5, 0])
+    idx_ok = idx_ok and np.array_equal(mnist.labels, [5, 0])
 
     # CIFAR fixture round-trip
     rng = RngStream(10)
@@ -302,8 +302,9 @@ def test_criterion_10_determinism_and_formats(tmp_path):
                  labels=np.array([1, 8]))
     cpath = tmp_path / "c.bin"
     write_cifar10_bin(str(cpath), ds)
-    back_images, back_labels = scaled_in_file_order(*load_cifar10_bin(str(cpath)))
-    cifar_ok = np.array_equal(back_images, ds.images) and np.array_equal(back_labels, ds.labels)
+    back = in_file_order(load_cifar10_bin(str(cpath), 2, RngStream(0)))
+    cifar_ok = np.array_equal(scaled_rows(back), ds.images)
+    cifar_ok = cifar_ok and np.array_equal(back.labels, ds.labels)
 
     # full-scale defaults from an empty override set
     table = parse_config(None, ["problem=permuted_mnist"]).resolved()

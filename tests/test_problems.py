@@ -1,22 +1,27 @@
+import os
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from conftest import (
-    scaled_in_file_order,
+    in_file_order,
     scaled_rows,
     write_cifar10_bin,
     write_idx_images,
     write_idx_labels,
 )
+from plasticity_lab import problems
 from plasticity_lab.cli import main
 from plasticity_lab.config import RunConfig
 from plasticity_lab.errors import ConfigError, DataFormatError
 from plasticity_lab.nn import NetworkSpec, forward, init_params, loss_and_grad
 from plasticity_lab.optim import MethodConfig, apply_method_step, make_optimizer
 from plasticity_lab.problems import (
+    CIFAR_RECORD_BYTES,
+    READ_BYTES,
     Dataset,
     load_cifar10_bin,
     load_idx,
@@ -31,25 +36,27 @@ from plasticity_lab.runner import build_stream
 
 # --- IDX parsing ------------------------------------------------------------
 
+def idx_pair(tmp_path, images_u8, labels):
+    write_idx_images(tmp_path / "i.idx", images_u8)
+    write_idx_labels(tmp_path / "l.idx", labels)
+    return str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+
+
 def test_idx_images_fixture_scaled(tmp_path):
     imgs = np.array([[[0, 255], [128, 64]], [[1, 2], [3, 4]]], dtype=np.uint8)
-    path = tmp_path / "imgs.idx"
-    write_idx_images(path, imgs)
-    out = load_idx(str(path))
-    assert out.dtype == np.uint8 and not out.flags.writeable
-    assert np.array_equal(out, imgs)
-    # only subsample scales, and only the rows it keeps
-    scaled, _ = scaled_in_file_order(out.reshape(2, 4), np.array([5, 0], dtype=np.uint8))
-    assert scaled.tolist() == [[0.0, 1.0, 128 / 255, 64 / 255],
-                               [1 / 255, 2 / 255, 3 / 255, 4 / 255]]
+    out = in_file_order(load_idx(*idx_pair(tmp_path, imgs, [5, 0]), 2, RngStream(0)))
+    assert out.images.dtype == np.uint8 and out.divisor == 255.0
+    assert np.array_equal(out.images, imgs.reshape(2, 4))
+    # only Task.rows scales, and only the rows a batch or probe gathers
+    assert scaled_rows(out).tolist() == [[0.0, 1.0, 128 / 255, 64 / 255],
+                                         [1 / 255, 2 / 255, 3 / 255, 4 / 255]]
 
 
 def test_idx_labels_fixture(tmp_path):
-    path = tmp_path / "labels.idx"
-    write_idx_labels(path, [5, 0])
-    out = load_idx(str(path))
-    assert out.dtype == np.uint8
-    assert np.array_equal(out, [5, 0])
+    imgs = np.zeros((2, 1, 1), dtype=np.uint8)
+    out = in_file_order(load_idx(*idx_pair(tmp_path, imgs, [5, 0]), 2, RngStream(0)))
+    assert out.labels.dtype == np.int64
+    assert np.array_equal(out.labels, [5, 0])
 
 
 def test_idx_bad_magic_reports_observed_value(tmp_path):
@@ -57,7 +64,7 @@ def test_idx_bad_magic_reports_observed_value(tmp_path):
     with open(path, "wb") as fh:
         fh.write(struct.pack(">II", 0x00000899, 2))
     with pytest.raises(DataFormatError, match="0x00000899"):
-        load_idx(str(path))
+        load_idx(str(path), str(path), 1, RngStream(0))
 
 
 def test_idx_truncated_payload(tmp_path):
@@ -66,7 +73,7 @@ def test_idx_truncated_payload(tmp_path):
         fh.write(struct.pack(">IIII", 0x00000803, 2, 2, 2))
         fh.write(b"\x00" * 5)  # needs 8
     with pytest.raises(DataFormatError, match="length"):
-        load_idx(str(path))
+        load_idx(str(path), str(path), 1, RngStream(0))
 
 
 # --- CIFAR parsing -------------------------------------------------------------
@@ -75,13 +82,11 @@ def test_cifar_single_record(tmp_path):
     path = tmp_path / "one.bin"
     with open(path, "wb") as fh:
         fh.write(bytes([7]) + b"\xff" * 3072)
-    images, labels = load_cifar10_bin(str(path))
-    assert images.dtype == np.uint8 and images.shape == (1, 3, 32, 32)
-    assert np.all(images == 255)
-    assert labels.tolist() == [7]
-    ds = subsample(images, labels, 1, RngStream(0))
+    ds = load_cifar10_bin(str(path), 1, RngStream(0))
+    assert ds.images.dtype == np.uint8 and ds.images.shape == (1, 3, 32, 32)
+    assert np.all(ds.images == 255)
     assert ds.size == 1
-    assert ds.labels.dtype == np.int64 and ds.labels[0] == 7
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [7]
     assert np.all(scaled_rows(ds) == 1.0)
 
 
@@ -89,14 +94,14 @@ def test_cifar_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.bin"
     path.write_bytes(b"")
     with pytest.raises(DataFormatError):
-        load_cifar10_bin(str(path))
+        load_cifar10_bin(str(path), 1, RngStream(0))
 
 
 def test_cifar_bad_length_rejected(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"\x00" * 3072)  # one byte short of a record
     with pytest.raises(DataFormatError, match="3073"):
-        load_cifar10_bin(str(path))
+        load_cifar10_bin(str(path), 1, RngStream(0))
 
 
 def test_cifar_round_trip(tmp_path):
@@ -105,46 +110,39 @@ def test_cifar_round_trip(tmp_path):
     labels = np.array([3, 9])
     path = tmp_path / "two.bin"
     write_cifar10_bin(str(path), Dataset(images=images, labels=labels))
-    raw_images, raw_labels = load_cifar10_bin(str(path))
-    assert np.array_equal(raw_images, np.round(images * 255))
-    back_images, back_labels = scaled_in_file_order(raw_images, raw_labels)
-    assert np.array_equal(back_images, images)
-    assert np.array_equal(back_labels, labels)
+    out = in_file_order(load_cifar10_bin(str(path), 2, RngStream(0)))
+    assert np.array_equal(out.images, np.round(images * 255))
+    assert np.array_equal(scaled_rows(out), images)
+    assert np.array_equal(out.labels, labels)
 
 
 # --- subsample ------------------------------------------------------------------
 
-def raw_rows(n=40, d=8, seed=0):
-    rng = RngStream(seed)
-    images = rng.integers(0, 256, (n, d)).astype(np.uint8)
-    return images, rng.integers(0, 10, n).astype(np.uint8)
+def raw_labels(n=40, seed=0):
+    return RngStream(seed).integers(0, 10, n).astype(np.uint8)
 
 
 def test_subsample_full_size_is_permutation():
-    images, labels = raw_rows()
-    out = subsample(images, labels, len(labels), RngStream(1).split("s"))
-    assert sorted(map(tuple, scaled_rows(out))) == sorted(map(tuple, images / 255.0))
+    out = subsample(40, raw_labels(), 40, RngStream(1).split("s"))
+    assert sorted(out.tolist()) == list(range(40))
 
 
 def test_subsample_deterministic():
-    images, labels = raw_rows()
-    a = subsample(images, labels, 10, RngStream(2).split("s"))
-    b = subsample(images, labels, 10, RngStream(2).split("s"))
-    assert np.array_equal(a.images, b.images)
-    assert np.array_equal(a.labels, b.labels)
+    a = subsample(40, raw_labels(), 10, RngStream(2).split("s"))
+    b = subsample(40, raw_labels(), 10, RngStream(2).split("s"))
+    assert np.array_equal(a, b)
 
 
 def test_subsample_distinct_indices_fuzz():
-    images, labels = raw_rows(n=25)
-    assert len({tuple(row) for row in images}) == 25
+    labels = raw_labels(n=25)
     for trial in range(1000):
-        out = subsample(images, labels, 10, RngStream(trial).split("s"))
-        assert len({tuple(row) for row in out.images}) == 10
+        out = subsample(25, labels, 10, RngStream(trial).split("s"))
+        assert len(set(out.tolist())) == 10 and 0 <= out.min() and out.max() < 25
 
 
 def test_subsample_too_large_rejected():
     with pytest.raises(ConfigError):
-        subsample(*raw_rows(n=5), 6, RngStream(0))
+        subsample(5, raw_labels(n=5), 6, RngStream(0))
 
 
 # --- task construction -----------------------------------------------------------
@@ -366,11 +364,12 @@ def bad_idx_files(tmp_path, n_images, n_labels, bad_label_row=None):
             "mnist_labels": str(tmp_path / "l.idx")}
 
 
-def bad_cifar_file(tmp_path, n, bad_label_row):
+def bad_cifar_file(tmp_path, n, bad_label_row=None):
     rng = RngStream(6)
     records = rng.integers(0, 256, (n, 3073)).astype(np.uint8)
     records[:, 0] = rng.integers(0, 10, n)
-    records[bad_label_row, 0] = 10
+    if bad_label_row is not None:
+        records[bad_label_row, 0] = 10
     (tmp_path / "b.bin").write_bytes(records.tobytes())
     return {"problem": "random_label_cifar", "cifar_bin": str(tmp_path / "b.bin")}
 
@@ -409,6 +408,92 @@ def test_build_stream_scales_only_the_kept_rows(tmp_path):
     assert stream.base.images.nbytes == 100 * 784
     whole_file_as_float64 = 2000 * 784 * 8
     assert peak < whole_file_as_float64 / 3, peak
+
+
+# --- the loaders read only the kept rows ----------------------------------------------
+
+def whole_file_records(fields):
+    """The oracle: (images, labels) of every record, from the whole file read at once."""
+    if "cifar_bin" in fields:
+        with open(fields["cifar_bin"], "rb") as fh:
+            raw = np.frombuffer(fh.read(), dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
+        return raw[:, 1:].reshape(-1, 3, 32, 32), raw[:, 0]
+    with open(fields["mnist_images"], "rb") as fh:
+        images = np.frombuffer(fh.read(), dtype=np.uint8, offset=16).reshape(-1, 784)
+    with open(fields["mnist_labels"], "rb") as fh:
+        return images, np.frombuffer(fh.read(), dtype=np.uint8, offset=8)
+
+
+@pytest.mark.parametrize("fmt,keep", [("idx", 700), ("idx", 3000), ("cifar", 300), ("cifar", 700)])
+def test_kept_rows_across_read_slices_match_the_whole_file(tmp_path, fmt, keep):
+    fields = bad_idx_files(tmp_path, 3000, 3000) if fmt == "idx" else bad_cifar_file(tmp_path, 700)
+    images, labels = whole_file_records(fields)
+    assert images.nbytes > 2 * READ_BYTES  # three read slices or more
+    stream = build_stream(RunConfig(**fields, dataset_size=keep, seed=4))
+    idx = RngStream(4).split("subsample").permutation(len(labels))[:keep]
+    assert stream.base.images.dtype == np.uint8 and stream.base.labels.dtype == np.int64
+    assert np.array_equal(stream.base.images, images[idx])
+    assert np.array_equal(stream.base.labels, labels[idx])
+
+
+def unkept_read_slice_row(n, record_bytes, keep, seed):
+    """First row of the last read slice, past the first, that holds no row build_stream keeps."""
+    per_read = READ_BYTES // record_bytes
+    kept = RngStream(seed).split("subsample").permutation(n)[:keep]
+    free = sorted(set(range(1, -(-n // per_read))) - set((kept // per_read).tolist()))
+    assert free, "this seed keeps a row in every read slice past the first"
+    return free[-1] * per_read
+
+
+UNKEPT_BAD_LABEL = {
+    "idx": lambda tmp: bad_idx_files(
+        tmp, 3000, 3000, bad_label_row=unkept_read_slice_row(3000, 784, keep=2, seed=2)),
+    "cifar": lambda tmp: bad_cifar_file(
+        tmp, 700, bad_label_row=unkept_read_slice_row(700, CIFAR_RECORD_BYTES, keep=2, seed=2)),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(UNKEPT_BAD_LABEL))
+def test_a_bad_label_in_an_unkept_read_slice_is_found(tmp_path, capsys, fmt):
+    fields = {**UNKEPT_BAD_LABEL[fmt](tmp_path), "dataset_size": 2, "seed": 2}
+    with pytest.raises(DataFormatError, match=r"labels outside \[0, 10\)"):
+        build_stream(RunConfig(**fields))
+    overrides = [f"{key}={value}" for key, value in fields.items()]
+    assert main(["run", "--out", str(tmp_path / "o"), *overrides]) == 2
+    assert "labels outside [0, 10)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["idx", "cifar"])
+def test_a_file_that_shrinks_after_its_length_check_is_a_format_error(tmp_path, monkeypatch, fmt):
+    fields = bad_idx_files(tmp_path, 40, 40) if fmt == "idx" else bad_cifar_file(tmp_path, 40)
+    path = fields["mnist_images" if fmt == "idx" else "cifar_bin"]
+    full = os.path.getsize(path)
+    os.truncate(path, full - 100)  # the length check still sees `full` bytes
+
+    def stale_fstat(fd):
+        st_size = os.fstat(fd).st_size
+        return types.SimpleNamespace(st_size=full if st_size == full - 100 else st_size)
+
+    monkeypatch.setattr(problems, "os", types.SimpleNamespace(fstat=stale_fstat))
+    with pytest.raises(DataFormatError, match="file ended"):
+        build_stream(RunConfig(**fields, dataset_size=40, seed=1))
+
+
+def test_build_stream_holds_no_whole_data_file(tmp_path):
+    images = np.resize(np.arange(256, dtype=np.uint8), (20_000, 28, 28))
+    write_idx_images(tmp_path / "i.idx", images)
+    write_idx_labels(tmp_path / "l.idx", np.arange(20_000) % 10)
+    cfg = RunConfig(problem="random_label_mnist", mnist_images=str(tmp_path / "i.idx"),
+                    mnist_labels=str(tmp_path / "l.idx"), dataset_size=1000, seed=1)
+    tracemalloc.start()
+    try:
+        stream = build_stream(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stream.base.images.shape == (1000, 784)
+    image_file_bytes = (tmp_path / "i.idx").stat().st_size  # 15.7 MB
+    assert peak < image_file_bytes / 4, peak
 
 
 def every_byte_value_stream(tmp_path, problem, n=40):
