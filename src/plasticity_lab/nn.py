@@ -36,6 +36,19 @@ from .rng import RngStream
 KERNEL_SIZE = 5
 
 
+def aligned_rows(rows: int, n: int) -> np.ndarray:
+    """Zeroed float64 rows of length n, each starting on a 64-byte boundary.
+
+    Row i is `out[i]`, a contiguous view; rows are padded to a multiple of
+    eight entries. On a misaligned row every 64-byte vector load of a
+    full-length pass straddles two cache lines.
+    """
+    stride = -(-n // 8) * 8
+    buf = np.zeros(rows * stride + 7)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start : start + rows * stride].reshape(rows, stride)[:, :n]
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture description with deterministic initialization rules."""
@@ -95,7 +108,8 @@ class ParameterSet:
     entry `lo + span * u`. Uniform tensors come first, so one draw of
     `n_uniform` values covers them in order. `work` holds three scratch
     vectors, the gradient (row 0) and the update terms, so no step
-    allocates a full-length array.
+    allocates a full-length array. Every full-length row here starts on a
+    64-byte boundary (`aligned_rows`).
     """
 
     def __init__(self, values: dict[str, np.ndarray], init_spec: dict[str, tuple[str, float]]):
@@ -108,15 +122,21 @@ class ParameterSet:
         self._shapes = {k: a.shape for k, a in arrays.items()}
         sizes = [a.size for a in arrays.values()]
         self._splits = np.cumsum(sizes)[:-1]
-        self._flat = np.concatenate([a.ravel() for a in arrays.values()])
-        self._flat0 = self._flat.copy()
+        # four one-row buffers, not one four-row buffer: the allocator can serve
+        # each from freed heap memory, where one large buffer is fresh pages that
+        # fault on first write (measured about 0.4 ms slower per run)
+        size = sum(sizes)
+        self._flat, self._flat0, self.lo, self.span = (aligned_rows(1, size)[0] for _ in range(4))
+        np.concatenate([a.ravel() for a in arrays.values()], out=self._flat)
+        self._flat0[:] = self._flat
         self._flat0.setflags(write=False)
         # uniform(-b, b) draws -b + (b - -b) * u; a constant c is c + 0 * u
-        bounds = [(-v, v) if kind == "uniform" else (v, v) for kind, v in specs]
-        self.lo = np.repeat([lo for lo, _ in bounds], sizes)
-        self.span = np.repeat([hi - lo for lo, hi in bounds], sizes)
+        for (kind, v), lo, span in zip(specs, self.named(self.lo).values(),
+                                       self.named(self.span).values()):
+            low, high = (-v, v) if kind == "uniform" else (v, v)
+            lo[...], span[...] = low, high - low
         self.n_uniform = sum(n for n, kind in zip(sizes, kinds) if kind == "uniform")
-        self.work = np.zeros((3, self._flat.size))
+        self.work = aligned_rows(3, size)
         self._values, self._grad = self.named(self._flat), self.named(self.work[0])
 
     flat = property(lambda self: self._flat)

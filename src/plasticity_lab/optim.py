@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .nn import NetworkSpec, ForwardCache, ParameterSet
+from .nn import NetworkSpec, ForwardCache, ParameterSet, aligned_rows
 from .rng import RngStream
 
 METHODS = (
@@ -85,7 +85,7 @@ class OptimizerState:
 
 
 def make_optimizer(kind: str, alpha: float, params: ParameterSet) -> OptimizerState:
-    return OptimizerState(kind, alpha, np.zeros((2 if kind == "adam" else 0, params.flat.size)))
+    return OptimizerState(kind, alpha, aligned_rows(2 if kind == "adam" else 0, params.flat.size))
 
 
 def regularizer_gradient(
@@ -113,7 +113,12 @@ def sgd_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> P
 
 
 def adam_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> ParameterSet:
-    """One bias-corrected Adam update for a flat `grad`."""
+    """One bias-corrected Adam update for a flat `grad`.
+
+    A bias correction 1 - beta**t that has rounded to exactly 1.0 (from
+    t = 356 for m, t = 37,412 for v) is skipped: x / 1.0 == x in IEEE 754,
+    so the update keeps its bits and saves a full-length pass.
+    """
     state.t += 1
     bias1 = 1.0 - BETA1**state.t
     bias2 = 1.0 - BETA2**state.t
@@ -124,11 +129,17 @@ def adam_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> 
     v *= BETA2
     np.multiply(grad, 1.0 - BETA2, out=tmp)
     v += np.multiply(tmp, grad, out=tmp)
-    np.divide(m, bias1, out=tmp)  # m_hat
-    np.divide(v, bias2, out=tmp2)  # v_hat
-    np.sqrt(tmp2, out=tmp2)
+    if bias1 == 1.0:
+        np.multiply(m, state.alpha, out=tmp)
+    else:
+        np.divide(m, bias1, out=tmp)  # m_hat
+        tmp *= state.alpha
+    if bias2 == 1.0:
+        np.sqrt(v, out=tmp2)
+    else:
+        np.divide(v, bias2, out=tmp2)  # v_hat
+        np.sqrt(tmp2, out=tmp2)
     tmp2 += EPS
-    tmp *= state.alpha
     tmp /= tmp2
     theta -= tmp
     return params

@@ -9,8 +9,13 @@ feature-rank diagnostics captured at the end of each task).
 Before each update the loop checks mean |theta| <= DIVERGENCE_MAGNITUDE;
 NaN and inf fail that comparison. It is the only numerical check on the
 training path: below the bound the loss, gradients and optimizer updates
-stay finite, so divergence always shows first in the parameters. A run
-that fails the check stops and its record is flagged incomplete.
+stay finite, so divergence always shows first in the parameters. Each
+step the check first takes one dot product: theta . theta below
+0.5 * bound**2 * size proves mean |theta| <= RMS |theta| < bound, and the
+factor 0.5 leaves room for the rounding of both sums. Only when that test
+fails (or is NaN or inf) is the exact mean computed and compared. A run
+that fails the exact comparison stops and its record is flagged
+incomplete.
 
 Outputs: `task_metrics.csv` (one row per task), `summary.json`, optional
 `steps.csv` (per-step accuracies), and `sweep.csv` / `sweep_summary.json`
@@ -120,6 +125,9 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
 
     k, m = stream.num_tasks, stream.steps_per_task
     per_step = np.zeros(k * m, dtype=np.float64)
+    theta = params.flat
+    # mean |theta| <= RMS |theta| < DIVERGENCE_MAGNITUDE whenever theta . theta is below this
+    sum_sq_bound = 0.5 * DIVERGENCE_MAGNITUDE**2 * theta.size
     record = RunRecord(seed=cfg.seed, config=dataclasses.asdict(cfg))
     step = 0
     try:
@@ -130,9 +138,11 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
                 logits, cache = forward(spec, params, images)
                 per_step[step] = batch_accuracy(logits, labels)
                 _, grad = loss_and_grad(spec, params, cache, logits, labels)
-                magnitude = mean_param_magnitude(params)
-                if not magnitude <= DIVERGENCE_MAGNITUDE:
-                    raise NumericalError(f"run diverged at step {step} (mean |theta|={magnitude})")
+                if not np.dot(theta, theta) < sum_sq_bound:
+                    magnitude = mean_param_magnitude(params)
+                    if not magnitude <= DIVERGENCE_MAGNITUDE:
+                        raise NumericalError(
+                            f"run diverged at step {step} (mean |theta|={magnitude})")
                 apply_method_step(
                     method, opt, params, grad, rng=noise_rng, cache=cache, cbp=cbp
                 )

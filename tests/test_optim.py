@@ -179,6 +179,38 @@ def test_adam_update_bound_fuzz():
                 assert np.all(delta <= 0.01 * (1 + 1e-3))
 
 
+@pytest.mark.parametrize("first, last", [(350, 362), (37_405, 37_420)])
+@pytest.mark.parametrize("net", ("mlp", "cnn"))
+def test_adam_keeps_its_bits_where_the_bias_corrections_reach_one(net, first, last):
+    # each window straddles the step where 1 - beta**t rounds to exactly 1.0 (t = 356 for
+    # beta1, t = 37,412 for beta2); the reference always divides, as per_tensor_trajectory does
+    b1, b2, eps, alpha = 0.9, 0.999, 1e-8, 1e-3
+    beta = b1 if first < 1000 else b2
+    assert 1.0 - beta**first != 1.0 and 1.0 - beta**last == 1.0
+    spec = (NetworkSpec(kind="mlp", input_shape=(784,), hidden_widths=(100, 100))
+            if net == "mlp" else tiny_cnn_spec())
+    master = RngStream(5)
+    params = init_params(spec, master.split("init"))
+    opt = make_optimizer("adam", alpha, params)
+    data = master.split("data")
+    n = params.flat.size
+    opt.moments[0] = data.uniform(-1e-2, 1e-2, n)
+    opt.moments[1] = data.uniform(0.0, 1e-4, n)
+    opt.t = first - 1
+    theta, m, v = params.flat.copy(), opt.moments[0].copy(), opt.moments[1].copy()
+    for t in range(first, last + 1):
+        grad = data.uniform(-1e-2, 1e-2, n)
+        adam_step(opt, params, grad)
+        m = b1 * m + (1.0 - b1) * grad
+        v = b2 * v + (1.0 - b2) * grad * grad
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        theta = theta - alpha * m_hat / (np.sqrt(v_hat) + eps)
+        assert opt.t == t
+        assert np.array_equal(params.flat, theta), t
+        assert np.array_equal(opt.moments[0], m) and np.array_equal(opt.moments[1], v), t
+
+
 # --- shrink & perturb ---------------------------------------------------------
 
 def test_shrink_perturb_identity_when_off():
@@ -625,6 +657,22 @@ def test_update_allocates_no_full_length_array(method, optimizer):
     step()  # warm-up
     assert peak_new_bytes(step) < 64 * 1024
     assert peak_new_bytes(lambda: mean_param_magnitude(params)) < 64 * 1024
+
+
+@pytest.mark.parametrize("spec", [
+    NetworkSpec(kind="mlp", input_shape=(784,), hidden_widths=(100, 100)),
+    NetworkSpec(kind="mlp", input_shape=(784,), hidden_widths=(100, 100), layer_norm=True),
+    tiny_cnn_spec(),
+], ids=("mlp", "mlp_layer_norm", "cnn"))
+def test_every_full_length_row_starts_on_a_cache_line(spec):
+    params = init_params(spec, RngStream(0))
+    opt = make_optimizer("adam", 1e-3, params)
+    rows = [params.flat, params.flat0, params.lo, params.span, *params.work, *opt.moments]
+    assert len(rows) == 9
+    for row in rows:
+        assert row.shape == params.flat.shape and row.flags.c_contiguous
+        assert row.ctypes.data % 64 == 0
+    assert make_optimizer("sgd", 1e-3, params).moments.shape == (0, params.flat.size)
 
 
 def test_backward_pass_allocates_no_gradient_tensors():

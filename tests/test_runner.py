@@ -117,6 +117,56 @@ def test_divergence_stops_at_the_same_step(alpha, steps, total):
     assert (record.steps_completed, record.total_avg_online_accuracy) == (steps, total)
 
 
+def count_exact_checks(monkeypatch):
+    """The values of every `mean_param_magnitude` call the runner makes, in order."""
+    calls, exact = [], runner.mean_param_magnitude
+    monkeypatch.setattr(runner, "mean_param_magnitude",
+                        lambda params: calls.append(exact(params)) or calls[-1])
+    return calls
+
+
+def start_from(monkeypatch, fill):
+    """Runs start from init_params' draw with `fill` applied to the flat vector."""
+    draw = runner.init_params
+
+    def init(spec, rng):
+        params = draw(spec, rng)
+        fill(params.flat)
+        return params
+    monkeypatch.setattr(runner, "init_params", init)
+
+
+def test_a_healthy_run_computes_the_exact_magnitude_once_per_task(monkeypatch):
+    calls = count_exact_checks(monkeypatch)
+    record = run_experiment(desk_config(optimizer="adam", method="l2_init", lam=1e-2))
+    assert not record.incomplete and record.steps_completed == 30
+    assert calls == [row.weight_magnitude for row in record.task_rows]  # the 3 task rows
+
+
+def test_a_bounded_vector_that_fails_the_sum_of_squares_test_runs_on(monkeypatch):
+    # 784-100-100-10: one 5e8 among 89,610 entries of 0.05 has mean |theta| ~ 5.6e3 < 1e6,
+    # but theta . theta = 2.5e17 exceeds 0.5 * 1e6**2 * 89,610 = 4.5e16
+    def fill(theta):
+        theta[:] = 0.05
+        theta[0] = 5e8
+    start_from(monkeypatch, fill)
+    calls = count_exact_checks(monkeypatch)
+    record = run_experiment(desk_config(optimizer="sgd", alpha=1e-12, input_width=784,
+                                        hidden_widths=(100, 100), num_tasks=1,
+                                        steps_per_task=4))
+    assert not record.incomplete and record.steps_completed == 4
+    assert len(calls) == 4 + 1  # the exact check before every step, then the task row
+    assert calls[0] == pytest.approx((5e8 + 89_609 * 0.05) / 89_610, rel=1e-12)
+
+
+def test_a_nan_parameter_stops_the_run_with_the_exact_message(monkeypatch, caplog):
+    start_from(monkeypatch, lambda theta: theta.__setitem__(7, np.nan))
+    with caplog.at_level("WARNING", logger=runner.__name__):
+        record = run_experiment(desk_config())
+    assert record.incomplete and record.steps_completed == 0 and not record.task_rows
+    assert caplog.messages == ["aborting run: run diverged at step 0 (mean |theta|=nan)"]
+
+
 def test_version_string_names_the_package_checkout(tmp_path, monkeypatch):
     monkeypatch.chdir(os.path.dirname(runner.__file__))
     from_package = runner._version_string()
