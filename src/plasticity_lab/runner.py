@@ -17,6 +17,10 @@ fails (or is NaN or inf) is the exact mean computed and compared. A run
 that fails the exact comparison stops and its record is flagged
 incomplete.
 
+`run_jobs` runs many jobs (sweep cells, the acceptance desk runs) on
+spawned workers with one BLAS thread each, so workers do not oversubscribe
+the cores; a job's bytes do not depend on the worker count.
+
 Outputs: `task_metrics.csv` (one row per task), `summary.json`, optional
 `steps.csv` (per-step accuracies), and `sweep.csv` / `sweep_summary.json`
 for sweeps. CSV floats use repr formatting, '.' decimal, LF endings, so a
@@ -30,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import multiprocessing
 import os
 import subprocess
 import time
@@ -67,6 +72,8 @@ log = logging.getLogger(__name__)
 DIVERGENCE_MAGNITUDE = 1e6
 
 TASK_CSV_HEADER = "task_index,start_step,avg_online_task_accuracy,weight_magnitude,feature_srank"
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def build_stream(cfg: RunConfig) -> TaskStream:
@@ -244,6 +251,28 @@ def _run_cell(args) -> dict:
     return row
 
 
+def run_jobs(fn, jobs: list, workers: int = 1) -> list:
+    """`[fn(job) for job in jobs]`, on up to `workers` processes spawned while
+    the BLAS thread variables are "1" (numpy reads them only as it loads); the
+    caller's environment is then put back as it was."""
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers < 2:
+        return [fn(job) for job in jobs]
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+            return list(pool.map(fn, jobs))
+    finally:
+        for var, value in saved.items():
+            del os.environ[var]
+            if value is not None:
+                os.environ[var] = value
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Run the method's grid over the configured seeds and pick the winner.
 
@@ -257,11 +286,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     base = dataclasses.replace(spec.base, method=spec.method)
     cells = spec.cells()
     jobs = [(base, cell, seed) for cell in cells for seed in spec.seeds]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_cell, jobs))
-    else:
-        rows = [_run_cell(job) for job in jobs]
+    rows = run_jobs(_run_cell, jobs, workers)
 
     cell_means = []
     per_cell = len(spec.seeds)

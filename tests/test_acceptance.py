@@ -5,9 +5,6 @@ lines stream. The desk-scale trend criteria (6-9) retrain small networks
 for real, so the whole module takes a few minutes of CPU.
 """
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -25,7 +22,7 @@ from plasticity_lab.nn import ParameterSet, finite_difference_max_error
 from plasticity_lab.optim import MethodConfig, adam_step, apply_method_step, make_optimizer
 from plasticity_lab.problems import Dataset, load_cifar10_bin, load_idx
 from plasticity_lab.rng import RngStream
-from plasticity_lab.runner import run_experiment, write_outputs
+from plasticity_lab.runner import run_experiment, run_jobs, write_outputs
 
 
 def report(criterion: int, description: str, ok: bool):
@@ -43,8 +40,8 @@ SEEDS = (0, 1, 2)
 def concept_runs():
     """Concept-shift desk runs: 300 random-label samples, 100 epochs/task, K=10.
 
-    The 12 runs are independent, so two worker processes share them; each
-    run's bytes depend only on its (config, seed).
+    The 12 runs are independent, so two worker processes share them
+    (`run_jobs`); each run's bytes depend only on its (config, seed).
     """
     keys = [(method, seed) for method in CONCEPT_METHODS for seed in SEEDS]
     cfgs = [
@@ -54,9 +51,7 @@ def concept_runs():
         )
         for method, seed in keys
     ]
-    spawn = multiprocessing.get_context("spawn")  # workers import afresh, share no state
-    with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
-        records = list(pool.map(run_experiment, cfgs))
+    records = run_jobs(run_experiment, cfgs, workers=2)
     out = {}
     for key, cfg, rec in zip(keys, cfgs, records):
         steps_per_task = cfg.resolved().steps_per_task

@@ -9,6 +9,7 @@ from conftest import write_cifar10_bin, write_idx_images, write_idx_labels
 from plasticity_lab import runner
 from plasticity_lab.cli import main
 from plasticity_lab.config import PROBLEMS, RunConfig, SweepSpec
+from plasticity_lab.errors import ConfigError
 from plasticity_lab.nn import init_params
 from plasticity_lab.problems import Dataset
 from plasticity_lab.rng import RngStream
@@ -337,18 +338,33 @@ def test_desk_scale_sweep_one_row_per_cell_seed():
     assert all(r["status"] == "ok" for r in result.rows)
 
 
-@pytest.mark.parametrize("payload", (None, b"\x00\x00"), ids=("absent", "truncated"))
-def test_sweep_records_unreadable_data_per_cell(tmp_path, payload):
+def _unreadable_data_spec(tmp_path, payload):
     images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
     if payload is not None:
         images.write_bytes(payload)
         labels.write_bytes(payload)
     base = RunConfig(problem="permuted_mnist", mnist_images=str(images),
                      mnist_labels=str(labels), dataset_size=8, num_tasks=1, steps_per_task=2)
-    result = run_sweep(SweepSpec(base=base, method="baseline", seeds=(0, 1)))
+    return SweepSpec(base=base, method="baseline", seeds=(0, 1))
+
+
+@pytest.mark.parametrize("payload", (None, b"\x00\x00"), ids=("absent", "truncated"))
+def test_sweep_records_unreadable_data_per_cell(tmp_path, payload):
+    result = run_sweep(_unreadable_data_spec(tmp_path, payload))
     assert len(result.rows) == 4  # 2 alphas x 2 seeds
     assert all(r["status"] == "failed" and "i.idx" in r["error"] for r in result.rows)
     assert result.winner is None
+
+
+@pytest.mark.parametrize("payload", (None, b"\x00\x00"), ids=("absent", "truncated"))
+def test_parallel_sweep_records_unreadable_data_like_serial(tmp_path, payload):
+    spec = _unreadable_data_spec(tmp_path, payload)
+    result = run_sweep(spec, workers=2)
+    assert len(result.rows) == 4
+    assert all(r["status"] == "failed" and "i.idx" in r["error"] for r in result.rows)
+    assert result.winner is None
+    # a failed row's NaN accuracy is unequal to itself, so compare the rows' text
+    assert json.dumps(result.rows) == json.dumps(run_sweep(spec, workers=1).rows)
 
 
 def test_parallel_sweep_matches_sequential():
@@ -358,6 +374,75 @@ def test_parallel_sweep_matches_sequential():
     par = run_sweep(spec, workers=2)
     assert seq.rows == par.rows
     assert seq.winner == par.winner
+
+
+# --- job runner ----------------------------------------------------------------
+
+def _blas_threads_after_a_gemm(n):
+    a = np.full((n, n), 0.5)
+    a @ a
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="needs /proc/self/task and at least 2 CPUs")
+def test_each_worker_runs_one_blas_thread(monkeypatch):
+    for var in runner.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    before = dict(os.environ)
+    assert runner.run_jobs(_blas_threads_after_a_gemm, [600] * 4, workers=2) == [1] * 4
+    assert dict(os.environ) == before
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its arguments, maps in process."""
+
+    started = []
+
+    def __init__(self, max_workers, mp_context):
+        blas = {var: os.environ.get(var) for var in runner.BLAS_THREAD_VARS}
+        self.started.append((max_workers, mp_context.get_start_method(), blas))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers, jobs, cpus, pool_size", [
+    (1000, 3, 4, 3), (1000, 10, 4, 4), (2, 10, 4, 2), (5, 1, 4, None), (3, 10, 1, None),
+])
+def test_the_pool_is_capped_by_jobs_and_cpus(monkeypatch, workers, jobs, cpus, pool_size):
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "started", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "")
+    before = dict(os.environ)
+    assert runner.run_jobs(str, list(range(jobs)), workers) == [str(j) for j in range(jobs)]
+    assert dict(os.environ) == before  # set, unset and empty variables all come back
+    if pool_size is None:  # one worker runs in process
+        assert _RecordingPool.started == []
+    else:
+        ones = dict.fromkeys(runner.BLAS_THREAD_VARS, "1")
+        assert _RecordingPool.started == [(pool_size, "spawn", ones)]
+
+
+@pytest.mark.parametrize("workers", (0, -3))
+def test_fewer_than_one_worker_is_a_config_error(tmp_path, capsys, workers):
+    with pytest.raises(ConfigError, match=f"workers must be at least 1, got {workers}"):
+        runner.run_jobs(str, [1, 2], workers)
+    code = main(["sweep", "--method", "baseline", "--seeds", "1", "--workers", str(workers),
+                 "--out", str(tmp_path / "o"), "problem=synthetic_permuted"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: workers must be at least 1, got {workers}"]
+    assert not (tmp_path / "o").exists()
 
 
 # --- CLI ---------------------------------------------------------------------
