@@ -184,15 +184,19 @@ def parse_config(
     """Build a RunConfig from an optional file plus `key=value` overrides."""
     config = RunConfig()
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.split("#", 1)[0].strip()
-                if not text:
-                    continue
-                if "=" not in text:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, raw = text.split("=", 1)
-                config = _apply(config, key.strip(), raw, f"{path}:{lineno}")
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+        for lineno, line in enumerate(lines, start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, raw = text.split("=", 1)
+            config = _apply(config, key.strip(), raw, f"{path}:{lineno}")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected 'key=value'")

@@ -18,4 +18,4 @@ class ConfigError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine diverged or failed to converge."""
+    """A run diverged; `run_experiment` stops it and flags the record incomplete."""

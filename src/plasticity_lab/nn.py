@@ -104,21 +104,17 @@ class ParameterSet:
     `init_spec` records each tensor's initialization distribution
     (("uniform", bound) or ("const", value)) so later redraws -- shrink &
     perturb noise, resampled regularization anchors, neuron
-    reinitialization -- can match it exactly: `draw_initial` scales each
-    uniform tensor's draws by its own bound and fills each constant one.
-    Uniform tensors come first, so one draw of `n_uniform` values covers
-    them in order. `work` holds three scratch vectors, the gradient (row 0)
-    and the update terms, so no step allocates a full-length array. Every
-    full-length row here starts on a 64-byte boundary (`aligned_rows`).
+    reinitialization -- can match it exactly: `draw_initial` draws each
+    uniform tensor with `RngStream.uniform(-bound, bound)`, in construction
+    order, and fills each constant one. `work` holds three scratch vectors,
+    the gradient (row 0) and the update terms, so no step allocates a
+    full-length array. Every full-length row here starts on a 64-byte
+    boundary (`aligned_rows`).
     """
 
     def __init__(self, values: dict[str, np.ndarray], init_spec: dict[str, tuple[str, float]]):
         arrays = {k: np.asarray(v, dtype=np.float64) for k, v in values.items()}
         self.init_spec = dict(init_spec)
-        specs = [self.init_spec[k] for k in arrays]
-        kinds = [kind for kind, _ in specs]
-        if "uniform" in kinds[kinds.count("uniform"):]:
-            raise ValueError(f"uniform tensors must precede constant ones: {list(arrays)}")
         self._shapes = {k: a.shape for k, a in arrays.items()}
         sizes = [a.size for a in arrays.values()]
         self._splits = np.cumsum(sizes)[:-1]
@@ -130,7 +126,6 @@ class ParameterSet:
         np.concatenate([a.ravel() for a in arrays.values()], out=self._flat)
         self._flat0[:] = self._flat
         self._flat0.setflags(write=False)
-        self.n_uniform = sum(n for n, kind in zip(sizes, kinds) if kind == "uniform")
         self.work = aligned_rows(3, size)
         self._values, self._grad = self.named(self._flat), self.named(self.work[0])
 
@@ -146,12 +141,10 @@ class ParameterSet:
 
     def draw_initial(self, rng: RngStream, out: np.ndarray) -> np.ndarray:
         """A fresh draw of every entry from its initialization distribution, into `out`."""
-        rng.random_into(out[: self.n_uniform])
         for name, seg in self.named(out).items():
             kind, v = self.init_spec[name]
-            if kind == "uniform":  # uniform(-v, v) is -v + (v - -v) * u
-                seg *= v - -v
-                seg += -v
+            if kind == "uniform":
+                rng.uniform(-v, v, out=seg)
             else:
                 seg[...] = v
         return out

@@ -223,14 +223,10 @@ def cbp_step(
             tensors[w_in_name][:, reset] = 0.0
             tensors[b_name][reset] = 0.0
             tensors[w_out_name][reset, :] = 0.0
-        # RngStream.uniform(-bound, bound)'s arithmetic, -bound + 2 * bound * u,
-        # on one draw: the same values as one draw per neuron, in reset order
+        # one draw: the same values as one draw per neuron, in reset order
         _, bound = params.init_spec[w_in_name]
         fresh = scratch[: reset.size * w_in.shape[0]].reshape(reset.size, -1)
-        rng.random_into(fresh)
-        fresh *= 2.0 * bound
-        fresh -= bound
-        w_in[:, reset] = fresh.T
+        w_in[:, reset] = rng.uniform(-bound, bound, out=fresh).T
     return cbp, params
 
 

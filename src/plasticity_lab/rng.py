@@ -6,6 +6,8 @@ one run seed through labelled substreams. Streams are backed by the
 counter-based Philox generator; a child stream's key is derived by hashing
 (seed, *labels), so children with distinct labels never share state and the
 same (seed, labels) always reproduces the same sequence, on any platform.
+Only `RngStream` turns Philox output into a distribution: init, resampled
+anchors, perturbation noise and neuron resets all draw through `uniform`.
 """
 
 from __future__ import annotations
@@ -41,15 +43,17 @@ class RngStream:
 
     # -- draws (each advances this stream's state deterministically) --
 
-    def uniform(self, lo: float, hi: float, shape=None) -> np.ndarray | float:
-        """I.i.d. float64 draws from [lo, hi); a float when `shape` is None."""
+    def uniform(self, lo: float, hi: float, shape=None, out=None) -> np.ndarray | float:
+        """I.i.d. float64 draws from [lo, hi); a float when `shape` is None. With `out`,
+        a contiguous float64 array, they fill it in place, with the same bits."""
         if not lo < hi:
             raise ValueError(f"uniform bounds require lo < hi, got lo={lo!r}, hi={hi!r}")
-        return lo + (hi - lo) * self._gen.random(shape)
-
-    def random_into(self, out: np.ndarray) -> None:
-        """Fill the contiguous float64 array `out` with i.i.d. draws from [0, 1)."""
+        if out is None:
+            return lo + (hi - lo) * self._gen.random(shape)
         self._gen.random(out=out)
+        out *= hi - lo
+        out += lo
+        return out
 
     def integers(self, lo: int, hi: int, shape=None) -> np.ndarray | int:
         """Uniform integers in [lo, hi)."""

@@ -81,18 +81,14 @@ def build_stream(cfg: RunConfig) -> TaskStream:
     cfg = cfg.resolved()
     problem = PROBLEMS[cfg.problem]
     rng = RngStream(cfg.seed)
+    classes = cfg.classes if problem.data == "synthetic" else 10
     if problem.data == "synthetic":
-        classes = cfg.classes
-        base = make_synthetic_dataset(
-            cfg.input_width, classes, cfg.dataset_size, rng.split("base")
-        )
+        base = make_synthetic_dataset(cfg.input_width, classes, cfg.dataset_size, rng.split("base"))
+    elif problem.data == "cifar":
+        base = load_cifar10_bin(cfg.cifar_bin, cfg.dataset_size, rng.split("subsample"))
     else:
-        classes = 10
-        if problem.data == "cifar":
-            base = load_cifar10_bin(cfg.cifar_bin, cfg.dataset_size, rng.split("subsample"))
-        else:
-            base = load_idx(cfg.mnist_images, cfg.mnist_labels, cfg.dataset_size,
-                            rng.split("subsample"))
+        base = load_idx(cfg.mnist_images, cfg.mnist_labels, cfg.dataset_size,
+                        rng.split("subsample"))
     return TaskStream(
         transform=problem.transform,
         base=base,
@@ -238,9 +234,8 @@ def _run_cell(args) -> dict:
     row = {"seed": seed, **cell}
     try:
         record = run_experiment(cfg)
-    except (NumericalError, ConfigError, DataFormatError, OSError) as exc:
-        cause = ("config" if isinstance(exc, ConfigError)
-                 else "numerical" if isinstance(exc, NumericalError) else "io")
+    except (ConfigError, DataFormatError, OSError) as exc:  # a diverged run comes back incomplete
+        cause = "config" if isinstance(exc, ConfigError) else "io"
         row.update(status="failed", cause=cause, error=str(exc),
                    total_avg_online_accuracy=float("nan"))
         return row
@@ -280,7 +275,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     exact ties break toward smaller hyper-parameters (lambda / shrink /
     noise / replacement rate, then step size). Failed or incomplete cells
     are recorded but excluded from winner selection; a failed row names
-    its `cause` ("config", "io" or "numerical") and its `error` text, which
+    its `cause` ("config" or "io") and its `error` text, which
     its cell also lists under `errors`, as distinct "<cause>: <error>" strings.
     """
     base = dataclasses.replace(spec.base, method=spec.method)

@@ -58,6 +58,24 @@ def test_unknown_key_rejected(tmp_path):
         parse_config(None, ["utility_kind=contribution"])
 
 
+def test_non_utf8_file_is_a_config_error_naming_it(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xff\xfeproblem = synthetic_permuted\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg: not UTF-8 text"):
+        parse_config(str(path))
+
+
+@pytest.mark.parametrize("text, value", [("true", True), ("1", True), ("yes", True),
+                                         ("false", False), ("0", False), ("no", False)])
+def test_log_steps_parses_booleans(text, value):
+    assert parse_config(None, [f"log_steps={text}"]).log_steps is value
+
+
+def test_log_steps_rejects_a_non_boolean():
+    with pytest.raises(ConfigError, match="log_steps.*not a boolean: 'maybe'"):
+        parse_config(None, ["log_steps=maybe"])
+
+
 def test_comments_and_blank_lines_ignored(tmp_path):
     path = write(tmp_path, "# a comment\n\nseed = 5  # trailing\n")
     assert parse_config(path).seed == 5

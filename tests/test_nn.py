@@ -110,14 +110,17 @@ def test_values_are_fixed_views_of_one_flat_vector():
     for mapping in (params.values, params.grad):
         with pytest.raises(TypeError):
             mapping["w0"] = np.zeros((6, 5))
-    assert params.n_uniform == sum(params.values[k].size for k in params.values
-                                   if k[0] in "wb")
 
 
-def test_constant_tensors_must_follow_uniform_ones():
-    with pytest.raises(ValueError, match="precede"):
-        ParameterSet({"gain0": np.ones(2), "w0": np.zeros(2)},
-                     {"gain0": ("const", 1.0), "w0": ("uniform", 1.0)})
+def test_a_constant_tensor_may_precede_a_uniform_one():
+    params = ParameterSet({"gain0": np.ones(3), "w0": np.zeros((2, 4))},
+                          {"gain0": ("const", 1.5), "w0": ("uniform", 0.25)})
+    rng, ref = RngStream(4), RngStream(4)
+    drawn = params.named(params.draw_initial(rng, np.full(params.flat.size, np.nan)))
+    assert np.all(drawn["gain0"] == 1.5)
+    want = ref.uniform(-0.25, 0.25, (2, 4))
+    assert np.array_equal(drawn["w0"].view(np.int64), want.view(np.int64))
+    assert rng.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)  # the same stream state after
 
 
 def test_layer_norm_affines_start_at_identity():

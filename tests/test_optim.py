@@ -622,6 +622,28 @@ def test_cnn_training_run_is_pinned(layer_norm):
     np.testing.assert_allclose(got, PINNED_CNN_RUN[layer_norm], rtol=1e-9, atol=0.0)
 
 
+# (sum of theta, sum of |theta - theta0|, theta . linspace(-1, 1)) after 20 steps on the tiny
+# MLP of each method that draws from the init distribution after init, recorded while
+# each of its draws was written out by hand
+PINNED_DRAWING_RUNS = {
+    ("shrink_perturb", "sgd"): (-1.6957240018417763, 7.085365861278435, 1.1687867280474853),
+    ("shrink_perturb", "adam"): (-2.561386450547077, 7.839150923361625, 1.2322546044277778),
+    ("l2_init_resample", "sgd"): (-2.8174959317971715, 0.6310002095968468, -0.4394307014580757),
+    ("l2_init_resample", "adam"): (-1.7137577076700476, 7.032068158222369, -0.05276491656058768),
+    ("continual_backprop", "sgd"): (2.293549094926515, 13.065381364998904, -0.8376763417158753),
+    ("continual_backprop", "adam"): (1.2167063918037206, 14.408129977752408, -0.5765806802812901),
+}
+
+
+@pytest.mark.parametrize("method, optimizer", PINNED_DRAWING_RUNS)
+def test_drawing_method_runs_are_pinned(method, optimizer):
+    params = run_trajectory(ORACLE_CONFIGS[method], optimizer, steps=20)
+    theta = params.flat
+    got = (theta.sum(), np.abs(theta - params.flat0).sum(),
+           theta @ np.linspace(-1.0, 1.0, theta.size))
+    np.testing.assert_allclose(got, PINNED_DRAWING_RUNS[method, optimizer], rtol=1e-9, atol=0.0)
+
+
 # --- no full-length allocation per step -----------------------------------------------
 
 def peak_new_bytes(fn):

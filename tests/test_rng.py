@@ -61,6 +61,19 @@ def test_uniform_bounds():
     assert vals.max() < 3.0
 
 
+@pytest.mark.parametrize("lo, hi", [(-0.3, 0.7), (-1 / np.sqrt(7), 1 / np.sqrt(7))])
+def test_uniform_into_out_has_the_bits_of_a_shaped_draw(lo, hi):
+    want = RngStream(8).uniform(lo, hi, (5, 7))
+    out = np.empty((5, 7))
+    assert RngStream(8).uniform(lo, hi, out=out) is out
+    assert np.array_equal(out.view(np.int64), want.view(np.int64))
+    # successive fills read the stream in order: pieces of 3, 1 and 31 give the same 35 values
+    rng, pieces = RngStream(8), [np.empty(3), np.empty(1), np.empty(31)]
+    for piece in pieces:
+        rng.uniform(lo, hi, out=piece)
+    assert np.array_equal(np.concatenate(pieces).view(np.int64), want.ravel().view(np.int64))
+
+
 def test_uniform_rejects_bad_bounds():
     with pytest.raises(ValueError):
         RngStream(0).uniform(1.0, 1.0, 3)

@@ -460,6 +460,44 @@ def test_cli_run_and_inspect(tmp_path, capsys):
     assert "synthetic_permuted" in text
 
 
+def test_cli_run_with_seed_and_log_steps(tmp_path):
+    out = tmp_path / "out"
+    code = main(["run", "--seed", "3", "--log-steps", "--out", str(out),
+                 "problem=synthetic_permuted", "num_tasks=2", "steps_per_task=4",
+                 "dataset_size=32"])
+    assert code == 0
+    assert len((out / "steps.csv").read_text().splitlines()) == 1 + 8
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["seed"] == 3 and summary["config"]["log_steps"] is True
+
+
+@pytest.mark.parametrize("payload", [b"{not json", b"[1, 2]", b"\xff\xfe{}"],
+                         ids=("not_json", "not_an_object", "not_utf8"))
+def test_cli_inspect_of_a_malformed_summary_is_an_io_error(tmp_path, capsys, payload):
+    path = tmp_path / "summary.json"
+    path.write_bytes(payload)
+    assert main(["inspect", "--summary", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"i/o error: {path}: ")
+
+
+def test_cli_run_with_a_non_utf8_config_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xff\xfeproblem = synthetic_permuted\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: not UTF-8 text")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_sweep_of_an_unknown_method_is_a_usage_error(tmp_path, capsys):
+    code = main(["sweep", "--method", "dropout", "--seeds", "1", "--out", str(tmp_path / "o"),
+                 "problem=synthetic_permuted"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: unknown method 'dropout'"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_usage_error_exit_code():
     assert main(["run", "--config", "/nonexistent", "alpha=oops"]) in (1, 2)
     assert main(["frobnicate"]) == 1
