@@ -147,6 +147,9 @@ def _cmd_inspect(args) -> int:
         raise DataFormatError(f"{args.summary}: not a JSON summary: {exc}") from exc
     if not isinstance(summary, dict) or not isinstance(summary.get("config", {}), dict):
         raise DataFormatError(f"{args.summary}: not a run summary (a JSON object)")
+    wall = summary.get("wall_clock_seconds", 0.0)
+    if not isinstance(wall, (int, float)):
+        raise DataFormatError(f"{args.summary}: wall_clock_seconds is not a number: {wall!r}")
     total = summary.get("total_avg_online_accuracy")
     cfg = summary.get("config", {})
     print(f"run summary ({args.summary})")
@@ -156,7 +159,7 @@ def _cmd_inspect(args) -> int:
     print(f"  steps:     {summary.get('steps_completed')}"
           + (" (incomplete)" if summary.get("incomplete") else ""))
     print(f"  total average online accuracy: {total}")
-    print(f"  wall clock: {summary.get('wall_clock_seconds', 0.0):.1f}s")
+    print(f"  wall clock: {wall:.1f}s")
     print(f"  version:   {summary.get('version')}")
     return EXIT_OK
 

@@ -4,7 +4,8 @@ Config files are flat `key = value` lines ('#' starts a comment). Unknown
 keys and malformed values are rejected with the offending key and line.
 With no overrides, each problem resolves to its row of `PROBLEMS`: full
 scale for the image problems, desk scale for the synthetic ones, so the
-whole pipeline runs in minutes.
+whole pipeline runs in minutes. `RunConfig` extends `optim.MethodConfig`,
+and `RunConfig.validate` is the one check of a parsed config.
 """
 
 from __future__ import annotations
@@ -44,17 +45,10 @@ PROBLEMS: dict[str, Problem] = {
 
 
 @dataclass
-class RunConfig:
+class RunConfig(MethodConfig):
     problem: str = "permuted_mnist"
-    method: str = "baseline"
     optimizer: str = "adam"
     alpha: float = 1e-3
-    lam: float = 1e-2
-    shrink: float = 1e-4
-    noise: float = 1e-2
-    replacement_rate: float = 1e-4
-    maturity_threshold: int = 100
-    utility_decay: float = 0.99
     seed: int = 0
     # scale overrides; None means "use the problem default"
     dataset_size: int | None = None
@@ -78,17 +72,6 @@ class RunConfig:
         row = PROBLEMS[self.problem]
         scale = Problem._fields[2:]  # every field after data and transform
         return replace(self, **{f: getattr(row, f) for f in scale if getattr(self, f) is None})
-
-    def method_config(self) -> MethodConfig:
-        return MethodConfig(
-            method=self.method,
-            lam=self.lam,
-            shrink=self.shrink,
-            noise=self.noise,
-            replacement_rate=self.replacement_rate,
-            maturity_threshold=self.maturity_threshold,
-            utility_decay=self.utility_decay,
-        )
 
     def validate(self) -> None:
         """Reject a resolved config that cannot run."""
@@ -115,6 +98,13 @@ class RunConfig:
             raise ConfigError(f"{self.problem} needs mnist_images and mnist_labels paths")
         if data == "cifar" and self.cifar_bin is None:
             raise ConfigError(f"{self.problem} needs a cifar_bin path")
+        for name in ("lam", "shrink", "noise", "replacement_rate"):
+            if not 0 <= getattr(self, name) < float("inf"):
+                raise ConfigError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+        if not 0 <= self.utility_decay <= 1:
+            raise ConfigError(f"utility_decay must be in [0, 1], got {self.utility_decay}")
+        if not self.maturity_threshold >= 0:
+            raise ConfigError(f"maturity_threshold must be >= 0, got {self.maturity_threshold}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -215,13 +205,6 @@ GRIDS = {
     "noise": (1e-2, 1e-3, 1e-4, 1e-5),
     "replacement_rate": (1e-4, 1e-5, 1e-6),
 }
-# method -> the hyper-parameters it sweeps besides alpha
-SWEPT: dict[str, tuple[str, ...]] = {
-    "baseline": (), "layer_norm": (),
-    "l2": ("lam",), "l2_init": ("lam",), "l2_init_resample": ("lam",),
-    "shrink_perturb": ("shrink", "noise"),
-    "continual_backprop": ("replacement_rate",),
-}
 
 
 @dataclass
@@ -232,11 +215,11 @@ class SweepSpec:
 
     def cells(self) -> list[dict[str, float]]:
         """Grid cells, ordered small-hyper-parameter-first for tie-breaking."""
-        if self.method not in SWEPT:
+        if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if not self.seeds:  # a cell mean over no seeds would be NaN
             raise ConfigError("a sweep needs at least 1 seed")
-        names = SWEPT[self.method]
+        names = METHODS[self.method]
         grids = [sorted(GRIDS[n]) for n in names] + [sorted(ALPHA_GRID[self.base.optimizer])]
         return [dict(zip((*names, "alpha"), v)) for v in itertools.product(*grids)]
 

@@ -41,12 +41,11 @@ def conv2d_kernel_gradient(x: np.ndarray, grad_out: np.ndarray, kh: int, kw: int
 
 
 def conv2d_input_gradient(grad_out: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Gradient of conv2d w.r.t. its input: full correlation with flipped kernels."""
-    kh, kw = kernels.shape[2], kernels.shape[3]
+    """Gradient of conv2d w.r.t. its input: full correlation with flipped kernels,
+    as one conv2d of the padded gradient with the (C, F, kh, kw) flipped bank."""
+    c, kh, kw = kernels.shape[1:]
     padded = np.pad(grad_out, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    flipped = kernels[:, :, ::-1, ::-1]
-    return np.einsum("nfyxuv,fcuv->ncyx", windows, flipped, optimize=True)
+    return conv2d(padded, kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), np.zeros(c))
 
 
 def maxpool2(x: np.ndarray) -> np.ndarray:

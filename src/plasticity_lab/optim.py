@@ -18,9 +18,10 @@ scratch rows `params.work`, with the per-element operation order of the
 per-tensor formulas. Row 0 holds the loss gradient that `nn.loss_and_grad`
 wrote; the update adds the regularizer term into it.
 
-Nothing here re-checks its inputs: `RunConfig.validate` admits only SGD or
-Adam, and continual backprop only on an MLP; the runner's divergence check
-on the parameters, made before every update, is the one numerical check.
+`MethodConfig` is plain data, checked by `RunConfig.validate`. Nothing
+here re-checks its inputs: `validate` admits only SGD or Adam, and
+continual backprop only on an MLP; the runner's divergence check on the
+parameters is the one numerical check.
 """
 
 from __future__ import annotations
@@ -29,48 +30,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .nn import NetworkSpec, ForwardCache, ParameterSet, aligned_rows
 from .rng import RngStream
 
-METHODS = (
-    "baseline",
-    "layer_norm",
-    "l2_init",
-    "l2",
-    "shrink_perturb",
-    "continual_backprop",
-    "l2_init_resample",
-)
+# method -> the hyper-parameters it sweeps besides alpha, in `config.GRIDS` order
+METHODS: dict[str, tuple[str, ...]] = {
+    "baseline": (),
+    "layer_norm": (),
+    "l2_init": ("lam",),
+    "l2": ("lam",),
+    "shrink_perturb": ("shrink", "noise"),
+    "continual_backprop": ("replacement_rate",),
+    "l2_init_resample": ("lam",),
+}
 REGULARIZED = ("l2_init", "l2", "l2_init_resample")
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's constants
 
 
 @dataclass
 class MethodConfig:
-    """Which plasticity intervention is active, and its hyper-parameters.
-
-    Only the fields relevant to `method` are ever read.
-    """
+    """Which plasticity intervention is active, and its hyper-parameters, at
+    the run defaults. Only the fields relevant to `method` are ever read."""
 
     method: str = "baseline"
-    lam: float = 0.0              # regularization strength
-    shrink: float = 0.0           # s, so the shrink multiplier is p = 1 - s
-    noise: float = 0.0            # sigma, perturbation scale
-    replacement_rate: float = 0.0
+    lam: float = 1e-2             # regularization strength
+    shrink: float = 1e-4          # s, so the shrink multiplier is p = 1 - s
+    noise: float = 1e-2           # sigma, perturbation scale
+    replacement_rate: float = 1e-4
     maturity_threshold: int = 100
     utility_decay: float = 0.99
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
-        for name in ("lam", "shrink", "noise", "replacement_rate"):
-            if not 0 <= getattr(self, name) < float("inf"):
-                raise ConfigError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        if not 0 <= self.utility_decay <= 1:
-            raise ConfigError(f"utility_decay must be in [0, 1], got {self.utility_decay}")
-        if not self.maturity_threshold >= 0:
-            raise ConfigError(f"maturity_threshold must be >= 0, got {self.maturity_threshold}")
 
 
 @dataclass
@@ -104,15 +92,14 @@ def regularizer_gradient(
     return out
 
 
-def sgd_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> ParameterSet:
+def sgd_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> None:
     """theta <- theta - alpha * grad, for a flat `grad`."""
     state.t += 1
     theta = params.flat
     theta -= np.multiply(grad, state.alpha, out=params.work[1])
-    return params
 
 
-def adam_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> ParameterSet:
+def adam_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> None:
     """One bias-corrected Adam update for a flat `grad`.
 
     A bias correction 1 - beta**t that has rounded to exactly 1.0 (from
@@ -142,12 +129,9 @@ def adam_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> 
     tmp2 += EPS
     tmp /= tmp2
     theta -= tmp
-    return params
 
 
-def shrink_perturb_apply(
-    config: MethodConfig, params: ParameterSet, rng: RngStream
-) -> ParameterSet:
+def shrink_perturb_apply(config: MethodConfig, params: ParameterSet, rng: RngStream) -> None:
     """theta <- (1 - s) * theta + sigma * eps, applied after every gradient step.
 
     eps is drawn per parameter from that parameter's own initialization
@@ -158,7 +142,6 @@ def shrink_perturb_apply(
     theta = params.flat
     theta *= 1.0 - config.shrink
     theta += noise
-    return params
 
 
 @dataclass
@@ -186,7 +169,7 @@ def cbp_step(
     params: ParameterSet,
     cache: ForwardCache,
     rng: RngStream,
-) -> tuple[CbpState, ParameterSet]:
+) -> None:
     """Track neuron utilities and reinitialize mature, low-utility neurons.
 
     A hidden neuron's utility is an EMA of its batch-mean |activation| times
@@ -227,7 +210,6 @@ def cbp_step(
         _, bound = params.init_spec[w_in_name]
         fresh = scratch[: reset.size * w_in.shape[0]].reshape(reset.size, -1)
         w_in[:, reset] = rng.uniform(-bound, bound, out=fresh).T
-    return cbp, params
 
 
 def apply_method_step(
@@ -238,7 +220,7 @@ def apply_method_step(
     rng: RngStream,
     cache: ForwardCache | None = None,
     cbp: CbpState | None = None,
-) -> ParameterSet:
+) -> None:
     """One full update: regularizer gradient, optimizer step, post-step edits.
 
     `grad` is the row `loss_and_grad` returned, laid out like `params.flat`;
@@ -254,4 +236,3 @@ def apply_method_step(
         shrink_perturb_apply(config, params, rng)
     elif config.method == "continual_backprop":
         cbp_step(cbp, config, opt, params, cache, rng)
-    return params

@@ -6,16 +6,16 @@ step. The learner never receives task boundaries; they are used only for
 metric bookkeeping (per-task accuracy rows plus weight-magnitude and
 feature-rank diagnostics captured at the end of each task).
 
-Before each update the loop checks mean |theta| <= DIVERGENCE_MAGNITUDE;
-NaN and inf fail that comparison. It is the only numerical check on the
-training path: below the bound the loss, gradients and optimizer updates
-stay finite, so divergence always shows first in the parameters. Each
-step the check first takes one dot product: theta . theta below
-0.5 * bound**2 * size proves mean |theta| <= RMS |theta| < bound, and the
-factor 0.5 leaves room for the rounding of both sums. Only when that test
-fails (or is NaN or inf) is the exact mean computed and compared. A run
-that fails the exact comparison stops and its record is flagged
-incomplete.
+Before each update, and at each task boundary before the probe, the loop
+checks mean |theta| <= DIVERGENCE_MAGNITUDE; NaN and inf fail that
+comparison. It is the only numerical check on the training path: below
+the bound the loss, gradients and optimizer updates stay finite, so
+divergence always shows first in the parameters. Before an update the
+check first takes one dot product: theta . theta below 0.5 * bound**2 *
+size proves mean |theta| <= RMS |theta| < bound, and the factor 0.5 leaves
+room for the rounding of both sums. Only when that test fails (or is NaN
+or inf), and at every boundary, is the exact mean computed and compared.
+A run that fails it stops with no row for its task, flagged incomplete.
 
 `run_jobs` runs many jobs (sweep cells, the acceptance desk runs) on
 spawned workers with one BLAS thread each, so workers do not oversubscribe
@@ -54,7 +54,7 @@ from .metrics import (
     mean_param_magnitude,
     total_avg_online_accuracy,
 )
-from .nn import NetworkSpec, forward, init_params, loss_and_grad
+from .nn import NetworkSpec, ParameterSet, forward, init_params, loss_and_grad
 from .optim import apply_method_step, make_cbp_state, make_optimizer
 from .problems import (
     TaskStream,
@@ -111,11 +111,18 @@ def build_network_spec(cfg: RunConfig, stream: TaskStream) -> NetworkSpec:
     )
 
 
+def _check_magnitude(params: ParameterSet, step: int) -> float:
+    """The exact mean |theta|, or NumericalError if it is not <= DIVERGENCE_MAGNITUDE."""
+    magnitude = mean_param_magnitude(params)
+    if not magnitude <= DIVERGENCE_MAGNITUDE:
+        raise NumericalError(f"run diverged at step {step} (mean |theta|={magnitude})")
+    return magnitude
+
+
 def run_experiment(cfg: RunConfig) -> RunRecord:
     """Execute one run; deterministic given (config, seed)."""
     cfg = cfg.resolved()
     cfg.validate()
-    method = cfg.method_config()
     started = time.perf_counter()
     stream = build_stream(cfg)
     spec = build_network_spec(cfg, stream)
@@ -123,7 +130,7 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
     master = RngStream(cfg.seed)
     params = init_params(spec, master.split("init"))
     opt = make_optimizer(cfg.optimizer, cfg.alpha, params)
-    cbp = make_cbp_state(spec) if method.method == "continual_backprop" else None
+    cbp = make_cbp_state(spec) if cfg.method == "continual_backprop" else None
     noise_rng = master.split("noise")
 
     k, m = stream.num_tasks, stream.steps_per_task
@@ -142,21 +149,17 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
                 per_step[step] = batch_accuracy(logits, labels)
                 _, grad = loss_and_grad(spec, params, cache, logits, labels)
                 if not np.dot(theta, theta) < sum_sq_bound:
-                    magnitude = mean_param_magnitude(params)
-                    if not magnitude <= DIVERGENCE_MAGNITUDE:
-                        raise NumericalError(
-                            f"run diverged at step {step} (mean |theta|={magnitude})")
-                apply_method_step(
-                    method, opt, params, grad, rng=noise_rng, cache=cache, cbp=cbp
-                )
+                    _check_magnitude(params, step)
+                apply_method_step(cfg, opt, params, grad, rng=noise_rng, cache=cache, cbp=cbp)
                 step += 1
+            magnitude = _check_magnitude(params, step)
             probe = probe_batch(task, cfg.probe_size)
             record.task_rows.append(
                 TaskRow(
                     task_index=i,
                     start_step=task.start_step,
                     avg_online_task_accuracy=avg_online_task_accuracy(per_step, i * m, m),
-                    weight_magnitude=mean_param_magnitude(params),
+                    weight_magnitude=magnitude,
                     feature_srank=feature_srank_probe(spec, params, probe),
                 )
             )
@@ -187,11 +190,11 @@ def _version_string() -> str:
     return f"plasticity-lab {__version__}" + (f" ({rev})" if rev else "")
 
 
-def _write_atomic(path: str, text: str, newline: str | None = "") -> None:
-    """Write text to a temporary file beside path, then rename it into place."""
+def _write_atomic(path: str, text: str) -> None:
+    """Write text, LF line ends, to a temporary file beside path, then rename it into place."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        with open(tmp, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     finally:
@@ -199,16 +202,21 @@ def _write_atomic(path: str, text: str, newline: str | None = "") -> None:
             os.unlink(tmp)
 
 
+def _write_csv(path: str, header: str, rows) -> None:
+    """One CSV file: strings as they are, numbers as their repr."""
+    lines = [header] + [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows]
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
+def _write_json(path: str, obj) -> None:
+    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def write_outputs(record: RunRecord, out_dir: str) -> None:
     """Write task_metrics.csv, summary.json, and (if recorded) steps.csv."""
     os.makedirs(out_dir, exist_ok=True)
-    lines = [TASK_CSV_HEADER]
-    for row in record.task_rows:
-        lines.append(
-            f"{row.task_index},{row.start_step},{row.avg_online_task_accuracy!r},"
-            f"{row.weight_magnitude!r},{row.feature_srank!r}"
-        )
-    _write_atomic(os.path.join(out_dir, "task_metrics.csv"), "\n".join(lines) + "\n")
+    _write_csv(os.path.join(out_dir, "task_metrics.csv"), TASK_CSV_HEADER,
+               (dataclasses.astuple(row) for row in record.task_rows))
 
     summary = {
         "total_avg_online_accuracy": record.total_avg_online_accuracy,
@@ -219,13 +227,10 @@ def write_outputs(record: RunRecord, out_dir: str) -> None:
         "wall_clock_seconds": record.wall_clock_seconds,
         "version": _version_string(),
     }
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    _write_atomic(os.path.join(out_dir, "summary.json"), text, newline=None)
-
+    _write_json(os.path.join(out_dir, "summary.json"), summary)
     if record.per_step_accuracy is not None:
-        steps = ["step,online_accuracy"]
-        steps += [f"{i},{float(a)!r}" for i, a in enumerate(record.per_step_accuracy)]
-        _write_atomic(os.path.join(out_dir, "steps.csv"), "\n".join(steps) + "\n")
+        _write_csv(os.path.join(out_dir, "steps.csv"), "step,online_accuracy",
+                   enumerate(record.per_step_accuracy.tolist()))
 
 
 def _run_cell(args) -> dict:
@@ -314,14 +319,9 @@ def select_winner(cell_means: list[dict]) -> dict | None:
 def write_sweep_outputs(result: SweepResult, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     keys = ("alpha", *GRIDS)
-    lines = ["method," + ",".join(keys) + ",seed,total_avg_online_accuracy,status"]
-    for row in result.rows:
-        vals = [repr(row[k]) if k in row else "" for k in keys]
-        lines.append(
-            f"{result.method},{','.join(vals)},{row['seed']},"
-            f"{row['total_avg_online_accuracy']!r},{row['status']}"
-        )
-    _write_atomic(os.path.join(out_dir, "sweep.csv"), "\n".join(lines) + "\n")
+    _write_csv(os.path.join(out_dir, "sweep.csv"),
+               "method," + ",".join(keys) + ",seed,total_avg_online_accuracy,status",
+               ((result.method, *(row.get(k, "") for k in keys), row["seed"],
+                 row["total_avg_online_accuracy"], row["status"]) for row in result.rows))
     summary = {"method": result.method, "winner": result.winner, "cells": result.cell_means}
-    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    _write_atomic(os.path.join(out_dir, "sweep_summary.json"), text, newline=None)
+    _write_json(os.path.join(out_dir, "sweep_summary.json"), summary)

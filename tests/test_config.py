@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from plasticity_lab.config import SWEPT, RunConfig, SweepSpec, parse_config
+from plasticity_lab.config import RunConfig, SweepSpec, parse_config
 from plasticity_lab.errors import ConfigError
 from plasticity_lab.optim import METHODS
 
@@ -124,6 +126,29 @@ def test_validate_rejects_cbp_on_cnn_problem():
         cfg.resolved().validate()
 
 
+def test_validate_checks_the_method_fields_in_order():
+    cfg = RunConfig(problem="synthetic_permuted", lam=-1.0, utility_decay=5.0).resolved()
+    with pytest.raises(ConfigError) as exc:
+        cfg.validate()
+    assert str(exc.value) == "lam must be >= 0 and finite, got -1.0"
+    with pytest.raises(ConfigError) as exc:
+        dataclasses.replace(cfg, lam=0.0).validate()
+    assert str(exc.value) == "utility_decay must be in [0, 1], got 5.0"
+
+
+def test_run_config_fields_and_defaults_are_pinned():
+    # summary.json echoes these, key-sorted, under "config"; the first seven are MethodConfig's
+    assert dataclasses.asdict(RunConfig()) == {
+        "method": "baseline", "lam": 1e-2, "shrink": 1e-4, "noise": 1e-2,
+        "replacement_rate": 1e-4, "maturity_threshold": 100, "utility_decay": 0.99,
+        "problem": "permuted_mnist", "optimizer": "adam", "alpha": 1e-3, "seed": 0,
+        "dataset_size": None, "num_tasks": None, "steps_per_task": None, "batch_size": None,
+        "hidden_widths": None, "probe_size": 512, "input_width": 64, "classes": 10,
+        "mnist_images": None, "mnist_labels": None, "cifar_bin": None, "out": None,
+        "log_steps": False,
+    }
+
+
 def test_lambda_key_maps_to_lam_field():
     assert parse_config(None, ["lambda=0.5"]).lam == 0.5
 
@@ -173,6 +198,3 @@ def test_sweep_cells_are_pinned_in_order(method, optimizer, alphas):
     assert [list(cell.items()) for cell in cells] == expected
     assert set(PINNED_AXES) == set(METHODS)
 
-
-def test_every_method_has_a_sweep_row():
-    assert set(SWEPT) == set(METHODS)

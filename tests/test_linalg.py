@@ -195,6 +195,13 @@ def conv2d_kernel_gradient_einsum(x, grad_out):
     return np.einsum("nfij,ncuvij->fcuv", grad_out, windows, optimize=True)
 
 
+def conv2d_input_gradient_einsum(grad_out, kernels):
+    kh, kw = kernels.shape[2:]
+    padded = np.pad(grad_out, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
+    return np.einsum("nfyxuv,fcuv->ncyx", windows, kernels[:, :, ::-1, ::-1], optimize=True)
+
+
 def maxpool2_argmax(x):
     n, f, h, w = x.shape
     ho, wo = h // 2, w // 2
@@ -241,3 +248,21 @@ def test_conv_and_pool_match_the_einsum_and_argmax_code_bit_for_bit(in_shape):
 
     dz = back * (z > 0)
     assert same_bytes(conv2d_kernel_gradient(x, dz, 5, 5), conv2d_kernel_gradient_einsum(x, dz))
+    assert same_bytes(conv2d_input_gradient(dz, k), conv2d_input_gradient_einsum(dz, k))
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_input_gradient_matches_the_einsum_code(trial):
+    # with one input channel the GEMM is a matrix-vector product, whose sums may round
+    # (or sign a zero) differently from the einsum's; with two or more the bits agree
+    rng = RngStream(500 + trial)
+    n, c, f = (int(v) for v in rng.integers(1, 5, 3))
+    kh, kw = (int(v) for v in rng.integers(1, 6, 2))
+    grad_out = rng.uniform(-1, 1, (n, f, int(rng.integers(1, 8)), int(rng.integers(1, 8))))
+    k = rng.uniform(-1, 1, (f, c, kh, kw))
+    got, want = conv2d_input_gradient(grad_out, k), conv2d_input_gradient_einsum(grad_out, k)
+    assert got.shape == (n, c, grad_out.shape[2] + kh - 1, grad_out.shape[3] + kw - 1)
+    if c >= 2:
+        assert same_bytes(got, want)
+    else:
+        assert np.allclose(got, want, rtol=0, atol=1e-12)

@@ -8,7 +8,7 @@ import pytest
 from conftest import write_cifar10_bin, write_idx_images, write_idx_labels
 from plasticity_lab import runner
 from plasticity_lab.cli import main
-from plasticity_lab.config import PROBLEMS, RunConfig, SweepSpec
+from plasticity_lab.config import PROBLEMS, RunConfig, SweepSpec, parse_config
 from plasticity_lab.errors import ConfigError
 from plasticity_lab.nn import init_params
 from plasticity_lab.problems import Dataset
@@ -158,6 +158,23 @@ def test_a_bounded_vector_that_fails_the_sum_of_squares_test_runs_on(monkeypatch
     assert not record.incomplete and record.steps_completed == 4
     assert len(calls) == 4 + 1  # the exact check before every step, then the task row
     assert calls[0] == pytest.approx((5e8 + 89_609 * 0.05) / 89_610, rel=1e-12)
+
+
+@pytest.mark.parametrize("num_tasks", [1, 3])
+def test_a_divergence_on_a_task_s_last_update_writes_no_row_for_it(tmp_path, capfd, caplog,
+                                                                   num_tasks):
+    # the one update of task 0 takes mean |theta| to ~1.6e297: the boundary check must stop
+    # the run before the probe feeds the non-finite features to the SVD
+    code = main(["run", "--out", str(tmp_path / "o"), "problem=synthetic_random_label",
+                 "steps_per_task=1", f"num_tasks={num_tasks}", "optimizer=sgd", "alpha=1e300"])
+    assert code == 3
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["incomplete"] is True and summary["steps_completed"] == 1
+    assert (tmp_path / "o" / "task_metrics.csv").read_text() == runner.TASK_CSV_HEADER + "\n"
+    out, err = capfd.readouterr()
+    assert "DLASCL" not in out + err
+    assert len(caplog.messages) == 1
+    assert caplog.messages[0].startswith("aborting run: run diverged at step 1 (mean |theta|=1.585")
 
 
 def test_a_nan_parameter_stops_the_run_with_the_exact_message(monkeypatch, caplog):
@@ -471,8 +488,11 @@ def test_cli_run_with_seed_and_log_steps(tmp_path):
     assert summary["seed"] == 3 and summary["config"]["log_steps"] is True
 
 
-@pytest.mark.parametrize("payload", [b"{not json", b"[1, 2]", b"\xff\xfe{}"],
-                         ids=("not_json", "not_an_object", "not_utf8"))
+@pytest.mark.parametrize("payload", [b"{not json", b"[1, 2]", b"\xff\xfe{}",
+                                     b'{"wall_clock_seconds": "x"}',
+                                     b'{"wall_clock_seconds": null}'],
+                         ids=("not_json", "not_an_object", "not_utf8", "text_wall_clock",
+                              "null_wall_clock"))
 def test_cli_inspect_of_a_malformed_summary_is_an_io_error(tmp_path, capsys, payload):
     path = tmp_path / "summary.json"
     path.write_bytes(payload)
@@ -576,7 +596,8 @@ ALPHA_ERRORS = [
 ]
 
 
-# MethodConfig checks every field whatever the method, so a sweep of baseline fails on each
+# RunConfig.validate checks every method field whatever the method, so a sweep of baseline
+# fails on each
 HYPER_ERRORS = [
     ("method=l2_init lambda=nan", "lam must be >= 0 and finite, got nan"),
     ("method=l2 lambda=inf", "lam must be >= 0 and finite, got inf"),
@@ -599,6 +620,14 @@ def test_cli_bad_widths_and_step_sizes_are_usage_errors(tmp_path, capsys, overri
     errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
     assert errors == [f"error: {message}"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("override, message", HYPER_ERRORS, ids=[o for o, _ in HYPER_ERRORS])
+def test_validate_alone_rejects_each_bad_hyper_parameter(override, message):
+    cfg = parse_config(None, ["problem=synthetic_permuted", *override.split()]).resolved()
+    with pytest.raises(ConfigError) as exc:
+        cfg.validate()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("override, message", WIDTH_ERRORS + HYPER_ERRORS,
