@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Full-scale reproduction runs (NOT part of the test suite -- slow).
+r"""Full-scale reproduction runs (NOT part of the test suite -- slow).
 
 Runs the method roster on one of the three image-classification problems
 at its published scale (e.g. Permuted MNIST: 500 tasks x 625 steps) using
@@ -12,19 +12,30 @@ Dataset files are never downloaded. Supply decompressed MNIST IDX files
 (train-images-idx3-ubyte / train-labels-idx1-ubyte) or a CIFAR-10 binary
 batch (data_batch_1.bin).
 
-Usage:
-  python3 scripts/reproduce_full_scale.py --problem permuted_mnist \
-      --optimizer adam --mnist-images train-images-idx3-ubyte \
-      --mnist-labels train-labels-idx1-ubyte --out runs/permuted
+Every run setting is a config key, from `--config FILE` and `key=value`
+arguments, as for `plab run`: `problem` and `optimizer` pick the roster
+(default permuted_mnist / adam), and `out` names the output root (default
+`runs`). Each run then takes its method, its seed and that method's
+optimal hyper-parameters from the roster, over any keys given for them.
+Every job is checked before the first one runs. As with `plab run`, a
+config error prints one `error:` line and exits 1, and unreadable data one
+`i/o error:` line and exits 2; the script exits 3 if any run diverged.
+
+Usage (key=value arguments go before --methods, which takes the rest):
+  python3 scripts/reproduce_full_scale.py problem=permuted_mnist \
+      optimizer=adam mnist_images=train-images-idx3-ubyte \
+      mnist_labels=train-labels-idx1-ubyte out=runs/permuted
 """
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from plasticity_lab.config import RunConfig
+from plasticity_lab.config import RunConfig, parse_config
+from plasticity_lab.errors import ConfigError, DataFormatError
 from plasticity_lab.runner import run_experiment, write_outputs
 
 # reported optimal hyper-parameters, keyed by (problem, optimizer, method)
@@ -78,37 +89,43 @@ OPTIMAL = {
 }
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--problem", required=True, choices=list(dict.fromkeys(p for p, _ in OPTIMAL)))
-    ap.add_argument("--optimizer", default="adam", choices=["sgd", "adam"])
+def _jobs(args) -> list[RunConfig]:
+    """The config of every run, its output directory as `out`, each checked as `plab run` does."""
+    base = parse_config(args.config, args.overrides)
+    if (base.problem, base.optimizer) not in OPTIMAL:
+        raise ConfigError(f"no reported optima for {base.problem} / {base.optimizer}")
+    roster = OPTIMAL[(base.problem, base.optimizer)]
+    root = Path(base.out or "runs") / base.problem / base.optimizer
+    jobs = []
+    for method in args.methods or list(roster):
+        if method not in roster:
+            raise ConfigError(f"no reported optima for {method!r} on "
+                              f"{base.problem} / {base.optimizer}")
+        for seed in range(args.seeds):
+            out = str(root / method / f"seed{seed}")
+            cfg = replace(base, method=method, seed=seed, out=out, **roster[method])
+            cfg.resolved().validate()
+            jobs.append(cfg)
+    return jobs
+
+
+def main(argv: list[str] | None = None) -> int:
+    # no prefixes: `--seed 3` or `--method M` would otherwise be `--seeds` or `--methods`
+    ap = argparse.ArgumentParser(description=__doc__, allow_abbrev=False,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--config", default=None, help="flat key=value config file")
     ap.add_argument("--methods", nargs="*", default=None,
                     help="subset of methods (default: full roster for the problem)")
     ap.add_argument("--seeds", type=int, default=3)
-    ap.add_argument("--mnist-images")
-    ap.add_argument("--mnist-labels")
-    ap.add_argument("--cifar-bin")
-    ap.add_argument("--out", default="runs")
-    args = ap.parse_args()
-
-    roster = OPTIMAL[(args.problem, args.optimizer)]
-    methods = args.methods or list(roster)
-    for method in methods:
-        for seed in range(args.seeds):
-            cfg = RunConfig(
-                problem=args.problem,
-                method=method,
-                optimizer=args.optimizer,
-                seed=seed,
-                mnist_images=args.mnist_images,
-                mnist_labels=args.mnist_labels,
-                cifar_bin=args.cifar_bin,
-                **roster[method],
-            )
-            out_dir = Path(args.out) / args.problem / args.optimizer / method / f"seed{seed}"
-            print(f"running {method} seed {seed} -> {out_dir}", flush=True)
+    ap.add_argument("overrides", nargs="*", help="key=value config overrides")
+    args = ap.parse_args(argv)
+    incomplete = False
+    try:
+        for cfg in _jobs(args):
+            print(f"running {cfg.method} seed {cfg.seed} -> {cfg.out}", flush=True)
             record = run_experiment(cfg)
-            write_outputs(record, str(out_dir))
+            write_outputs(record, cfg.out)
+            incomplete |= record.incomplete
             flag = " (INCOMPLETE)" if record.incomplete else ""
             print(
                 f"  total average online accuracy "
@@ -116,7 +133,13 @@ def main() -> int:
                 f"[{record.wall_clock_seconds:.0f}s]",
                 flush=True,
             )
-    return 0
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (OSError, DataFormatError) as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 2
+    return 3 if incomplete else 0
 
 
 if __name__ == "__main__":

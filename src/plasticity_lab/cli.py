@@ -1,8 +1,11 @@
 """Command-line interface.
 
-Subcommands: `run` (one experiment), `sweep` (hyper-parameter grid for one
-method), `gradcheck` (finite-difference gradient audit), and `inspect`
-(pretty-print a summary.json). Exit codes: 0 success, 1 usage/config
+Subcommands: `run` (one experiment), `sweep` (hyper-parameter grid for the
+config's method), `gradcheck` (finite-difference gradient audit), and
+`inspect` (pretty-print a summary.json). Every run setting, the method,
+seed and output directory included, is a `key=value` config key (see
+`config`); the flags are only those that are not: `--config`, and a
+sweep's `--seeds` and `--workers`. Exit codes: 0 success, 1 usage/config
 error, 2 I/O error, 3 numerical failure. A sweep with no successful cell
 exits with the code of its earliest-stage failure: 1 if any cell had a
 config error, else 2 if any had an I/O error, else 3 (a cell diverged).
@@ -41,6 +44,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # no prefixes: `sweep --seed 3` is not `--seeds 3`
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would exit(2); we map usage errors to 1
         raise _UsageError(message)
 
@@ -51,17 +57,12 @@ def _build_parser() -> _Parser:
 
     run_p = sub.add_parser("run", help="run one experiment")
     run_p.add_argument("--config", default=None, help="flat key=value config file")
-    run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--out", default=None, help="output directory")
-    run_p.add_argument("--log-steps", action="store_true")
     run_p.add_argument("overrides", nargs="*", help="key=value config overrides")
 
-    sweep_p = sub.add_parser("sweep", help="hyper-parameter sweep for one method")
+    sweep_p = sub.add_parser("sweep", help="hyper-parameter sweep for the config's method")
     sweep_p.add_argument("--config", default=None)
-    sweep_p.add_argument("--method", required=True)
     sweep_p.add_argument("--seeds", type=int, default=3, help="seeds per grid cell")
     sweep_p.add_argument("--workers", type=int, default=1)
-    sweep_p.add_argument("--out", default=None)
     sweep_p.add_argument("overrides", nargs="*")
 
     sub.add_parser("gradcheck", help="finite-difference audit of the backward pass")
@@ -72,14 +73,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    overrides = list(args.overrides)
-    if args.seed is not None:
-        overrides.append(f"seed={args.seed}")
-    if args.out is not None:
-        overrides.append(f"out={args.out}")
-    if args.log_steps:
-        overrides.append("log_steps=true")
-    cfg = parse_config(args.config, overrides)
+    cfg = parse_config(args.config, args.overrides)
     record = run_experiment(cfg)
     out_dir = cfg.out or "out"
     write_outputs(record, out_dir)
@@ -95,11 +89,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    overrides = list(args.overrides)
-    if args.out is not None:
-        overrides.append(f"out={args.out}")
-    cfg = parse_config(args.config, overrides)
-    spec = SweepSpec(base=cfg, method=args.method, seeds=tuple(range(args.seeds)))
+    cfg = parse_config(args.config, args.overrides)
+    spec = SweepSpec(base=cfg, seeds=tuple(range(args.seeds)))
     result = run_sweep(spec, workers=args.workers)
     out_dir = cfg.out or "out"
     write_sweep_outputs(result, out_dir)
@@ -108,7 +99,7 @@ def _cmd_sweep(args) -> int:
         print("all sweep cells failed", *errors, sep="\n  ")
         return min(SWEEP_EXIT.get(row.get("cause"), EXIT_NUMERICAL)
                    for row in result.rows if row["status"] != "ok")
-    print(f"winner for {args.method}: {result.winner}")
+    print(f"winner for {cfg.method}: {result.winner}")
     return EXIT_OK
 
 

@@ -1,7 +1,10 @@
 """Run configuration: flat key=value files, CLI overrides, problem defaults.
 
-Config files are flat `key = value` lines ('#' starts a comment). Unknown
-keys and malformed values are rejected with the offending key and line.
+Config files are flat `key = value` lines ('#' starts a comment), and
+command-line `key=value` overrides win. They are the only way to set a run
+setting: each `RunConfig` field has one key, its own name (`lambda` for
+`lam`), parsed by the field's type. Unknown keys and malformed values are
+rejected with the offending key and line.
 With no overrides, each problem resolves to its row of `PROBLEMS`: full
 scale for the image problems, desk scale for the synthetic ones, so the
 whole pipeline runs in minutes. `RunConfig` extends `optim.MethodConfig`,
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, get_args, get_type_hints
 
 from .errors import ConfigError
 from .optim import METHODS, MethodConfig
@@ -128,32 +131,15 @@ def _choice(options):
     return parse
 
 
-# config key -> (RunConfig field, value parser)
+# the fields whose type alone does not parse them
+_PARSERS = {"problem": _choice(PROBLEMS), "method": _choice(METHODS),
+            "optimizer": _choice(("sgd", "adam")), "hidden_widths": _parse_widths,
+            "log_steps": _parse_bool}
+# config key -> (RunConfig field, value parser): each field's name (`lambda` for `lam`), and
+# its parser above or else its type (X of `X | None`)
 CONFIG_KEYS: dict[str, tuple[str, Any]] = {
-    "problem": ("problem", _choice(PROBLEMS)),
-    "method": ("method", _choice(METHODS)),
-    "optimizer": ("optimizer", _choice(("sgd", "adam"))),
-    "alpha": ("alpha", float),
-    "lambda": ("lam", float),
-    "shrink": ("shrink", float),
-    "noise": ("noise", float),
-    "replacement_rate": ("replacement_rate", float),
-    "maturity_threshold": ("maturity_threshold", int),
-    "utility_decay": ("utility_decay", float),
-    "seed": ("seed", int),
-    "dataset_size": ("dataset_size", int),
-    "num_tasks": ("num_tasks", int),
-    "steps_per_task": ("steps_per_task", int),
-    "batch_size": ("batch_size", int),
-    "hidden_widths": ("hidden_widths", _parse_widths),
-    "probe_size": ("probe_size", int),
-    "input_width": ("input_width", int),
-    "classes": ("classes", int),
-    "mnist_images": ("mnist_images", str),
-    "mnist_labels": ("mnist_labels", str),
-    "cifar_bin": ("cifar_bin", str),
-    "out": ("out", str),
-    "log_steps": ("log_steps", _parse_bool),
+    "lambda" if name == "lam" else name: (name, _PARSERS.get(name, (get_args(hint) or (hint,))[0]))
+    for name, hint in get_type_hints(RunConfig).items()
 }
 
 
@@ -209,17 +195,16 @@ GRIDS = {
 
 @dataclass
 class SweepSpec:
-    base: RunConfig
-    method: str
+    base: RunConfig  # its method is the one swept
     seeds: tuple[int, ...] = (0, 1, 2)
 
     def cells(self) -> list[dict[str, float]]:
         """Grid cells, ordered small-hyper-parameter-first for tie-breaking."""
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r}")
+        if self.base.method not in METHODS:
+            raise ConfigError(f"unknown method {self.base.method!r}")
         if not self.seeds:  # a cell mean over no seeds would be NaN
             raise ConfigError("a sweep needs at least 1 seed")
-        names = METHODS[self.method]
+        names = METHODS[self.base.method]
         grids = [sorted(GRIDS[n]) for n in names] + [sorted(ALPHA_GRID[self.base.optimizer])]
         return [dict(zip((*names, "alpha"), v)) for v in itertools.product(*grids)]
 

@@ -213,7 +213,7 @@ def _write_json(path: str, obj) -> None:
 
 
 def write_outputs(record: RunRecord, out_dir: str) -> None:
-    """Write task_metrics.csv, summary.json, and (if recorded) steps.csv."""
+    """Write task_metrics.csv, summary.json, and steps.csv if recorded (else remove it)."""
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "task_metrics.csv"), TASK_CSV_HEADER,
                (dataclasses.astuple(row) for row in record.task_rows))
@@ -228,9 +228,11 @@ def write_outputs(record: RunRecord, out_dir: str) -> None:
         "version": _version_string(),
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)
+    steps = os.path.join(out_dir, "steps.csv")
     if record.per_step_accuracy is not None:
-        _write_csv(os.path.join(out_dir, "steps.csv"), "step,online_accuracy",
-                   enumerate(record.per_step_accuracy.tolist()))
+        _write_csv(steps, "step,online_accuracy", enumerate(record.per_step_accuracy.tolist()))
+    elif os.path.exists(steps):  # an earlier run's, which this record would contradict
+        os.remove(steps)
 
 
 def _run_cell(args) -> dict:
@@ -274,7 +276,7 @@ def run_jobs(fn, jobs: list, workers: int = 1) -> list:
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Run the method's grid over the configured seeds and pick the winner.
+    """Run the grid of the base config's method over the seeds and pick the winner.
 
     The winner maximizes the seed-mean total average online accuracy;
     exact ties break toward smaller hyper-parameters (lambda / shrink /
@@ -283,9 +285,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     its `cause` ("config" or "io") and its `error` text, which
     its cell also lists under `errors`, as distinct "<cause>: <error>" strings.
     """
-    base = dataclasses.replace(spec.base, method=spec.method)
     cells = spec.cells()
-    jobs = [(base, cell, seed) for cell in cells for seed in spec.seeds]
+    jobs = [(spec.base, cell, seed) for cell in cells for seed in spec.seeds]
     rows = run_jobs(_run_cell, jobs, workers)
 
     cell_means = []
@@ -302,7 +303,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
             cell_means[-1]["errors"] = errors
 
     winner = select_winner(cell_means)
-    return SweepResult(method=spec.method, rows=rows, cell_means=cell_means, winner=winner)
+    return SweepResult(method=spec.base.method, rows=rows, cell_means=cell_means, winner=winner)
 
 
 def select_winner(cell_means: list[dict]) -> dict | None:

@@ -1,8 +1,9 @@
 import dataclasses
+from dataclasses import replace
 
 import pytest
 
-from plasticity_lab.config import RunConfig, SweepSpec, parse_config
+from plasticity_lab.config import CONFIG_KEYS, RunConfig, SweepSpec, parse_config
 from plasticity_lab.errors import ConfigError
 from plasticity_lab.optim import METHODS
 
@@ -153,26 +154,53 @@ def test_lambda_key_maps_to_lam_field():
     assert parse_config(None, ["lambda=0.5"]).lam == 0.5
 
 
+# a value for every RunConfig field, none of them its default
+NON_DEFAULT = dict(
+    method="l2_init", lam=0.5, shrink=0.25, noise=0.125, replacement_rate=1e-3,
+    maturity_threshold=7, utility_decay=0.5, problem="synthetic_permuted", optimizer="sgd",
+    alpha=0.25, seed=9, dataset_size=33, num_tasks=4, steps_per_task=5, batch_size=6,
+    hidden_widths=(7, 8), probe_size=9, input_width=10, classes=3, mnist_images="i.idx",
+    mnist_labels="l.idx", cifar_bin="b.bin", out="o", log_steps=True,
+)
+
+
+def test_every_run_config_field_round_trips_through_one_key():
+    names = [field.name for field in dataclasses.fields(RunConfig)]
+    assert sorted(field for field, _ in CONFIG_KEYS.values()) == sorted(names)  # one key each
+    assert [key for key in CONFIG_KEYS if key not in names] == ["lambda"]
+    defaults = dataclasses.asdict(RunConfig())
+    assert sorted(NON_DEFAULT) == sorted(names)
+    assert all(NON_DEFAULT[name] != defaults[name] for name in names)
+
+    def text(value):
+        return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+    overrides = [f"{key}={text(NON_DEFAULT[field])}" for key, (field, _) in CONFIG_KEYS.items()]
+    assert parse_config(None, overrides) == RunConfig(**NON_DEFAULT)
+    with pytest.raises(ConfigError, match="unknown key 'lam'"):
+        parse_config(None, ["lam=0.5"])
+
+
 # --- sweep grids ---------------------------------------------------------
 
 def test_grid_matches_published_sweeps():
     base_sgd = RunConfig(problem="synthetic_permuted", optimizer="sgd")
     base_adam = RunConfig(problem="synthetic_permuted", optimizer="adam")
 
-    cells = SweepSpec(base_adam, "l2_init").cells()
+    cells = SweepSpec(replace(base_adam, method="l2_init")).cells()
     assert len(cells) == 8  # 4 lambdas x 2 alphas
     assert {c["alpha"] for c in cells} == {1e-3, 1e-4}
     assert {c["lam"] for c in cells} == {1e-2, 1e-3, 1e-4, 1e-5}
 
-    cells = SweepSpec(base_sgd, "shrink_perturb").cells()
+    cells = SweepSpec(replace(base_sgd, method="shrink_perturb")).cells()
     assert len(cells) == 32  # 4 shrink x 4 noise x 2 alphas
     assert {c["alpha"] for c in cells} == {1e-2, 1e-3}
 
-    cells = SweepSpec(base_sgd, "continual_backprop").cells()
+    cells = SweepSpec(replace(base_sgd, method="continual_backprop")).cells()
     assert {c["replacement_rate"] for c in cells} == {1e-4, 1e-5, 1e-6}
 
-    assert len(SweepSpec(base_adam, "baseline").cells()) == 2
-    assert len(SweepSpec(base_adam, "layer_norm").cells()) == 2
+    assert len(SweepSpec(replace(base_adam, method="baseline")).cells()) == 2
+    assert len(SweepSpec(replace(base_adam, method="layer_norm")).cells()) == 2
 
 
 # each method's swept axes, smallest value first; every cell then takes each alpha
@@ -193,7 +221,8 @@ PINNED_AXES = {
 @pytest.mark.parametrize("method", sorted(PINNED_AXES))
 def test_sweep_cells_are_pinned_in_order(method, optimizer, alphas):
     # the order fixes the rows of sweep.csv; key order fixes the printed winner
-    cells = SweepSpec(RunConfig(problem="synthetic_permuted", optimizer=optimizer), method).cells()
+    base = RunConfig(problem="synthetic_permuted", optimizer=optimizer, method=method)
+    cells = SweepSpec(base).cells()
     expected = [axis + [("alpha", a)] for axis in PINNED_AXES[method] for a in alphas]
     assert [list(cell.items()) for cell in cells] == expected
     assert set(PINNED_AXES) == set(METHODS)

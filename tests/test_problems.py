@@ -390,7 +390,7 @@ def test_bad_data_files_are_format_errors(tmp_path, case):
     with pytest.raises(DataFormatError):
         build_stream(RunConfig(**fields))
     overrides = [f"{key}={value}" for key, value in fields.items()]
-    assert main(["run", "--out", str(tmp_path / "o"), *overrides]) == 2
+    assert main(["run", f"out={tmp_path / 'o'}", *overrides]) == 2
 
 
 def test_build_stream_scales_only_the_kept_rows(tmp_path):
@@ -459,7 +459,7 @@ def test_a_bad_label_in_an_unkept_read_slice_is_found(tmp_path, capsys, fmt):
     with pytest.raises(DataFormatError, match=r"labels outside \[0, 10\)"):
         build_stream(RunConfig(**fields))
     overrides = [f"{key}={value}" for key, value in fields.items()]
-    assert main(["run", "--out", str(tmp_path / "o"), *overrides]) == 2
+    assert main(["run", f"out={tmp_path / 'o'}", *overrides]) == 2
     assert "labels outside [0, 10)" in capsys.readouterr().err
 
 

@@ -11,6 +11,7 @@ from plasticity_lab.cli import main
 from plasticity_lab.config import PROBLEMS, RunConfig, SweepSpec, parse_config
 from plasticity_lab.errors import ConfigError
 from plasticity_lab.nn import init_params
+from plasticity_lab.optim import METHODS
 from plasticity_lab.problems import Dataset
 from plasticity_lab.rng import RngStream
 from plasticity_lab.runner import (
@@ -165,7 +166,7 @@ def test_a_divergence_on_a_task_s_last_update_writes_no_row_for_it(tmp_path, cap
                                                                    num_tasks):
     # the one update of task 0 takes mean |theta| to ~1.6e297: the boundary check must stop
     # the run before the probe feeds the non-finite features to the SVD
-    code = main(["run", "--out", str(tmp_path / "o"), "problem=synthetic_random_label",
+    code = main(["run", f"out={tmp_path / 'o'}", "problem=synthetic_random_label",
                  "steps_per_task=1", f"num_tasks={num_tasks}", "optimizer=sgd", "alpha=1e300"])
     assert code == 3
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
@@ -314,7 +315,7 @@ def test_select_winner_none_when_all_failed():
 def test_a_write_that_raises_part_way_leaves_the_earlier_files(tmp_path):
     record = run_experiment(desk_config(num_tasks=2, log_steps=True))
     write_outputs(record, tmp_path)
-    sweep = run_sweep(SweepSpec(base=desk_config(num_tasks=1), method="baseline", seeds=(0,)))
+    sweep = run_sweep(SweepSpec(base=desk_config(num_tasks=1, method="baseline"), seeds=(0,)))
     write_sweep_outputs(sweep, tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert sorted(before) == ["steps.csv", "summary.json", "sweep.csv", "sweep_summary.json",
@@ -330,8 +331,8 @@ def test_a_write_that_raises_part_way_leaves_the_earlier_files(tmp_path):
 
 
 def test_single_cell_sweep_wins(tmp_path):
-    base = desk_config(num_tasks=2, optimizer="adam")
-    spec = SweepSpec(base=base, method="baseline", seeds=(0,))
+    base = desk_config(num_tasks=2, optimizer="adam", method="baseline")
+    spec = SweepSpec(base=base, seeds=(0,))
     result = run_sweep(spec)
     assert len(result.rows) == 2  # 2 alphas x 1 seed
     assert result.winner is not None
@@ -347,8 +348,8 @@ def test_single_cell_sweep_wins(tmp_path):
 
 
 def test_desk_scale_sweep_one_row_per_cell_seed():
-    base = desk_config(num_tasks=2)
-    result = run_sweep(SweepSpec(base=base, method="l2_init", seeds=(0, 1)))
+    base = desk_config(num_tasks=2, method="l2_init")
+    result = run_sweep(SweepSpec(base=base, seeds=(0, 1)))
     assert len(result.rows) == 8 * 2
     seen = {(r["lam"], r["alpha"], r["seed"]) for r in result.rows}
     assert len(seen) == 16
@@ -360,9 +361,9 @@ def _unreadable_data_spec(tmp_path, payload):
     if payload is not None:
         images.write_bytes(payload)
         labels.write_bytes(payload)
-    base = RunConfig(problem="permuted_mnist", mnist_images=str(images),
+    base = RunConfig(problem="permuted_mnist", method="baseline", mnist_images=str(images),
                      mnist_labels=str(labels), dataset_size=8, num_tasks=1, steps_per_task=2)
-    return SweepSpec(base=base, method="baseline", seeds=(0, 1))
+    return SweepSpec(base=base, seeds=(0, 1))
 
 
 @pytest.mark.parametrize("payload", (None, b"\x00\x00"), ids=("absent", "truncated"))
@@ -385,8 +386,8 @@ def test_parallel_sweep_records_unreadable_data_like_serial(tmp_path, payload):
 
 
 def test_parallel_sweep_matches_sequential():
-    base = desk_config(num_tasks=2, steps_per_task=6)
-    spec = SweepSpec(base=base, method="baseline", seeds=(0, 1))
+    base = desk_config(num_tasks=2, steps_per_task=6, method="baseline")
+    spec = SweepSpec(base=base, seeds=(0, 1))
     seq = run_sweep(spec, workers=1)
     par = run_sweep(spec, workers=2)
     assert seq.rows == par.rows
@@ -454,8 +455,8 @@ def test_the_pool_is_capped_by_jobs_and_cpus(monkeypatch, workers, jobs, cpus, p
 def test_fewer_than_one_worker_is_a_config_error(tmp_path, capsys, workers):
     with pytest.raises(ConfigError, match=f"workers must be at least 1, got {workers}"):
         runner.run_jobs(str, [1, 2], workers)
-    code = main(["sweep", "--method", "baseline", "--seeds", "1", "--workers", str(workers),
-                 "--out", str(tmp_path / "o"), "problem=synthetic_permuted"])
+    code = main(["sweep", "--seeds", "1", "--workers", str(workers), "method=baseline",
+                 f"out={tmp_path / 'o'}", "problem=synthetic_permuted"])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: workers must be at least 1, got {workers}"]
@@ -467,7 +468,7 @@ def test_fewer_than_one_worker_is_a_config_error(tmp_path, capsys, workers):
 def test_cli_run_and_inspect(tmp_path, capsys):
     out = tmp_path / "out"
     code = main([
-        "run", "--out", str(out), "problem=synthetic_permuted",
+        "run", f"out={out}", "problem=synthetic_permuted",
         "num_tasks=2", "steps_per_task=4", "dataset_size=32",
     ])
     assert code == 0
@@ -479,13 +480,37 @@ def test_cli_run_and_inspect(tmp_path, capsys):
 
 def test_cli_run_with_seed_and_log_steps(tmp_path):
     out = tmp_path / "out"
-    code = main(["run", "--seed", "3", "--log-steps", "--out", str(out),
+    code = main(["run", "seed=3", "log_steps=true", f"out={out}",
                  "problem=synthetic_permuted", "num_tasks=2", "steps_per_task=4",
                  "dataset_size=32"])
     assert code == 0
     assert len((out / "steps.csv").read_text().splitlines()) == 1 + 8
     summary = json.loads((out / "summary.json").read_text())
     assert summary["seed"] == 3 and summary["config"]["log_steps"] is True
+
+
+def test_a_run_without_log_steps_removes_an_earlier_steps_csv(tmp_path):
+    keys = [f"out={tmp_path}", "problem=synthetic_permuted", "num_tasks=2", "dataset_size=32"]
+    assert main(["run", *keys, "steps_per_task=2", "log_steps=true"]) == 0
+    assert len((tmp_path / "steps.csv").read_text().splitlines()) == 1 + 4
+    assert main(["run", *keys, "steps_per_task=3"]) == 0
+    assert not (tmp_path / "steps.csv").exists()  # it would contradict the new summary
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["steps_completed"] == 6 and summary["config"]["log_steps"] is False
+
+
+# and no flag is taken by a prefix: `sweep --seed` is not `--seeds`
+@pytest.mark.parametrize("flag", [["run", "--seed", "3"], ["run", "--out", "o"],
+                                  ["run", "--log-steps"], ["sweep", "--method", "baseline"],
+                                  ["sweep", "--out", "o"], ["sweep", "--seed", "3"]],
+                         ids=("run_seed", "run_out", "run_log_steps", "sweep_method", "sweep_out",
+                              "sweep_seed"))
+def test_a_flag_that_duplicated_a_config_key_is_a_usage_error(tmp_path, monkeypatch, capsys, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main([*flag, "problem=synthetic_permuted", "num_tasks=1", "steps_per_task=2"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: unrecognized arguments: {flag[1]}")
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("payload", [b"{not json", b"[1, 2]", b"\xff\xfe{}",
@@ -504,18 +529,22 @@ def test_cli_inspect_of_a_malformed_summary_is_an_io_error(tmp_path, capsys, pay
 def test_cli_run_with_a_non_utf8_config_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"\xff\xfeproblem = synthetic_permuted\n")
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert main(["run", "--config", str(path), f"out={tmp_path / 'o'}"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {path}: not UTF-8 text")
     assert not (tmp_path / "o").exists()
 
 
 def test_cli_sweep_of_an_unknown_method_is_a_usage_error(tmp_path, capsys):
-    code = main(["sweep", "--method", "dropout", "--seeds", "1", "--out", str(tmp_path / "o"),
+    code = main(["sweep", "--seeds", "1", "method=dropout", f"out={tmp_path / 'o'}",
                  "problem=synthetic_permuted"])
     assert code == 1
-    assert capsys.readouterr().err.splitlines() == ["error: unknown method 'dropout'"]
+    assert capsys.readouterr().err.splitlines() == [
+        "error: override 'method=dropout': bad value for key 'method': "
+        f"expected one of {', '.join(METHODS)}; got 'dropout'"]
     assert not (tmp_path / "o").exists()
+    with pytest.raises(ConfigError, match="^unknown method 'dropout'$"):
+        SweepSpec(desk_config(method="dropout")).cells()
 
 
 def test_cli_usage_error_exit_code():
@@ -527,7 +556,7 @@ def test_cli_usage_error_exit_code():
 
 @pytest.mark.parametrize("from_file", (False, True))
 def test_cli_removed_utility_kind_is_an_unknown_key(tmp_path, capsys, from_file):
-    args = ["run", "--out", str(tmp_path / "o"), "problem=synthetic_permuted"]
+    args = ["run", f"out={tmp_path / 'o'}", "problem=synthetic_permuted"]
     if from_file:
         (tmp_path / "run.cfg").write_text("utility_kind = contribution\n")
         args[1:1] = ["--config", str(tmp_path / "run.cfg")]
@@ -544,7 +573,7 @@ def test_cli_removed_utility_kind_is_an_unknown_key(tmp_path, capsys, from_file)
      ("synthetic_permuted", "num_tasks=0")],
 )
 def test_cli_rejects_non_positive_sizes(tmp_path, capsys, problem, override):
-    args = ["run", "--out", str(tmp_path / "o"), f"problem={problem}", "dataset_size=8", override]
+    args = ["run", f"out={tmp_path / 'o'}", f"problem={problem}", "dataset_size=8", override]
     if problem == "permuted_mnist":
         rng = RngStream(0)
         images = (rng.uniform(0, 1, (8, 28, 28)) * 255).astype(np.uint8)
@@ -558,7 +587,7 @@ def test_cli_rejects_non_positive_sizes(tmp_path, capsys, problem, override):
 
 
 def test_cli_negative_hyper_parameter_is_a_usage_error(tmp_path, capsys):
-    code = main(["run", "--out", str(tmp_path / "o"), "problem=synthetic_permuted", "lambda=-1"])
+    code = main(["run", f"out={tmp_path / 'o'}", "problem=synthetic_permuted", "lambda=-1"])
     assert code == 1
     assert "error: lam must be >= 0" in capsys.readouterr().err
 
@@ -567,7 +596,7 @@ def test_cli_dataset_size_beyond_the_file_is_a_usage_error(tmp_path, capsys):
     rng = RngStream(0)
     write_idx_images(tmp_path / "i.idx", (rng.uniform(0, 1, (200, 28, 28)) * 255).astype(np.uint8))
     write_idx_labels(tmp_path / "l.idx", np.asarray(rng.integers(0, 10, 200)))
-    code = main(["run", "--out", str(tmp_path / "o"), "problem=permuted_mnist",
+    code = main(["run", f"out={tmp_path / 'o'}", "problem=permuted_mnist",
                  "dataset_size=500", f"mnist_images={tmp_path / 'i.idx'}",
                  f"mnist_labels={tmp_path / 'l.idx'}"])
     assert code == 1
@@ -576,7 +605,7 @@ def test_cli_dataset_size_beyond_the_file_is_a_usage_error(tmp_path, capsys):
 
 
 def test_cli_more_than_ten_classes_is_a_usage_error(tmp_path, capsys):
-    code = main(["run", "--out", str(tmp_path / "o"), "problem=synthetic_permuted", "classes=12"])
+    code = main(["run", f"out={tmp_path / 'o'}", "problem=synthetic_permuted", "classes=12"])
     assert code == 1
     assert "error: classes must be <= 10, got 12" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -614,7 +643,7 @@ HYPER_ERRORS = [
 @pytest.mark.parametrize("override, message", WIDTH_ERRORS + ALPHA_ERRORS + HYPER_ERRORS,
                          ids=[o for o, _ in WIDTH_ERRORS + ALPHA_ERRORS + HYPER_ERRORS])
 def test_cli_bad_widths_and_step_sizes_are_usage_errors(tmp_path, capsys, override, message):
-    code = main(["run", "--out", str(tmp_path / "o"), "problem=synthetic_permuted",
+    code = main(["run", f"out={tmp_path / 'o'}", "problem=synthetic_permuted",
                  *override.split()])
     assert code == 1
     errors = [ln for ln in capsys.readouterr().err.splitlines() if "error" in ln]
@@ -633,8 +662,9 @@ def test_validate_alone_rejects_each_bad_hyper_parameter(override, message):
 @pytest.mark.parametrize("override, message", WIDTH_ERRORS + HYPER_ERRORS,
                          ids=[o for o, _ in WIDTH_ERRORS + HYPER_ERRORS])
 def test_cli_sweep_records_bad_widths_per_cell(tmp_path, capsys, override, message):
-    code = main(["sweep", "--method", "baseline", "--seeds", "1", "--out", str(tmp_path / "o"),
-                 "problem=synthetic_permuted", *override.split()])
+    # the last method key wins: these sweep baseline, whose grid leaves the bad value as it is
+    code = main(["sweep", "--seeds", "1", f"out={tmp_path / 'o'}",
+                 "problem=synthetic_permuted", *override.split(), "method=baseline"])
     assert code == 1  # every cell failed with cause "config"
     assert capsys.readouterr().out.splitlines() == ["all sweep cells failed", f"  {message}"]
     rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
@@ -653,7 +683,7 @@ def test_cli_io_error_exit_code(tmp_path):
 
 def test_cli_numerical_failure_exit_code(tmp_path):
     code = main([
-        "run", "--out", str(tmp_path / "o"), "problem=synthetic_permuted",
+        "run", f"out={tmp_path / 'o'}", "problem=synthetic_permuted",
         "optimizer=sgd", "alpha=1e9", "num_tasks=2", "steps_per_task=5",
         "dataset_size=32",
     ])
@@ -662,7 +692,7 @@ def test_cli_numerical_failure_exit_code(tmp_path):
 
 def test_cli_sweep_over_missing_data_names_the_error(tmp_path, capsys):
     code = main([
-        "sweep", "--method", "baseline", "--seeds", "1", "--out", str(tmp_path / "o"),
+        "sweep", "--seeds", "1", "method=baseline", f"out={tmp_path / 'o'}",
         "problem=permuted_mnist", f"mnist_images={tmp_path}/absent.idx",
         f"mnist_labels={tmp_path}/absent.idx",
     ])
@@ -675,7 +705,7 @@ def test_cli_sweep_of_config_errors_is_a_usage_error(tmp_path, capsys):
     rng = RngStream(0)
     write_idx_images(tmp_path / "i.idx", (rng.uniform(0, 1, (200, 28, 28)) * 255).astype(np.uint8))
     write_idx_labels(tmp_path / "l.idx", np.asarray(rng.integers(0, 10, 200)))
-    code = main(["sweep", "--method", "baseline", "--seeds", "1", "--out", str(tmp_path / "o"),
+    code = main(["sweep", "--seeds", "1", "method=baseline", f"out={tmp_path / 'o'}",
                  "problem=permuted_mnist", "dataset_size=500",
                  f"mnist_images={tmp_path / 'i.idx'}", f"mnist_labels={tmp_path / 'l.idx'}"])
     assert code == 1
@@ -685,7 +715,7 @@ def test_cli_sweep_of_config_errors_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("seeds", ["0", "-2"])
 def test_cli_sweep_over_no_seeds_is_a_usage_error(tmp_path, capsys, seeds):
-    code = main(["sweep", "--method", "baseline", "--seeds", seeds, "--out", str(tmp_path / "o"),
+    code = main(["sweep", "--seeds", seeds, "method=baseline", f"out={tmp_path / 'o'}",
                  "problem=synthetic_permuted"])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == ["error: a sweep needs at least 1 seed"]
@@ -694,7 +724,7 @@ def test_cli_sweep_over_no_seeds_is_a_usage_error(tmp_path, capsys, seeds):
 
 def test_cli_sweep_where_every_cell_diverges_is_a_numerical_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "DIVERGENCE_MAGNITUDE", 0.0)  # every run stops at step 0
-    code = main(["sweep", "--method", "baseline", "--seeds", "1", "--out", str(tmp_path / "o"),
+    code = main(["sweep", "--seeds", "1", "method=baseline", f"out={tmp_path / 'o'}",
                  "problem=synthetic_permuted", "num_tasks=1", "steps_per_task=2"])
     assert code == 3
     rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
@@ -716,7 +746,7 @@ def test_cli_gradcheck_passes(capsys):
 
 def test_cli_sweep(tmp_path):
     code = main([
-        "sweep", "--method", "baseline", "--seeds", "1", "--out", str(tmp_path),
+        "sweep", "--seeds", "1", "method=baseline", f"out={tmp_path}",
         "problem=synthetic_permuted", "num_tasks=2", "steps_per_task=4",
         "dataset_size=32",
     ])
