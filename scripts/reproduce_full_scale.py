@@ -15,11 +15,13 @@ batch (data_batch_1.bin).
 Every run setting is a config key, from `--config FILE` and `key=value`
 arguments, as for `plab run`: `problem` and `optimizer` pick the roster
 (default permuted_mnist / adam), and `out` names the output root (default
-`runs`). Each run then takes its method, its seed and that method's
-optimal hyper-parameters from the roster, over any keys given for them.
+`runs`). Each run then takes its method and its seed from the roster
+(`--methods`, `--seeds`), so a `method` or `seed` key is a config error,
+and that method's optimal hyper-parameters over any keys given for them.
 Every job is checked before the first one runs. As with `plab run`, a
-config error prints one `error:` line and exits 1, and unreadable data one
-`i/o error:` line and exits 2; the script exits 3 if any run diverged.
+config or argument error prints one `error:` line and exits 1, and
+unreadable data one `i/o error:` line and exits 2; the script exits 3 if
+any run diverged.
 
 Usage (key=value arguments go before --methods, which takes the rest):
   python3 scripts/reproduce_full_scale.py problem=permuted_mnist \
@@ -37,6 +39,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from plasticity_lab.config import RunConfig, parse_config
 from plasticity_lab.errors import ConfigError, DataFormatError
 from plasticity_lab.runner import run_experiment, write_outputs
+
+# the keys the roster sets for each run, and what to give instead
+ROSTER_KEYS = {"method": "is set per run by the roster; name methods with --methods",
+               "seed": "is set per run by the roster; give the seed count with --seeds"}
 
 # reported optimal hyper-parameters, keyed by (problem, optimizer, method)
 OPTIMAL = {
@@ -91,7 +97,7 @@ OPTIMAL = {
 
 def _jobs(args) -> list[RunConfig]:
     """The config of every run, its output directory as `out`, each checked as `plab run` does."""
-    base = parse_config(args.config, args.overrides)
+    base = parse_config(args.config, args.overrides, fixed=ROSTER_KEYS)
     if (base.problem, base.optimizer) not in OPTIMAL:
         raise ConfigError(f"no reported optima for {base.problem} / {base.optimizer}")
     roster = OPTIMAL[(base.problem, base.optimizer)]
@@ -109,19 +115,23 @@ def _jobs(args) -> list[RunConfig]:
     return jobs
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would print its usage and exit 2, the i/o error code
+        raise ConfigError(message)
+
+
 def main(argv: list[str] | None = None) -> int:
     # no prefixes: `--seed 3` or `--method M` would otherwise be `--seeds` or `--methods`
-    ap = argparse.ArgumentParser(description=__doc__, allow_abbrev=False,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(description=__doc__, allow_abbrev=False,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--config", default=None, help="flat key=value config file")
     ap.add_argument("--methods", nargs="*", default=None,
                     help="subset of methods (default: full roster for the problem)")
     ap.add_argument("--seeds", type=int, default=3)
     ap.add_argument("overrides", nargs="*", help="key=value config overrides")
-    args = ap.parse_args(argv)
     incomplete = False
     try:
-        for cfg in _jobs(args):
+        for cfg in _jobs(ap.parse_args(argv)):
             print(f"running {cfg.method} seed {cfg.seed} -> {cfg.out}", flush=True)
             record = run_experiment(cfg)
             write_outputs(record, cfg.out)

@@ -159,7 +159,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)  # key=values after a flag land in `extra`
+        if extra and ("overrides" not in args or any(arg.startswith("-") for arg in extra)):
+            raise _UsageError(f"unrecognized arguments: {' '.join(extra)}")
+        args.overrides = getattr(args, "overrides", []) + extra
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "sweep":

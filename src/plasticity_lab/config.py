@@ -143,7 +143,9 @@ CONFIG_KEYS: dict[str, tuple[str, Any]] = {
 }
 
 
-def _apply(config: RunConfig, key: str, raw: str, where: str) -> RunConfig:
+def _apply(config: RunConfig, key: str, raw: str, where: str, fixed: dict[str, str]) -> RunConfig:
+    if key in fixed:
+        raise ConfigError(f"{where}: key {key!r} {fixed[key]}")
     if key not in CONFIG_KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
     attr, parse = CONFIG_KEYS[key]
@@ -155,10 +157,10 @@ def _apply(config: RunConfig, key: str, raw: str, where: str) -> RunConfig:
 
 
 def parse_config(
-    path: str | None = None, overrides: list[str] | None = None
+    path: str | None = None, overrides: list[str] | None = None, fixed: dict[str, str] | None = None
 ) -> RunConfig:
-    """Build a RunConfig from an optional file plus `key=value` overrides."""
-    config = RunConfig()
+    """Build a RunConfig from a file and `key=value` overrides; a `fixed` key is an error."""
+    config, fixed = RunConfig(), fixed or {}
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -172,12 +174,12 @@ def parse_config(
             if "=" not in text:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = text.split("=", 1)
-            config = _apply(config, key.strip(), raw, f"{path}:{lineno}")
+            config = _apply(config, key.strip(), raw, f"{path}:{lineno}", fixed)
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected 'key=value'")
         key, raw = item.split("=", 1)
-        config = _apply(config, key.strip(), raw, f"override {item!r}")
+        config = _apply(config, key.strip(), raw, f"override {item!r}", fixed)
     return config
 
 

@@ -22,6 +22,7 @@ from plasticity_lab.optim import MethodConfig, apply_method_step, make_optimizer
 from plasticity_lab.problems import (
     CIFAR_RECORD_BYTES,
     READ_BYTES,
+    READ_CALL_BYTES,
     Dataset,
     load_cifar10_bin,
     load_idx,
@@ -65,6 +66,12 @@ def test_idx_bad_magic_reports_observed_value(tmp_path):
         fh.write(struct.pack(">II", 0x00000899, 2))
     with pytest.raises(DataFormatError, match="0x00000899"):
         load_idx(str(path), str(path), 1, RngStream(0))
+
+
+def test_idx_files_given_the_wrong_way_round_are_format_errors(tmp_path):
+    images, labels = idx_pair(tmp_path, np.zeros((2, 28, 28), dtype=np.uint8), [5, 0])
+    with pytest.raises(DataFormatError, match=r"0x00000801 \(want 0x00000803\)"):
+        load_idx(labels, images, 1, RngStream(0))
 
 
 def test_idx_truncated_payload(tmp_path):
@@ -122,27 +129,32 @@ def raw_labels(n=40, seed=0):
     return RngStream(seed).integers(0, 10, n).astype(np.uint8)
 
 
+def kept(size, labels, n, rng):
+    """The kept rows, as a loader gets them: drawn, then checked by subsample."""
+    return subsample(size, labels, n, rng.permutation(size)[:n])
+
+
 def test_subsample_full_size_is_permutation():
-    out = subsample(40, raw_labels(), 40, RngStream(1).split("s"))
+    out = kept(40, raw_labels(), 40, RngStream(1).split("s"))
     assert sorted(out.tolist()) == list(range(40))
 
 
 def test_subsample_deterministic():
-    a = subsample(40, raw_labels(), 10, RngStream(2).split("s"))
-    b = subsample(40, raw_labels(), 10, RngStream(2).split("s"))
+    a = kept(40, raw_labels(), 10, RngStream(2).split("s"))
+    b = kept(40, raw_labels(), 10, RngStream(2).split("s"))
     assert np.array_equal(a, b)
 
 
 def test_subsample_distinct_indices_fuzz():
     labels = raw_labels(n=25)
     for trial in range(1000):
-        out = subsample(25, labels, 10, RngStream(trial).split("s"))
+        out = kept(25, labels, 10, RngStream(trial).split("s"))
         assert len(set(out.tolist())) == 10 and 0 <= out.min() and out.max() < 25
 
 
 def test_subsample_too_large_rejected():
     with pytest.raises(ConfigError):
-        subsample(5, raw_labels(n=5), 6, RngStream(0))
+        kept(5, raw_labels(n=5), 6, RngStream(0))
 
 
 # --- task construction -----------------------------------------------------------
@@ -424,11 +436,14 @@ def whole_file_records(fields):
         return images, np.frombuffer(fh.read(), dtype=np.uint8, offset=8)
 
 
-@pytest.mark.parametrize("fmt,keep", [("idx", 700), ("idx", 3000), ("cifar", 300), ("cifar", 700)])
+# 100 of 3,000 MNIST rows are sparse enough for one read call each; the rest stream
+@pytest.mark.parametrize("fmt,keep", [("idx", 100), ("idx", 700), ("idx", 3000), ("cifar", 300),
+                                      ("cifar", 700)])
 def test_kept_rows_across_read_slices_match_the_whole_file(tmp_path, fmt, keep):
     fields = bad_idx_files(tmp_path, 3000, 3000) if fmt == "idx" else bad_cifar_file(tmp_path, 700)
     images, labels = whole_file_records(fields)
     assert images.nbytes > 2 * READ_BYTES  # three read slices or more
+    assert (keep * READ_CALL_BYTES < images.nbytes) == ((fmt, keep) == ("idx", 100))
     stream = build_stream(RunConfig(**fields, dataset_size=keep, seed=4))
     idx = RngStream(4).split("subsample").permutation(len(labels))[:keep]
     assert stream.base.images.dtype == np.uint8 and stream.base.labels.dtype == np.int64
@@ -463,20 +478,88 @@ def test_a_bad_label_in_an_unkept_read_slice_is_found(tmp_path, capsys, fmt):
     assert "labels outside [0, 10)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fmt", ["idx", "cifar"])
-def test_a_file_that_shrinks_after_its_length_check_is_a_format_error(tmp_path, monkeypatch, fmt):
-    fields = bad_idx_files(tmp_path, 40, 40) if fmt == "idx" else bad_cifar_file(tmp_path, 40)
+# the sparse case reads its 100 kept rows one call each; half its file goes, so kept rows do
+@pytest.mark.parametrize("fmt,n,keep", [("idx", 40, 40), ("cifar", 40, 40), ("idx", 3000, 100)],
+                         ids=("idx", "cifar", "idx_sparse"))
+def test_a_file_that_shrinks_after_its_length_check_is_a_format_error(tmp_path, monkeypatch, fmt,
+                                                                     n, keep):
+    fields = bad_idx_files(tmp_path, n, n) if fmt == "idx" else bad_cifar_file(tmp_path, n)
     path = fields["mnist_images" if fmt == "idx" else "cifar_bin"]
     full = os.path.getsize(path)
-    os.truncate(path, full - 100)  # the length check still sees `full` bytes
+    short = full - 100 if keep == n else full // 2
+    os.truncate(path, short)  # the length check still sees `full` bytes
 
     def stale_fstat(fd):
         st_size = os.fstat(fd).st_size
-        return types.SimpleNamespace(st_size=full if st_size == full - 100 else st_size)
+        return types.SimpleNamespace(st_size=full if st_size == short else st_size)
 
     monkeypatch.setattr(problems, "os", types.SimpleNamespace(fstat=stale_fstat))
     with pytest.raises(DataFormatError, match="file ended"):
-        build_stream(RunConfig(**fields, dataset_size=40, seed=1))
+        build_stream(RunConfig(**fields, dataset_size=keep, seed=1))
+
+
+class CountingFile:
+    """A file whose reads add the bytes they return to `log[path]`."""
+
+    def __init__(self, fh, log):
+        self._fh, self._log = fh, log.setdefault(fh.name, [])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def read(self, size=-1):
+        data = self._fh.read(size)
+        self._log.append(len(data))
+        return data
+
+    def readinto(self, buf):
+        got = self._fh.readinto(buf)
+        self._log.append(got)
+        return got
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Bytes read per file by the loaders, one entry per read call."""
+    log = {}
+    monkeypatch.setattr(problems, "open", lambda *a, **kw: CountingFile(open(*a, **kw), log),
+                        raising=False)
+    return log
+
+
+@pytest.mark.parametrize("keep", [100, 3000])
+def test_an_mnist_load_reads_the_label_file_the_headers_and_the_kept_rows(tmp_path, reads, keep):
+    fields = bad_idx_files(tmp_path, 3000, 3000)
+    build_stream(RunConfig(**fields, dataset_size=keep, seed=4))
+    images, labels = fields["mnist_images"], fields["mnist_labels"]
+    assert sum(reads[labels]) == os.path.getsize(labels)
+    if keep == 100:  # sparse: the 16-byte header, then one call per kept row
+        assert reads[images] == [16] + [784] * keep
+    else:  # every row is kept: one pass over the whole file, READ_BYTES at a time
+        per_read = READ_BYTES // 784
+        assert reads[images] == [16] + [per_read * 784] * 2 + [(keep - 2 * per_read) * 784]
+
+
+@pytest.mark.parametrize("keep", [5, 600])  # 5 rows sparse enough for a call each, 600 not
+def test_read_records_keeps_the_asked_columns_on_both_read_paths(tmp_path, keep):
+    path = bad_cifar_file(tmp_path, 700)["cifar_bin"]
+    records = np.fromfile(path, dtype=np.uint8).reshape(700, CIFAR_RECORD_BYTES)
+    idx = RngStream(4).permutation(700)[:keep]
+    assert (keep * READ_CALL_BYTES < (idx.max() + 1) * CIFAR_RECORD_BYTES) == (keep == 5)
+    got = problems._read_records(path, 0, CIFAR_RECORD_BYTES, idx, slice(1, None))
+    assert np.array_equal(got, records[idx, 1:])
+
+
+def test_a_cifar_load_reads_its_file_once(tmp_path, reads):
+    fields = bad_cifar_file(tmp_path, 700)
+    build_stream(RunConfig(**fields, dataset_size=10, seed=4))
+    assert sum(reads[fields["cifar_bin"]]) == os.path.getsize(fields["cifar_bin"])
 
 
 def test_build_stream_holds_no_whole_data_file(tmp_path):

@@ -58,13 +58,29 @@ def test_a_script_run_writes_the_bytes_of_plab_run(tmp_path, script, keys):
     (["problem=random_label_cifar", "--methods", "continual_backprop"],
      "no reported optima for 'continual_backprop' on random_label_cifar / sgd"),
     (["problem=random_label_cifar"], "random_label_cifar needs a cifar_bin path"),
+    (["--problem", "x"], "unrecognized arguments: --problem x"),
+    (["--seeds", "x"], "argument --seeds: invalid int value: 'x'"),
+    (["seed=1"], "override 'seed=1': key 'seed' is set per run by the roster; "
+                 "give the seed count with --seeds"),
+    (["method=l2"], "override 'method=l2': key 'method' is set per run by the roster; "
+                    "name methods with --methods"),
 ], ids=("unrostered_method", "a_later_unknown_method", "unrostered_problem", "cbp_on_the_cnn",
-        "missing_cifar_path"))
+        "missing_cifar_path", "unknown_flag", "bad_seed_count", "seed_key", "method_key"))
 def test_a_bad_job_is_one_error_line_before_any_run(tmp_path, capsys, script, keys, args, message):
     code = script.main([*keys, f"out={tmp_path / 'runs'}", *args])
     assert code == 1
     out, err = capsys.readouterr()
     assert out == "" and err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_method_key_in_the_config_file_is_an_error_naming_it(tmp_path, capsys, script, keys):
+    config = tmp_path / "run.cfg"
+    config.write_text("# the roster picks the method\nmethod = l2\n")
+    assert script.main(["--config", str(config), *keys, f"out={tmp_path / 'runs'}"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {config}:2: key 'method' is set per run by the roster; "
+        "name methods with --methods"]
     assert not (tmp_path / "runs").exists()
 
 

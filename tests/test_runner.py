@@ -513,6 +513,20 @@ def test_a_flag_that_duplicated_a_config_key_is_a_usage_error(tmp_path, monkeypa
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "1"]], ids=("run", "sweep"))
+def test_key_value_arguments_may_stand_on_either_side_of_a_flag(tmp_path, command):
+    config = tmp_path / "run.cfg"
+    config.write_text("problem = synthetic_permuted\nnum_tasks = 1\nsteps_per_task = 2\n")
+    split = [*command, f"out={tmp_path / 'split'}", "--config", str(config), "steps_per_task=3"]
+    after = [*command, "--config", str(config), f"out={tmp_path / 'after'}", "steps_per_task=3"]
+    assert main(split) == 0 and main(after) == 0
+    name = "sweep.csv" if command[0] == "sweep" else "task_metrics.csv"
+    assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "after" / name).read_bytes()
+    if command[0] == "run":
+        summary = json.loads((tmp_path / "split" / "summary.json").read_text())
+        assert summary["steps_completed"] == 3  # the key after the flag beat the file
+
+
 @pytest.mark.parametrize("payload", [b"{not json", b"[1, 2]", b"\xff\xfe{}",
                                      b'{"wall_clock_seconds": "x"}',
                                      b'{"wall_clock_seconds": null}'],
