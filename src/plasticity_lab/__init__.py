@@ -10,6 +10,7 @@ effective-feature-rank diagnostics.
 
 __version__ = "0.1.0"
 
+# the public names, each re-exported from its module
 from .config import RunConfig, SweepSpec, parse_config
 from .metrics import RunRecord
 from .nn import NetworkSpec, ParameterSet, forward, init_params, loss_and_grad
@@ -17,25 +18,3 @@ from .optim import MethodConfig, OptimizerState
 from .problems import Dataset, Task, TaskStream
 from .rng import RngStream
 from .runner import run_experiment, run_sweep, write_outputs
-
-__all__ = [
-    "__version__",
-    "RunConfig",
-    "SweepSpec",
-    "parse_config",
-    "RunRecord",
-    "NetworkSpec",
-    "ParameterSet",
-    "forward",
-    "init_params",
-    "loss_and_grad",
-    "MethodConfig",
-    "OptimizerState",
-    "Dataset",
-    "Task",
-    "TaskStream",
-    "RngStream",
-    "run_experiment",
-    "run_sweep",
-    "write_outputs",
-]

@@ -5,10 +5,12 @@ config's method), `gradcheck` (finite-difference gradient audit), and
 `inspect` (pretty-print a summary.json). Every run setting, the method,
 seed and output directory included, is a `key=value` config key (see
 `config`); the flags are only those that are not: `--config`, and a
-sweep's `--seeds` and `--workers`. Exit codes: 0 success, 1 usage/config
-error, 2 I/O error, 3 numerical failure. A sweep with no successful cell
-exits with the code of its earliest-stage failure: 1 if any cell had a
-config error, else 2 if any had an I/O error, else 3 (a cell diverged).
+sweep's `--seeds` and `--workers`. A sweep sets each cell's seed (0 to
+N-1 of `--seeds N`), so a `seed` key there is a config error. Exit codes:
+0 success, 1 usage/config error, 2 I/O error, 3 numerical failure. A
+sweep with no successful cell exits with the code of its earliest-stage
+failure: 1 if any cell had a config error, else 2 if any had an I/O
+error, else 3 (a cell diverged).
 """
 
 from __future__ import annotations
@@ -89,7 +91,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = parse_config(args.config, args.overrides)
+    cfg = parse_config(args.config, args.overrides, fixed={
+        "seed": "is set per cell by the sweep; give the seed count with --seeds"})
     spec = SweepSpec(base=cfg, seeds=tuple(range(args.seeds)))
     result = run_sweep(spec, workers=args.workers)
     out_dir = cfg.out or "out"

@@ -34,6 +34,7 @@ from .linalg import (
 from .rng import RngStream
 
 KERNEL_SIZE = 5
+PROBE_CHUNK = 64  # samples per conv pass of a rank probe
 
 
 def aligned_rows(rows: int, n: int) -> np.ndarray:
@@ -237,27 +238,31 @@ def forward(
         raise DimensionError(f"forward: batch shape {h.shape} != expected {expected}")
     v = params.values
     cache = ForwardCache()
-    n_conv = len(spec.convs)
-    for l in range(n_conv + len(spec.hidden_widths)):
-        conv = l < n_conv
+    for l in range(len(spec.convs) + len(spec.hidden_widths)):
         cache.inputs.append(h)
-        w, b = v[f"w{l}"], v[f"b{l}"]
-        z = conv2d(h, w, b) if conv else h @ w + b
-        if spec.layer_norm:  # over each sample's features; a no-op reshape on a dense layer
-            out, xhat, inv_std = _ln_forward(z.reshape(len(z), -1), v[f"gain{l}"], v[f"shift{l}"])
-            z = out.reshape(z.shape)
-            cache.ln.append((xhat, inv_std))
+        z, ln, h = _hidden_layer(spec, v, l, h)
         cache.preacts.append(z)
-        h = np.maximum(z, 0.0)
-        if conv:
-            h = maxpool2(h)
-            if l == n_conv - 1:  # dense layers take each sample's features flat
-                h = h.reshape(len(h), -1)
+        cache.ln += ln
 
     cache.inputs.append(h)
     out_layer = len(cache.preacts)
     logits = h @ v[f"w{out_layer}"] + v[f"b{out_layer}"]
     return logits, cache
+
+
+def _hidden_layer(spec: NetworkSpec, v, l: int, h: np.ndarray):
+    """Hidden layer l on h: its pre-ReLU z, [layer norm's (xhat, inv_std)] or [], and output."""
+    conv, ln = l < len(spec.convs), []
+    z = conv2d(h, v[f"w{l}"], v[f"b{l}"]) if conv else h @ v[f"w{l}"] + v[f"b{l}"]
+    if spec.layer_norm:  # over each sample's features; a no-op reshape on a dense layer
+        out, xhat, inv_std = _ln_forward(z.reshape(len(z), -1), v[f"gain{l}"], v[f"shift{l}"])
+        z, ln = out.reshape(z.shape), [(xhat, inv_std)]
+    h = np.maximum(z, 0.0)
+    if conv:
+        h = maxpool2(h)
+        if l == len(spec.convs) - 1:  # dense layers take each sample's features flat
+            h = h.reshape(len(h), -1)
+    return z, ln, h
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -334,10 +339,18 @@ def hidden_feature_matrices(
     """Per-hidden-layer feature matrices (samples x features) for rank probes.
 
     Each conv layer's post-pool feature map flattened per sample, then the
-    post-ReLU activations of each dense hidden layer.
+    post-ReLU activations of each dense hidden layer. Conv layers run on chunks of
+    PROBE_CHUNK samples, which bounds their im2col columns and keeps every bit of one
+    whole pass; a one-sample chunk would not (OpenBLAS takes its small-matrix path
+    there). Dense layers run once on every sample: their bits depend on the row count.
     """
-    _, cache = forward(spec, params, images)
-    return [h.reshape(len(h), -1) for h in cache.inputs[1:]]
+    h, feats = np.asarray(images, dtype=np.float64), []
+    cuts = range(PROBE_CHUNK, len(h) - 1, PROBE_CHUNK)  # a lone last sample joins the chunk before
+    for l in range(len(spec.convs) + len(spec.hidden_widths)):
+        parts = np.split(h, cuts) if l < len(spec.convs) else [h]
+        h = np.concatenate([_hidden_layer(spec, params.values, l, part)[2] for part in parts])
+        feats.append(h.reshape(len(h), -1))
+    return feats
 
 
 def training_loss(

@@ -6,6 +6,7 @@ import pytest
 from conftest import random_instance, tiny_cnn_spec, tiny_mlp_spec
 from plasticity_lab.errors import DimensionError
 from plasticity_lab.nn import (
+    PROBE_CHUNK,
     NetworkSpec,
     ParameterSet,
     cnn_feature_shapes,
@@ -302,9 +303,9 @@ def test_cnn_feature_matrices_match_a_direct_computation():
 
 
 def test_cnn_probe_keeps_no_im2col_columns():
-    # one 512-sample srank probe on the CIFAR CNN: layer 0's im2col columns
-    # (75 x 512*28*28) are 230 MiB and its GEMM output 49 MiB, which is the
-    # peak; columns kept past their GEMM add layer 1's 156 MiB on top
+    # one 512-sample srank probe on the CIFAR CNN: in one pass, layer 0's im2col
+    # columns (75 x 512*28*28) would be 230 MiB; a 64-sample chunk's are 29 MiB,
+    # and the probe peaks near 46 MiB
     spec = NetworkSpec(kind="cnn", input_shape=(3, 32, 32), hidden_widths=(10,))
     rng = RngStream(0)
     params = init_params(spec, rng.split("params"))
@@ -315,7 +316,25 @@ def test_cnn_probe_keeps_no_im2col_columns():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 300 * 2**20
+    assert peak < 100 * 2**20
+
+
+# 65 samples leave a one-sample remainder, which joins the chunk before it
+@pytest.mark.parametrize("samples", [65, 66, 512])
+@pytest.mark.parametrize("layer_norm", [False, True], ids=("plain", "layer_norm"))
+def test_a_chunked_cnn_probe_has_the_bits_of_one_whole_pass(samples, layer_norm):
+    spec = NetworkSpec(kind="cnn", input_shape=(3, 32, 32), hidden_widths=(10,),
+                       layer_norm=layer_norm)
+    rng = RngStream(3)
+    params = init_params(spec, rng.split("params"))
+    params.flat[:] += rng.split("shift").uniform(-0.1, 0.1, params.flat.size)  # gains off 1
+    images = rng.split("images").uniform(0.0, 1.0, (samples, 3, 32, 32))
+    assert samples > PROBE_CHUNK
+    _, cache = forward(spec, params, images)  # every layer on every sample at once
+    whole = [h.reshape(samples, -1) for h in cache.inputs[1:]]
+    mats = hidden_feature_matrices(spec, params, images)
+    assert [m.shape for m in mats] == [w.shape for w in whole]
+    assert all(m.tobytes() == w.tobytes() for m, w in zip(mats, whole))
 
 
 def test_feature_matrices_are_post_relu():

@@ -493,7 +493,8 @@ def test_a_file_that_shrinks_after_its_length_check_is_a_format_error(tmp_path, 
         st_size = os.fstat(fd).st_size
         return types.SimpleNamespace(st_size=full if st_size == short else st_size)
 
-    monkeypatch.setattr(problems, "os", types.SimpleNamespace(fstat=stale_fstat))
+    monkeypatch.setattr(problems, "os",
+                        types.SimpleNamespace(fstat=stale_fstat, preadv=os.preadv))
     with pytest.raises(DataFormatError, match="file ended"):
         build_stream(RunConfig(**fields, dataset_size=keep, seed=1))
 
@@ -526,10 +527,22 @@ class CountingFile:
 
 @pytest.fixture
 def reads(monkeypatch):
-    """Bytes read per file by the loaders, one entry per read call."""
-    log = {}
-    monkeypatch.setattr(problems, "open", lambda *a, **kw: CountingFile(open(*a, **kw), log),
-                        raising=False)
+    """Bytes read per file by the loaders, one entry per read call, positional reads included."""
+    log, names = {}, {}
+
+    def counting_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        names[fh.fileno()] = fh.name
+        return CountingFile(fh, log)
+
+    def counting_preadv(fd, buffers, offset):
+        got = os.preadv(fd, buffers, offset)
+        log[names[fd]].append(got)
+        return got
+
+    monkeypatch.setattr(problems, "open", counting_open, raising=False)
+    monkeypatch.setattr(problems, "os", types.SimpleNamespace(fstat=os.fstat,
+                                                              preadv=counting_preadv))
     return log
 
 
@@ -544,6 +557,15 @@ def test_an_mnist_load_reads_the_label_file_the_headers_and_the_kept_rows(tmp_pa
     else:  # every row is kept: one pass over the whole file, READ_BYTES at a time
         per_read = READ_BYTES // 784
         assert reads[images] == [16] + [per_read * 784] * 2 + [(keep - 2 * per_read) * 784]
+
+
+@pytest.mark.parametrize("keep", [100, 3000])
+def test_an_mnist_load_reads_its_labels_in_one_pass(tmp_path, monkeypatch, reads, keep):
+    monkeypatch.setattr(problems, "READ_BYTES", 1024)  # so the 3,000 labels take three reads
+    fields = bad_idx_files(tmp_path, 3000, 3000)
+    build_stream(RunConfig(**fields, dataset_size=keep, seed=4))
+    # the 8-byte header, then the payload a whole buffer at a time: no call reads one label
+    assert reads[fields["mnist_labels"]] == [8, 1024, 1024, 3000 - 2 * 1024]
 
 
 @pytest.mark.parametrize("keep", [5, 600])  # 5 rows sparse enough for a call each, 600 not

@@ -561,6 +561,19 @@ def test_cli_sweep_of_an_unknown_method_is_a_usage_error(tmp_path, capsys):
         SweepSpec(desk_config(method="dropout")).cells()
 
 
+@pytest.mark.parametrize("from_file", (False, True), ids=("argument", "config_file"))
+def test_cli_sweep_rejects_a_seed_key(tmp_path, capsys, from_file):
+    (tmp_path / "run.cfg").write_text("seed = 5\n" if from_file else "")
+    code = main(["sweep", "--seeds", "1", "--config", str(tmp_path / "run.cfg"),
+                 *([] if from_file else ["seed=5"]), "method=baseline", f"out={tmp_path / 'o'}",
+                 "problem=synthetic_permuted", "num_tasks=1", "steps_per_task=5"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "key 'seed'" in err[0], err
+    assert "--seeds" in err[0]
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
 def test_cli_usage_error_exit_code():
     assert main(["run", "--config", "/nonexistent", "alpha=oops"]) in (1, 2)
     assert main(["frobnicate"]) == 1
