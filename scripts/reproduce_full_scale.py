@@ -18,7 +18,8 @@ arguments, as for `plab run`: `problem` and `optimizer` pick the roster
 `runs`). Each run then takes its method and its seed from the roster
 (`--methods`, `--seeds`), so a `method` or `seed` key is a config error,
 and that method's optimal hyper-parameters over any keys given for them.
-Every job is checked before the first one runs. As with `plab run`, a
+Every job is checked before the first one runs; so is the roster
+(`--seeds` at least 1, no method named twice). As with `plab run`, a
 config or argument error prints one `error:` line and exits 1, and
 unreadable data one `i/o error:` line and exits 2; the script exits 3 if
 any run diverged.
@@ -36,6 +37,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from plasticity_lab.cli import Parser
 from plasticity_lab.config import RunConfig, parse_config
 from plasticity_lab.errors import ConfigError, DataFormatError
 from plasticity_lab.runner import run_experiment, write_outputs
@@ -101,12 +103,17 @@ def _jobs(args) -> list[RunConfig]:
     if (base.problem, base.optimizer) not in OPTIMAL:
         raise ConfigError(f"no reported optima for {base.problem} / {base.optimizer}")
     roster = OPTIMAL[(base.problem, base.optimizer)]
+    if args.seeds < 1:
+        raise ConfigError(f"the roster needs at least 1 seed, got --seeds {args.seeds}")
     root = Path(base.out or "runs") / base.problem / base.optimizer
     jobs = []
-    for method in args.methods or list(roster):
+    methods = args.methods or list(roster)
+    for i, method in enumerate(methods):
         if method not in roster:
             raise ConfigError(f"no reported optima for {method!r} on "
                               f"{base.problem} / {base.optimizer}")
+        if method in methods[:i]:  # its runs would share one output directory
+            raise ConfigError(f"--methods names {method!r} twice")
         for seed in range(args.seeds):
             out = str(root / method / f"seed{seed}")
             cfg = replace(base, method=method, seed=seed, out=out, **roster[method])
@@ -115,15 +122,9 @@ def _jobs(args) -> list[RunConfig]:
     return jobs
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would print its usage and exit 2, the i/o error code
-        raise ConfigError(message)
-
-
 def main(argv: list[str] | None = None) -> int:
-    # no prefixes: `--seed 3` or `--method M` would otherwise be `--seeds` or `--methods`
-    ap = _Parser(description=__doc__, allow_abbrev=False,
-                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    # plab's parser: `--seed 3` is not `--seeds 3`, and an argument error is a ConfigError
+    ap = Parser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--config", default=None, help="flat key=value config file")
     ap.add_argument("--methods", nargs="*", default=None,
                     help="subset of methods (default: full roster for the problem)")

@@ -41,20 +41,16 @@ EXIT_NUMERICAL = 3
 SWEEP_EXIT = {"config": EXIT_USAGE, "io": EXIT_IO}  # by failed-row cause; else numerical
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):  # plab's, and the full-scale script's
     def __init__(self, *args, **kwargs):  # no prefixes: `sweep --seed 3` is not `--seeds 3`
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
-    def error(self, message):  # argparse would exit(2); we map usage errors to 1
-        raise _UsageError(message)
+    def error(self, message):  # argparse would exit(2); a usage error is a config error, exit 1
+        raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="plab", description=__doc__)
+def _build_parser() -> Parser:
+    parser = Parser(prog="plab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one experiment")
@@ -164,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args, extra = parser.parse_known_args(argv)  # key=values after a flag land in `extra`
         if extra and ("overrides" not in args or any(arg.startswith("-") for arg in extra)):
-            raise _UsageError(f"unrecognized arguments: {' '.join(extra)}")
+            raise ConfigError(f"unrecognized arguments: {' '.join(extra)}")
         args.overrides = getattr(args, "overrides", []) + extra
         if args.command == "run":
             return _cmd_run(args)
@@ -173,7 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gradcheck":
             return _cmd_gradcheck()
         return _cmd_inspect(args)
-    except (_UsageError, ConfigError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, DataFormatError) as exc:

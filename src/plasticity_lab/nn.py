@@ -11,9 +11,10 @@ flat vectors read through named views (`ParameterSet`); layer l uses
 keys "w{l}"/"b{l}" and, when layer normalization is enabled, hidden
 layer l adds "gain{l}"/"shift{l}".
 
-Weights and biases are drawn uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)),
-and the flat vector is snapshotted at construction; that frozen snapshot
-is the anchor used by the regularizers in `optim`.
+`layer_shapes` lays the network out once. `init_params` builds from it each
+tensor's init distribution (weights and biases uniform(+-1/sqrt(fan_in)),
+layer-norm gains 1, shifts 0), draws with the loop of every later redraw, and
+snapshots the flat vector: the anchor used by the regularizers in `optim`.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ class NetworkSpec:
             raise DimensionError(f"{self.kind} input_shape must be {ndim}-D: {self.input_shape}")
         if not self.convs + self.hidden_widths:
             raise ValueError("network needs at least one hidden layer")
-        cnn_feature_shapes(self)  # validates spatial extents
+        layer_shapes(self)  # validates spatial extents
 
     @property
     def convs(self) -> tuple[int, ...]:
@@ -77,22 +78,35 @@ class NetworkSpec:
         return self.conv_channels if self.kind == "cnn" else ()
 
 
-def cnn_feature_shapes(spec: NetworkSpec) -> tuple[list[tuple[int, int, int]], int]:
-    """Per-conv-layer output shapes (pre-pool) and the width fed to the first dense layer."""
-    shape = spec.input_shape
-    conv_shapes = []
-    for f in spec.convs:
-        _, h, w = shape
-        if h < KERNEL_SIZE or w < KERNEL_SIZE:
-            raise DimensionError(
-                f"cnn input {spec.input_shape} too small for {KERNEL_SIZE}x{KERNEL_SIZE} conv"
-            )
-        h, w = h - KERNEL_SIZE + 1, w - KERNEL_SIZE + 1
-        conv_shapes.append((f, h, w))
+def layer_shapes(spec: NetworkSpec) -> list[tuple[tuple[int, ...], int, tuple[int, ...]]]:
+    """(weight shape, fan-in, output shape) per layer, conv layers first, the output layer last.
+
+    A conv layer's output is its map before the max pool, the shape of its layer-norm
+    gain and shift; the first dense layer takes the last pooled map flat.
+    """
+    k, shape, layers = KERNEL_SIZE, spec.input_shape, []
+    for l, f in enumerate(spec.convs):
+        c, h, w = shape
+        where = f"cnn input {spec.input_shape}: conv layer {l}'s"
+        if h < k or w < k:
+            raise DimensionError(f"{where} input map {h}x{w} is too small for {k}x{k} conv")
+        h, w = h - k + 1, w - k + 1
         if h < 2 or w < 2:
-            raise DimensionError(f"cnn feature map {(h, w)} too small for 2x2 max pool")
+            raise DimensionError(f"{where} feature map {h}x{w} is too small for 2x2 max pool")
+        layers.append(((f, c, k, k), c * k * k, (f, h, w)))
         shape = (f, h // 2, w // 2)
-    return conv_shapes, int(np.prod(shape))
+    dims = (int(np.prod(shape)), *spec.hidden_widths, spec.num_classes)
+    return layers + [((din, dout), din, (dout,)) for din, dout in zip(dims[:-1], dims[1:])]
+
+
+def _draw(init_spec: dict[str, tuple[str, float]], tensors, rng: RngStream) -> None:
+    """Fill each tensor from its init distribution; uniform ones draw from `rng` in order."""
+    for name, seg in tensors.items():
+        kind, v = init_spec[name]
+        if kind == "uniform":
+            rng.uniform(-v, v, out=seg)
+        else:
+            seg[...] = v
 
 
 class ParameterSet:
@@ -103,14 +117,14 @@ class ParameterSet:
     Neither mapping can be replaced: write tensors in place.
 
     `init_spec` records each tensor's initialization distribution
-    (("uniform", bound) or ("const", value)) so later redraws -- shrink &
-    perturb noise, resampled regularization anchors, neuron
-    reinitialization -- can match it exactly: `draw_initial` draws each
+    (("uniform", bound) or ("const", value)). `draw_initial` draws each
     uniform tensor with `RngStream.uniform(-bound, bound)`, in construction
-    order, and fills each constant one. `work` holds three scratch vectors,
-    the gradient (row 0) and the update terms, so no step allocates a
-    full-length array. Every full-length row here starts on a 64-byte
-    boundary (`aligned_rows`).
+    order, and fills each constant one. Init (`init_params`, before it
+    constructs) and each later redraw -- shrink & perturb noise, resampled
+    anchors -- run that one loop; a neuron reset reads its bound here.
+    `work` holds three scratch vectors, the gradient (row 0) and the update
+    terms, so no step allocates a full-length array. Every full-length row
+    here starts on a 64-byte boundary (`aligned_rows`).
     """
 
     def __init__(self, values: dict[str, np.ndarray], init_spec: dict[str, tuple[str, float]]):
@@ -142,43 +156,22 @@ class ParameterSet:
 
     def draw_initial(self, rng: RngStream, out: np.ndarray) -> np.ndarray:
         """A fresh draw of every entry from its initialization distribution, into `out`."""
-        for name, seg in self.named(out).items():
-            kind, v = self.init_spec[name]
-            if kind == "uniform":
-                rng.uniform(-v, v, out=seg)
-            else:
-                seg[...] = v
+        _draw(self.init_spec, self.named(out), rng)
         return out
 
 
 def init_params(spec: NetworkSpec, rng: RngStream) -> ParameterSet:
-    """Draw all trainable tensors; uniform(+-1/sqrt(fan_in)) for weights and biases."""
-    conv_shapes, flat = cnn_feature_shapes(spec)
-    channels = (spec.input_shape[0], *spec.convs)
-    dims = (flat, *spec.hidden_widths, spec.num_classes)
-    # (weight shape, bias width, fan-in) per layer, conv layers first
-    layers = [
-        ((cout, cin, KERNEL_SIZE, KERNEL_SIZE), cout, cin * KERNEL_SIZE * KERNEL_SIZE)
-        for cin, cout in zip(channels[:-1], channels[1:])
-    ] + [((din, dout), dout, din) for din, dout in zip(dims[:-1], dims[1:])]
-
-    values: dict[str, np.ndarray] = {}
-    init_spec: dict[str, tuple[str, float]] = {}
-    for layer, (w_shape, width, fan_in) in enumerate(layers):
-        bound = 1.0 / np.sqrt(fan_in)
-        values[f"w{layer}"] = rng.uniform(-bound, bound, w_shape)
-        init_spec[f"w{layer}"] = ("uniform", bound)
-        values[f"b{layer}"] = rng.uniform(-bound, bound, (width,))
-        init_spec[f"b{layer}"] = ("uniform", bound)
-
-    if spec.layer_norm:
-        hidden_shapes = conv_shapes + [(wd,) for wd in spec.hidden_widths]
-        for h, shape in enumerate(hidden_shapes):
-            values[f"gain{h}"] = np.ones(shape, dtype=np.float64)
-            init_spec[f"gain{h}"] = ("const", 1.0)
-            values[f"shift{h}"] = np.zeros(shape, dtype=np.float64)
-            init_spec[f"shift{h}"] = ("const", 0.0)
-
+    """Every tensor of `spec`, filled by `draw_initial`'s loop before the snapshot is taken:
+    weights and biases uniform(+-1/sqrt(fan_in)), layer-norm gains 1 and shifts 0."""
+    layers = layer_shapes(spec)
+    init_spec, values = {}, {}
+    for l, (w_shape, fan_in, out_shape) in enumerate(layers):
+        init_spec[f"w{l}"] = init_spec[f"b{l}"] = ("uniform", 1.0 / np.sqrt(fan_in))
+        values[f"w{l}"], values[f"b{l}"] = np.empty(w_shape), np.empty(out_shape[0])
+    for l, (_, _, out_shape) in enumerate(layers[:-1] if spec.layer_norm else []):
+        init_spec[f"gain{l}"], init_spec[f"shift{l}"] = ("const", 1.0), ("const", 0.0)
+        values[f"gain{l}"], values[f"shift{l}"] = np.empty(out_shape), np.empty(out_shape)
+    _draw(init_spec, values, rng)
     return ParameterSet(values, init_spec)
 
 

@@ -9,10 +9,10 @@ from plasticity_lab.nn import (
     PROBE_CHUNK,
     NetworkSpec,
     ParameterSet,
-    cnn_feature_shapes,
     forward,
     hidden_feature_matrices,
     init_params,
+    layer_shapes,
     loss_and_grad,
     training_loss,
 )
@@ -63,14 +63,27 @@ def test_mlp_parameter_shapes_match_architecture():
 
 def test_cnn_parameter_shapes_and_flat_width():
     spec = NetworkSpec(kind="cnn", input_shape=(3, 32, 32), hidden_widths=(10,))
-    conv_shapes, flat = cnn_feature_shapes(spec)
-    assert conv_shapes == [(16, 28, 28), (16, 10, 10)]
-    assert flat == 16 * 5 * 5
+    weights, fan_ins, outputs = zip(*layer_shapes(spec))
+    assert outputs == ((16, 28, 28), (16, 10, 10), (10,), (10,))  # conv maps before the pool
+    assert weights == ((16, 3, 5, 5), (16, 16, 5, 5), (400, 10), (10, 10))  # 16 x 5 x 5 flat
+    assert fan_ins == (3 * 25, 16 * 25, 400, 10)
     params = init_params(spec, RngStream(0).split("init"))
-    assert params.values["w0"].shape == (16, 3, 5, 5)
-    assert params.values["w1"].shape == (16, 16, 5, 5)
-    assert params.values["w2"].shape == (400, 10)
-    assert params.values["w3"].shape == (10, 10)
+    assert [params.values[f"w{l}"].shape for l in range(4)] == list(weights)
+    assert [params.values[f"b{l}"].shape for l in range(4)] == [(16,), (16,), (10,), (10,)]
+
+
+@pytest.mark.parametrize("kind", ["mlp", "cnn"])
+@pytest.mark.parametrize("layer_norm", [False, True], ids=("plain", "ln"))
+def test_init_is_a_draw_of_draw_initial(kind, layer_norm):
+    spec = NetworkSpec(kind=kind, input_shape=(784,) if kind == "mlp" else (3, 32, 32),
+                       hidden_widths=(100, 100) if kind == "mlp" else (10,),
+                       layer_norm=layer_norm)
+    init_rng, draw_rng = RngStream(8).split("init"), RngStream(8).split("init")
+    params = init_params(spec, init_rng)
+    drawn = params.draw_initial(draw_rng, np.full(params.flat.size, np.nan))
+    assert np.array_equal(params.flat.view(np.int64), drawn.view(np.int64))
+    assert np.array_equal(params.flat0.view(np.int64), drawn.view(np.int64))
+    assert init_rng.uniform(0.0, 1.0) == draw_rng.uniform(0.0, 1.0)  # the same stream state after
 
 
 def test_init_values_within_fan_in_bound():
@@ -159,8 +172,15 @@ def test_forward_rejects_wrong_batch_shape():
 
 def test_cnn_spec_rejects_small_spatial():
     # the one check on conv extents: conv2d trusts the shapes NetworkSpec admits
-    with pytest.raises(DimensionError):
-        NetworkSpec(kind="cnn", input_shape=(1, 4, 5))
+    for shape, message in [
+        ((1, 4, 5), r"\(1, 4, 5\): conv layer 0's input map 4x5 is too small for 5x5 conv"),
+        ((1, 5, 5), r"\(1, 5, 5\): conv layer 0's feature map 1x1 is too small for 2x2 max pool"),
+        ((1, 12, 12), r"\(1, 12, 12\): conv layer 1's input map 4x4 is too small for 5x5 conv"),
+        ((1, 14, 14), r"\(1, 14, 14\): conv layer 1's feature map 1x1 is too small for 2x2 max"),
+    ]:
+        with pytest.raises(DimensionError, match=message):
+            NetworkSpec(kind="cnn", input_shape=shape)
+    NetworkSpec(kind="cnn", input_shape=(1, 16, 16))  # conv layer 1: 6x6 in, 2x2 out, 1x1 pooled
 
 
 def test_forward_deterministic():

@@ -60,12 +60,16 @@ def test_a_script_run_writes_the_bytes_of_plab_run(tmp_path, script, keys):
     (["problem=random_label_cifar"], "random_label_cifar needs a cifar_bin path"),
     (["--problem", "x"], "unrecognized arguments: --problem x"),
     (["--seeds", "x"], "argument --seeds: invalid int value: 'x'"),
+    (["--seeds", "0"], "the roster needs at least 1 seed, got --seeds 0"),
+    (["--seeds", "-2"], "the roster needs at least 1 seed, got --seeds -2"),
+    (["--methods", "l2", "l2"], "--methods names 'l2' twice"),
     (["seed=1"], "override 'seed=1': key 'seed' is set per run by the roster; "
                  "give the seed count with --seeds"),
     (["method=l2"], "override 'method=l2': key 'method' is set per run by the roster; "
                     "name methods with --methods"),
 ], ids=("unrostered_method", "a_later_unknown_method", "unrostered_problem", "cbp_on_the_cnn",
-        "missing_cifar_path", "unknown_flag", "bad_seed_count", "seed_key", "method_key"))
+        "missing_cifar_path", "unknown_flag", "bad_seed_count", "no_seeds", "negative_seeds",
+        "a_repeated_method", "seed_key", "method_key"))
 def test_a_bad_job_is_one_error_line_before_any_run(tmp_path, capsys, script, keys, args, message):
     code = script.main([*keys, f"out={tmp_path / 'runs'}", *args])
     assert code == 1
