@@ -19,10 +19,11 @@ arguments, as for `plab run`: `problem` and `optimizer` pick the roster
 (`--methods`, `--seeds`), so a `method` or `seed` key is a config error,
 and that method's optimal hyper-parameters over any keys given for them.
 Every job is checked before the first one runs; so is the roster
-(`--seeds` at least 1, no method named twice). As with `plab run`, a
-config or argument error prints one `error:` line and exits 1, and
-unreadable data one `i/o error:` line and exits 2; the script exits 3 if
-any run diverged.
+(`--seeds` at least 1; `--methods`, if given, names at least one method
+and none twice). As with `plab run`, a config or argument error prints
+one `error:` line and exits 1, and unreadable data or an unwritable `out`
+(a run makes its directory before its first step) one `i/o error:` line
+and exits 2; the script exits 3 if any run diverged.
 
 Usage (key=value arguments go before --methods, which takes the rest):
   python3 scripts/reproduce_full_scale.py problem=permuted_mnist \
@@ -105,9 +106,11 @@ def _jobs(args) -> list[RunConfig]:
     roster = OPTIMAL[(base.problem, base.optimizer)]
     if args.seeds < 1:
         raise ConfigError(f"the roster needs at least 1 seed, got --seeds {args.seeds}")
+    if args.methods == []:  # a bare `--methods` is a mistake, not a request for all
+        raise ConfigError("--methods names no method")
     root = Path(base.out or "runs") / base.problem / base.optimizer
     jobs = []
-    methods = args.methods or list(roster)
+    methods = list(roster) if args.methods is None else args.methods
     for i, method in enumerate(methods):
         if method not in roster:
             raise ConfigError(f"no reported optima for {method!r} on "

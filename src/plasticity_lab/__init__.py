@@ -11,7 +11,7 @@ effective-feature-rank diagnostics.
 __version__ = "0.1.0"
 
 # the public names, each re-exported from its module
-from .config import RunConfig, SweepSpec, parse_config
+from .config import RunConfig, parse_config
 from .metrics import RunRecord
 from .nn import NetworkSpec, ParameterSet, forward, init_params, loss_and_grad
 from .optim import MethodConfig, OptimizerState

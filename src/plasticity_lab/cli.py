@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .config import SweepSpec, parse_config
+from .config import parse_config
 from .errors import ConfigError, DataFormatError
 from .nn import (
     NetworkSpec,
@@ -89,16 +89,15 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = parse_config(args.config, args.overrides, fixed={
         "seed": "is set per cell by the sweep; give the seed count with --seeds"})
-    spec = SweepSpec(base=cfg, seeds=tuple(range(args.seeds)))
-    result = run_sweep(spec, workers=args.workers)
+    rows, summary = run_sweep(cfg, args.seeds, workers=args.workers)
     out_dir = cfg.out or "out"
-    write_sweep_outputs(result, out_dir)
-    if result.winner is None:
-        errors = sorted({row["error"] for row in result.rows if "error" in row})
+    write_sweep_outputs(rows, summary, out_dir)
+    if summary["winner"] is None:
+        errors = sorted({row["error"] for row in rows if "error" in row})
         print("all sweep cells failed", *errors, sep="\n  ")
         return min(SWEEP_EXIT.get(row.get("cause"), EXIT_NUMERICAL)
-                   for row in result.rows if row["status"] != "ok")
-    print(f"winner for {cfg.method}: {result.winner}")
+                   for row in rows if row["status"] != "ok")
+    print(f"winner for {cfg.method}: {summary['winner']}")
     return EXIT_OK
 
 

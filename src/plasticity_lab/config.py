@@ -9,6 +9,7 @@ With no overrides, each problem resolves to its row of `PROBLEMS`: full
 scale for the image problems, desk scale for the synthetic ones, so the
 whole pipeline runs in minutes. `RunConfig` extends `optim.MethodConfig`,
 and `RunConfig.validate` is the one check of a parsed config.
+`sweep_cells` is the one list of a sweep's grid cells for the base's method.
 """
 
 from __future__ import annotations
@@ -195,25 +196,10 @@ GRIDS = {
 }
 
 
-@dataclass
-class SweepSpec:
-    base: RunConfig  # its method is the one swept
-    seeds: tuple[int, ...] = (0, 1, 2)
-
-    def cells(self) -> list[dict[str, float]]:
-        """Grid cells, ordered small-hyper-parameter-first for tie-breaking."""
-        if self.base.method not in METHODS:
-            raise ConfigError(f"unknown method {self.base.method!r}")
-        if not self.seeds:  # a cell mean over no seeds would be NaN
-            raise ConfigError("a sweep needs at least 1 seed")
-        names = METHODS[self.base.method]
-        grids = [sorted(GRIDS[n]) for n in names] + [sorted(ALPHA_GRID[self.base.optimizer])]
-        return [dict(zip((*names, "alpha"), v)) for v in itertools.product(*grids)]
-
-
-@dataclass
-class SweepResult:
-    method: str
-    rows: list[dict]            # one per (cell, seed)
-    cell_means: list[dict]      # one per cell, with mean metric and status
-    winner: dict | None         # best cell's hyper-parameters, or None if all failed
+def sweep_cells(base: RunConfig) -> list[dict[str, float]]:
+    """The grid cells of the base config's method, small-hyper-parameter-first for tie-breaking."""
+    if base.method not in METHODS:
+        raise ConfigError(f"unknown method {base.method!r}")
+    names = METHODS[base.method]
+    grids = [sorted(GRIDS[n]) for n in names] + [sorted(ALPHA_GRID[base.optimizer])]
+    return [dict(zip((*names, "alpha"), v)) for v in itertools.product(*grids)]

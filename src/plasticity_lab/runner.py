@@ -24,9 +24,9 @@ the cores; a job's bytes do not depend on the worker count.
 Outputs: `task_metrics.csv` (one row per task), `summary.json`, optional
 `steps.csv` (per-step accuracies), and `sweep.csv` / `sweep_summary.json`
 for sweeps. CSV floats use repr formatting, '.' decimal, LF endings, so a
-(config, seed) pair determines every output byte. Each file is written
-whole to a temporary file beside it and renamed into place, so none is
-ever left half-written.
+(config, seed) pair determines every output byte; JSON has null, not NaN,
+for a failed sweep cell's mean and a step-0 run's total. Each file is
+written whole to a temporary file beside it, then renamed: never half-written.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .config import GRIDS, PROBLEMS, RunConfig, SweepResult, SweepSpec
+from .config import GRIDS, PROBLEMS, RunConfig, sweep_cells
 from .errors import ConfigError, DataFormatError, NumericalError
 from .metrics import (
     RunRecord,
@@ -120,7 +120,7 @@ def _check_magnitude(params: ParameterSet, step: int) -> float:
 
 
 def run_experiment(cfg: RunConfig) -> RunRecord:
-    """Execute one run; deterministic given (config, seed)."""
+    """Execute one run, deterministic given (config, seed); makes a set `cfg.out` before step 0."""
     cfg = cfg.resolved()
     cfg.validate()
     started = time.perf_counter()
@@ -139,6 +139,8 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
     # mean |theta| <= RMS |theta| < DIVERGENCE_MAGNITUDE whenever theta . theta is below this
     sum_sq_bound = 0.5 * DIVERGENCE_MAGNITUDE**2 * theta.size
     record = RunRecord(seed=cfg.seed, config=dataclasses.asdict(cfg))
+    if cfg.out is not None:  # past the config and data checks: an unwritable out fails here
+        os.makedirs(cfg.out, exist_ok=True)
     step = 0
     try:
         for i in range(k):
@@ -209,7 +211,7 @@ def _write_csv(path: str, header: str, rows) -> None:
 
 
 def _write_json(path: str, obj) -> None:
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_outputs(record: RunRecord, out_dir: str) -> None:
@@ -219,7 +221,8 @@ def write_outputs(record: RunRecord, out_dir: str) -> None:
                (dataclasses.astuple(row) for row in record.task_rows))
 
     summary = {
-        "total_avg_online_accuracy": record.total_avg_online_accuracy,
+        "total_avg_online_accuracy":
+            record.total_avg_online_accuracy if record.steps_completed else None,
         "seed": record.seed,
         "steps_completed": record.steps_completed,
         "incomplete": record.incomplete,
@@ -275,35 +278,36 @@ def run_jobs(fn, jobs: list, workers: int = 1) -> list:
                 os.environ[var] = value
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Run the grid of the base config's method over the seeds and pick the winner.
+def run_sweep(base: RunConfig, seeds: int, workers: int = 1) -> tuple[list[dict], dict]:
+    """Run the grid of the base config's method over seeds 0 .. seeds-1 and pick the winner.
 
-    The winner maximizes the seed-mean total average online accuracy;
-    exact ties break toward smaller hyper-parameters (lambda / shrink /
-    noise / replacement rate, then step size). Failed or incomplete cells
-    are recorded but excluded from winner selection; a failed row names
-    its `cause` ("config" or "io") and its `error` text, which
+    Returns (rows, summary): one row per (cell, seed), and the summary
+    {"method", "winner", "cells"} that `write_sweep_outputs` writes. The
+    winner maximizes the seed-mean total average online accuracy; exact ties
+    break toward smaller hyper-parameters (lambda / shrink / noise /
+    replacement rate, then step size). Failed or incomplete cells are recorded,
+    with a null mean, but excluded from winner selection (None if all fail); a
+    failed row names its `cause` ("config" or "io") and its `error` text, which
     its cell also lists under `errors`, as distinct "<cause>: <error>" strings.
     """
-    cells = spec.cells()
-    jobs = [(spec.base, cell, seed) for cell in cells for seed in spec.seeds]
+    cells = sweep_cells(base)
+    if seeds < 1:  # a cell mean over no seeds would be NaN
+        raise ConfigError("a sweep needs at least 1 seed")
+    jobs = [(base, cell, seed) for cell in cells for seed in range(seeds)]
     rows = run_jobs(_run_cell, jobs, workers)
 
     cell_means = []
-    per_cell = len(spec.seeds)
     for idx, cell in enumerate(cells):
-        chunk = rows[idx * per_cell : (idx + 1) * per_cell]
+        chunk = rows[idx * seeds : (idx + 1) * seeds]
         ok = all(r["status"] == "ok" for r in chunk)
-        scores = [r["total_avg_online_accuracy"] for r in chunk]
-        mean = float(np.mean(scores)) if ok else float("nan")
+        mean = float(np.mean([r["total_avg_online_accuracy"] for r in chunk])) if ok else None
         cell_means.append({**cell, "mean_total_avg_online_accuracy": mean,
                            "status": "ok" if ok else "failed"})
         errors = sorted({f"{r['cause']}: {r['error']}" for r in chunk if "error" in r})
         if errors:
             cell_means[-1]["errors"] = errors
 
-    winner = select_winner(cell_means)
-    return SweepResult(method=spec.base.method, rows=rows, cell_means=cell_means, winner=winner)
+    return rows, {"method": base.method, "winner": select_winner(cell_means), "cells": cell_means}
 
 
 def select_winner(cell_means: list[dict]) -> dict | None:
@@ -317,12 +321,12 @@ def select_winner(cell_means: list[dict]) -> dict | None:
     return min(viable, key=sort_key) if viable else None
 
 
-def write_sweep_outputs(result: SweepResult, out_dir: str) -> None:
+def write_sweep_outputs(rows: list[dict], summary: dict, out_dir: str) -> None:
+    """Write sweep.csv (one line per row) and `run_sweep`'s summary as sweep_summary.json."""
     os.makedirs(out_dir, exist_ok=True)
     keys = ("alpha", *GRIDS)
     _write_csv(os.path.join(out_dir, "sweep.csv"),
                "method," + ",".join(keys) + ",seed,total_avg_online_accuracy,status",
-               ((result.method, *(row.get(k, "") for k in keys), row["seed"],
-                 row["total_avg_online_accuracy"], row["status"]) for row in result.rows))
-    summary = {"method": result.method, "winner": result.winner, "cells": result.cell_means}
+               ((summary["method"], *(row.get(k, "") for k in keys), row["seed"],
+                 row["total_avg_online_accuracy"], row["status"]) for row in rows))
     _write_json(os.path.join(out_dir, "sweep_summary.json"), summary)

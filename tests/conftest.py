@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from plasticity_lab import runner
 from plasticity_lab.nn import NetworkSpec, init_params
 from plasticity_lab.problems import Dataset, TaskStream, make_task
 from plasticity_lab.rng import RngStream
@@ -29,6 +30,17 @@ def random_instance(spec, seed, batch=4):
     images = rng.uniform(0.0, 1.0, (batch,) + spec.input_shape)
     labels = np.asarray(rng.integers(0, spec.num_classes, batch))
     return params, images, labels
+
+
+def count_forward_calls(monkeypatch):
+    """The batch size of every forward pass the training loop makes, in order."""
+    calls, forward = [], runner.forward
+
+    def counted(spec, params, images):
+        calls.append(len(images))
+        return forward(spec, params, images)
+    monkeypatch.setattr(runner, "forward", counted)
+    return calls
 
 
 def write_idx_images(path, images_u8):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from plasticity_lab.config import CONFIG_KEYS, RunConfig, SweepSpec, parse_config
+from plasticity_lab.config import CONFIG_KEYS, RunConfig, parse_config, sweep_cells
 from plasticity_lab.errors import ConfigError
 from plasticity_lab.optim import METHODS
 
@@ -187,20 +187,20 @@ def test_grid_matches_published_sweeps():
     base_sgd = RunConfig(problem="synthetic_permuted", optimizer="sgd")
     base_adam = RunConfig(problem="synthetic_permuted", optimizer="adam")
 
-    cells = SweepSpec(replace(base_adam, method="l2_init")).cells()
+    cells = sweep_cells(replace(base_adam, method="l2_init"))
     assert len(cells) == 8  # 4 lambdas x 2 alphas
     assert {c["alpha"] for c in cells} == {1e-3, 1e-4}
     assert {c["lam"] for c in cells} == {1e-2, 1e-3, 1e-4, 1e-5}
 
-    cells = SweepSpec(replace(base_sgd, method="shrink_perturb")).cells()
+    cells = sweep_cells(replace(base_sgd, method="shrink_perturb"))
     assert len(cells) == 32  # 4 shrink x 4 noise x 2 alphas
     assert {c["alpha"] for c in cells} == {1e-2, 1e-3}
 
-    cells = SweepSpec(replace(base_sgd, method="continual_backprop")).cells()
+    cells = sweep_cells(replace(base_sgd, method="continual_backprop"))
     assert {c["replacement_rate"] for c in cells} == {1e-4, 1e-5, 1e-6}
 
-    assert len(SweepSpec(replace(base_adam, method="baseline")).cells()) == 2
-    assert len(SweepSpec(replace(base_adam, method="layer_norm")).cells()) == 2
+    assert len(sweep_cells(replace(base_adam, method="baseline"))) == 2
+    assert len(sweep_cells(replace(base_adam, method="layer_norm"))) == 2
 
 
 # each method's swept axes, smallest value first; every cell then takes each alpha
@@ -222,7 +222,7 @@ PINNED_AXES = {
 def test_sweep_cells_are_pinned_in_order(method, optimizer, alphas):
     # the order fixes the rows of sweep.csv; key order fixes the printed winner
     base = RunConfig(problem="synthetic_permuted", optimizer=optimizer, method=method)
-    cells = SweepSpec(base).cells()
+    cells = sweep_cells(base)
     expected = [axis + [("alpha", a)] for axis in PINNED_AXES[method] for a in alphas]
     assert [list(cell.items()) for cell in cells] == expected
     assert set(PINNED_AXES) == set(METHODS)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import write_idx_images, write_idx_labels
+from conftest import count_forward_calls, write_idx_images, write_idx_labels
 from plasticity_lab import runner
 from plasticity_lab.cli import main as plab
 from plasticity_lab.rng import RngStream
@@ -63,19 +63,31 @@ def test_a_script_run_writes_the_bytes_of_plab_run(tmp_path, script, keys):
     (["--seeds", "0"], "the roster needs at least 1 seed, got --seeds 0"),
     (["--seeds", "-2"], "the roster needs at least 1 seed, got --seeds -2"),
     (["--methods", "l2", "l2"], "--methods names 'l2' twice"),
+    (["--methods"], "--methods names no method"),
     (["seed=1"], "override 'seed=1': key 'seed' is set per run by the roster; "
                  "give the seed count with --seeds"),
     (["method=l2"], "override 'method=l2': key 'method' is set per run by the roster; "
                     "name methods with --methods"),
 ], ids=("unrostered_method", "a_later_unknown_method", "unrostered_problem", "cbp_on_the_cnn",
         "missing_cifar_path", "unknown_flag", "bad_seed_count", "no_seeds", "negative_seeds",
-        "a_repeated_method", "seed_key", "method_key"))
+        "a_repeated_method", "no_methods", "seed_key", "method_key"))
 def test_a_bad_job_is_one_error_line_before_any_run(tmp_path, capsys, script, keys, args, message):
     code = script.main([*keys, f"out={tmp_path / 'runs'}", *args])
     assert code == 1
     out, err = capsys.readouterr()
     assert out == "" and err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "runs").exists()
+
+
+def test_an_unwritable_out_fails_before_the_first_run_step(tmp_path, capsys, monkeypatch,
+                                                          script, keys):
+    calls = count_forward_calls(monkeypatch)
+    (tmp_path / "f").write_text("not a directory\n")
+    code = script.main([*keys, f"out={tmp_path / 'f'}", "--seeds", "1", "--methods", "l2_init"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("i/o error: "), err
+    assert calls == []
 
 
 def test_a_method_key_in_the_config_file_is_an_error_naming_it(tmp_path, capsys, script, keys):

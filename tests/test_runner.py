@@ -5,10 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from conftest import write_cifar10_bin, write_idx_images, write_idx_labels
+from conftest import (count_forward_calls, write_cifar10_bin, write_idx_images,
+                      write_idx_labels)
 from plasticity_lab import runner
 from plasticity_lab.cli import main
-from plasticity_lab.config import PROBLEMS, RunConfig, SweepSpec, parse_config
+from plasticity_lab.config import PROBLEMS, RunConfig, parse_config, sweep_cells
 from plasticity_lab.errors import ConfigError
 from plasticity_lab.nn import init_params
 from plasticity_lab.optim import METHODS
@@ -315,8 +316,8 @@ def test_select_winner_none_when_all_failed():
 def test_a_write_that_raises_part_way_leaves_the_earlier_files(tmp_path):
     record = run_experiment(desk_config(num_tasks=2, log_steps=True))
     write_outputs(record, tmp_path)
-    sweep = run_sweep(SweepSpec(base=desk_config(num_tasks=1, method="baseline"), seeds=(0,)))
-    write_sweep_outputs(sweep, tmp_path)
+    rows, summary = run_sweep(desk_config(num_tasks=1, method="baseline"), 1)
+    write_sweep_outputs(rows, summary, tmp_path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert sorted(before) == ["steps.csv", "summary.json", "sweep.csv", "sweep_summary.json",
                               "task_metrics.csv"]
@@ -324,19 +325,18 @@ def test_a_write_that_raises_part_way_leaves_the_earlier_files(tmp_path):
     record.config["out"] = object()  # summary.json cannot encode it
     with pytest.raises(TypeError):
         write_outputs(record, tmp_path)
-    sweep.method = "baseline\udc80"  # sweep.csv's text cannot be encoded
+    summary["method"] = "baseline\udc80"  # sweep.csv's text cannot be encoded
     with pytest.raises(UnicodeEncodeError):
-        write_sweep_outputs(sweep, tmp_path)
+        write_sweep_outputs(rows, summary, tmp_path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_single_cell_sweep_wins(tmp_path):
     base = desk_config(num_tasks=2, optimizer="adam", method="baseline")
-    spec = SweepSpec(base=base, seeds=(0,))
-    result = run_sweep(spec)
-    assert len(result.rows) == 2  # 2 alphas x 1 seed
-    assert result.winner is not None
-    write_sweep_outputs(result, tmp_path)
+    rows, sweep = run_sweep(base, 1)
+    assert len(rows) == 2  # 2 alphas x 1 seed
+    assert sweep["winner"] is not None
+    write_sweep_outputs(rows, sweep, tmp_path)
     lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
     assert len(lines) == 1 + 2
     assert lines[0] == ("method,alpha,lam,shrink,noise,replacement_rate,"
@@ -344,54 +344,53 @@ def test_single_cell_sweep_wins(tmp_path):
     assert [line.split(",")[:7] for line in lines[1:]] == [
         ["baseline", "0.0001", "", "", "", "", "0"], ["baseline", "0.001", "", "", "", "", "0"]]
     summary = json.loads((tmp_path / "sweep_summary.json").read_text())
-    assert summary["winner"]["alpha"] == result.winner["alpha"]
+    assert summary["winner"]["alpha"] == sweep["winner"]["alpha"]
 
 
 def test_desk_scale_sweep_one_row_per_cell_seed():
     base = desk_config(num_tasks=2, method="l2_init")
-    result = run_sweep(SweepSpec(base=base, seeds=(0, 1)))
-    assert len(result.rows) == 8 * 2
-    seen = {(r["lam"], r["alpha"], r["seed"]) for r in result.rows}
+    rows, _ = run_sweep(base, 2)
+    assert len(rows) == 8 * 2
+    seen = {(r["lam"], r["alpha"], r["seed"]) for r in rows}
     assert len(seen) == 16
-    assert all(r["status"] == "ok" for r in result.rows)
+    assert all(r["status"] == "ok" for r in rows)
 
 
-def _unreadable_data_spec(tmp_path, payload):
+def _unreadable_data_base(tmp_path, payload):
     images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
     if payload is not None:
         images.write_bytes(payload)
         labels.write_bytes(payload)
     base = RunConfig(problem="permuted_mnist", method="baseline", mnist_images=str(images),
                      mnist_labels=str(labels), dataset_size=8, num_tasks=1, steps_per_task=2)
-    return SweepSpec(base=base, seeds=(0, 1))
+    return base
 
 
 @pytest.mark.parametrize("payload", (None, b"\x00\x00"), ids=("absent", "truncated"))
 def test_sweep_records_unreadable_data_per_cell(tmp_path, payload):
-    result = run_sweep(_unreadable_data_spec(tmp_path, payload))
-    assert len(result.rows) == 4  # 2 alphas x 2 seeds
-    assert all(r["status"] == "failed" and "i.idx" in r["error"] for r in result.rows)
-    assert result.winner is None
+    rows, summary = run_sweep(_unreadable_data_base(tmp_path, payload), 2)
+    assert len(rows) == 4  # 2 alphas x 2 seeds
+    assert all(r["status"] == "failed" and "i.idx" in r["error"] for r in rows)
+    assert summary["winner"] is None
 
 
 @pytest.mark.parametrize("payload", (None, b"\x00\x00"), ids=("absent", "truncated"))
 def test_parallel_sweep_records_unreadable_data_like_serial(tmp_path, payload):
-    spec = _unreadable_data_spec(tmp_path, payload)
-    result = run_sweep(spec, workers=2)
-    assert len(result.rows) == 4
-    assert all(r["status"] == "failed" and "i.idx" in r["error"] for r in result.rows)
-    assert result.winner is None
+    base = _unreadable_data_base(tmp_path, payload)
+    rows, summary = run_sweep(base, 2, workers=2)
+    assert len(rows) == 4
+    assert all(r["status"] == "failed" and "i.idx" in r["error"] for r in rows)
+    assert summary["winner"] is None
     # a failed row's NaN accuracy is unequal to itself, so compare the rows' text
-    assert json.dumps(result.rows) == json.dumps(run_sweep(spec, workers=1).rows)
+    assert json.dumps(rows) == json.dumps(run_sweep(base, 2, workers=1)[0])
 
 
 def test_parallel_sweep_matches_sequential():
     base = desk_config(num_tasks=2, steps_per_task=6, method="baseline")
-    spec = SweepSpec(base=base, seeds=(0, 1))
-    seq = run_sweep(spec, workers=1)
-    par = run_sweep(spec, workers=2)
-    assert seq.rows == par.rows
-    assert seq.winner == par.winner
+    seq_rows, seq = run_sweep(base, 2, workers=1)
+    par_rows, par = run_sweep(base, 2, workers=2)
+    assert seq_rows == par_rows
+    assert seq["winner"] == par["winner"]
 
 
 # --- job runner ----------------------------------------------------------------
@@ -558,7 +557,7 @@ def test_cli_sweep_of_an_unknown_method_is_a_usage_error(tmp_path, capsys):
         f"expected one of {', '.join(METHODS)}; got 'dropout'"]
     assert not (tmp_path / "o").exists()
     with pytest.raises(ConfigError, match="^unknown method 'dropout'$"):
-        SweepSpec(desk_config(method="dropout")).cells()
+        sweep_cells(desk_config(method="dropout"))
 
 
 @pytest.mark.parametrize("from_file", (False, True), ids=("argument", "config_file"))
@@ -759,6 +758,51 @@ def test_cli_sweep_where_every_cell_diverges_is_a_numerical_failure(tmp_path, mo
     cells = json.loads((tmp_path / "o" / "sweep_summary.json").read_text())["cells"]
     assert [cell["status"] for cell in cells] == ["failed", "failed"]
     assert not any("errors" in cell for cell in cells)  # no row raised an error
+
+
+@pytest.mark.parametrize("command", (["run"], ["sweep", "--seeds", "1", "method=baseline"]),
+                         ids=("run", "sweep"))
+def test_an_unwritable_out_fails_before_the_first_step(tmp_path, capsys, monkeypatch, command):
+    calls = count_forward_calls(monkeypatch)
+    (tmp_path / "f").write_text("not a directory\n")
+    code = main([*command, "problem=synthetic_permuted", "num_tasks=1", "steps_per_task=3",
+                 f"out={tmp_path / 'f'}"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("i/o error: "), err
+    assert calls == []
+    assert (tmp_path / "f").read_text() == "not a directory\n"
+
+
+def strict_json(path):
+    """The JSON file at path, parsed as a strict parser would: NaN and Infinity raise."""
+    def reject(constant):
+        raise ValueError(f"non-standard constant {constant}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("failure", ("config", "diverged"))
+def test_a_failed_sweep_writes_strict_json(tmp_path, monkeypatch, failure):
+    if failure == "diverged":
+        monkeypatch.setattr(runner, "DIVERGENCE_MAGNITUDE", 0.0)  # every run stops at step 0
+    code = main(["sweep", "--seeds", "1", "method=baseline", f"out={tmp_path / 'o'}",
+                 "problem=synthetic_permuted", "num_tasks=1", "steps_per_task=2",
+                 *(["hidden_widths=4,0"] if failure == "config" else [])])
+    assert code == (1 if failure == "config" else 3)
+    summary = strict_json(tmp_path / "o" / "sweep_summary.json")
+    assert summary["winner"] is None
+    assert [cell["mean_total_avg_online_accuracy"] for cell in summary["cells"]] == [None] * 2
+    rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-2] for row in rows] == ["nan", "nan"]  # the CSV keeps nan
+
+
+def test_a_run_stopped_at_step_0_writes_strict_json(tmp_path, monkeypatch):
+    start_from(monkeypatch, lambda theta: theta.__setitem__(7, np.nan))
+    record = run_experiment(desk_config())
+    assert record.steps_completed == 0
+    write_outputs(record, tmp_path)
+    summary = strict_json(tmp_path / "summary.json")
+    assert summary["total_avg_online_accuracy"] is None and summary["incomplete"] is True
 
 
 def test_cli_gradcheck_passes(capsys):
