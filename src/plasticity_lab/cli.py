@@ -3,14 +3,15 @@
 Subcommands: `run` (one experiment), `sweep` (hyper-parameter grid for the
 config's method), `gradcheck` (finite-difference gradient audit), and
 `inspect` (pretty-print a summary.json). Every run setting, the method,
-seed and output directory included, is a `key=value` config key (see
-`config`); the flags are only those that are not: `--config`, and a
-sweep's `--seeds` and `--workers`. A sweep sets each cell's seed (0 to
-N-1 of `--seeds N`), so a `seed` key there is a config error. Exit codes:
-0 success, 1 usage/config error, 2 I/O error, 3 numerical failure. A
-sweep with no successful cell exits with the code of its earliest-stage
-failure: 1 if any cell had a config error, else 2 if any had an I/O
-error, else 3 (a cell diverged).
+seed and output directory (`out`, "out" if unset) included, is a `key=value`
+config key (see `config`); the flags are only those that are not:
+`--config`, and a sweep's `--seeds` and `--workers`. A sweep sets each
+cell's seed (0 to N-1 of `--seeds N`), so a `seed` key there is a config
+error. Exit codes: 0 success, 1 usage/config error (a run too long to
+record included), 2 I/O error (an `out` that cannot be made fails before
+step 0), 3 numerical failure. A sweep with no successful cell exits with
+the code of its earliest-stage failure: 1 if any cell had a config error,
+else 2 if any had an I/O error, else 3 (a cell diverged).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -72,13 +74,13 @@ def _build_parser() -> Parser:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config, args.overrides)
+    cfg = replace(cfg, out=cfg.out or "out")  # made by run_experiment before step 0
     record = run_experiment(cfg)
-    out_dir = cfg.out or "out"
-    write_outputs(record, out_dir)
+    write_outputs(record, cfg.out)
     print(
         f"{cfg.problem} / {cfg.method} / {cfg.optimizer}: "
         f"total average online accuracy {record.total_avg_online_accuracy:.4f} "
-        f"({record.steps_completed} steps) -> {out_dir}"
+        f"({record.steps_completed} steps) -> {cfg.out}"
     )
     if record.incomplete:
         print("run diverged; partial record flagged incomplete")
@@ -89,9 +91,9 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = parse_config(args.config, args.overrides, fixed={
         "seed": "is set per cell by the sweep; give the seed count with --seeds"})
+    cfg = replace(cfg, out=cfg.out or "out")  # each cell's run makes it before its step 0
     rows, summary = run_sweep(cfg, args.seeds, workers=args.workers)
-    out_dir = cfg.out or "out"
-    write_sweep_outputs(rows, summary, out_dir)
+    write_sweep_outputs(rows, summary, cfg.out)
     if summary["winner"] is None:
         errors = sorted({row["error"] for row in rows if "error" in row})
         print("all sweep cells failed", *errors, sep="\n  ")

@@ -83,7 +83,6 @@ class TaskRow:
 class RunRecord:
     """Everything one experiment run produced."""
 
-    seed: int
     config: dict
     task_rows: list[TaskRow] = field(default_factory=list)
     total_avg_online_accuracy: float = float("nan")

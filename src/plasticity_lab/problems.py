@@ -13,7 +13,8 @@ label in one pass for `subsample` to check (CIFAR's kept records ride along),
 and keeps n raw uint8 rows drawn from the record count alone, with one
 positional read each when sparse; no file is read twice or held whole.
 Only `Task.rows` scales, by `Dataset.divisor`, the rows each batch or probe gathers.
-Nothing downstream re-checks: the runner's loops keep task and step indices
+Nothing downstream re-checks: a stream has no length, and the runner's loops,
+over its config's `num_tasks` and `steps_per_task`, keep task and step indices
 in range. Task i is a pure function of (stream seed, i), so streams are
 random-access and reproducible.
 
@@ -167,8 +168,6 @@ class TaskStream:
 
     transform: str  # "permute" | "relabel"
     base: Dataset
-    num_tasks: int
-    steps_per_task: int
     batch_size: int
     seed: int
     num_classes: int = 10
@@ -191,10 +190,6 @@ class Task:
     perm: np.ndarray | None  # a permuted task's column order; None for a relabel task
     labels: np.ndarray
 
-    @property
-    def start_step(self) -> int:
-        return self.index * self.stream.steps_per_task
-
     def rows(self, idx) -> np.ndarray:
         """Base rows `idx` as this task sees them: C-ordered float64 over the divisor."""
         rows = self.stream.base.images[idx]
@@ -203,7 +198,7 @@ class Task:
 
 
 def make_task(stream: TaskStream, i: int) -> Task:
-    """Task i < num_tasks. Pure: calling twice yields identical column orders and labels."""
+    """Task i >= 0 of the stream. Pure: calling twice yields identical column orders and labels."""
     task_rng = RngStream(stream.seed).split("task", i)
     if stream.transform == "permute":
         perm = task_rng.permutation(stream.base.images.shape[1])
@@ -217,7 +212,7 @@ def make_task(stream: TaskStream, i: int) -> Task:
 
 
 def next_batch(task: Task, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """Batch for `step` (< steps_per_task) of a task, under fresh-shuffle-per-epoch delivery.
+    """Batch for `step` >= 0 of a task, under fresh-shuffle-per-epoch delivery.
 
     Each epoch visits every sample exactly once; epoch e of task i is
     ordered by the substream (seed, "shuffle", i, e), so delivery is

@@ -89,15 +89,8 @@ def build_stream(cfg: RunConfig) -> TaskStream:
     else:
         base = load_idx(cfg.mnist_images, cfg.mnist_labels, cfg.dataset_size,
                         rng.split("subsample"))
-    return TaskStream(
-        transform=problem.transform,
-        base=base,
-        num_tasks=cfg.num_tasks,
-        steps_per_task=cfg.steps_per_task,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-        num_classes=classes,
-    )
+    return TaskStream(transform=problem.transform, base=base, batch_size=cfg.batch_size,
+                      seed=cfg.seed, num_classes=classes)
 
 
 def build_network_spec(cfg: RunConfig, stream: TaskStream) -> NetworkSpec:
@@ -120,7 +113,9 @@ def _check_magnitude(params: ParameterSet, step: int) -> float:
 
 
 def run_experiment(cfg: RunConfig) -> RunRecord:
-    """Execute one run, deterministic given (config, seed); makes a set `cfg.out` before step 0."""
+    """Execute one run, deterministic given (config, seed); makes a set `cfg.out` before step 0.
+
+    A run too long to record (num_tasks x steps_per_task) is a ConfigError, raised before that."""
     cfg = cfg.resolved()
     cfg.validate()
     started = time.perf_counter()
@@ -133,12 +128,15 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
     cbp = make_cbp_state(spec) if cfg.method == "continual_backprop" else None
     noise_rng = master.split("noise")
 
-    k, m = stream.num_tasks, stream.steps_per_task
-    per_step = np.zeros(k * m, dtype=np.float64)
+    k, m = cfg.num_tasks, cfg.steps_per_task
+    try:
+        per_step = np.zeros(k * m, dtype=np.float64)
+    except (MemoryError, ValueError) as exc:  # ValueError: more entries than an array may hold
+        raise ConfigError(f"cannot record num_tasks x steps_per_task = {k * m} steps: {exc}")
     theta = params.flat
     # mean |theta| <= RMS |theta| < DIVERGENCE_MAGNITUDE whenever theta . theta is below this
     sum_sq_bound = 0.5 * DIVERGENCE_MAGNITUDE**2 * theta.size
-    record = RunRecord(seed=cfg.seed, config=dataclasses.asdict(cfg))
+    record = RunRecord(config=dataclasses.asdict(cfg))
     if cfg.out is not None:  # past the config and data checks: an unwritable out fails here
         os.makedirs(cfg.out, exist_ok=True)
     step = 0
@@ -159,7 +157,7 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
             record.task_rows.append(
                 TaskRow(
                     task_index=i,
-                    start_step=task.start_step,
+                    start_step=i * m,
                     avg_online_task_accuracy=avg_online_task_accuracy(per_step, i * m, m),
                     weight_magnitude=magnitude,
                     feature_srank=feature_srank_probe(spec, params, probe),
@@ -223,7 +221,7 @@ def write_outputs(record: RunRecord, out_dir: str) -> None:
     summary = {
         "total_avg_online_accuracy":
             record.total_avg_online_accuracy if record.steps_completed else None,
-        "seed": record.seed,
+        "seed": record.config["seed"],
         "steps_completed": record.steps_completed,
         "incomplete": record.incomplete,
         "config": record.config,

@@ -66,8 +66,7 @@ def write_cifar10_bin(path, dataset):
 
 def scaled_rows(dataset, idx=slice(None)):
     """Rows `idx` of a dataset as a task sees them (Task.rows scales the raw rows)."""
-    stream = TaskStream(transform="relabel", base=dataset, num_tasks=1, steps_per_task=1,
-                        batch_size=1, seed=0)
+    stream = TaskStream(transform="relabel", base=dataset, batch_size=1, seed=0)
     return make_task(stream, 0).rows(idx)
 
 

@@ -238,11 +238,6 @@ def test_permuted_task_holds_no_copy_of_the_images():
     assert peak < stream.base.images.nbytes / 10, peak
 
 
-def test_task_start_steps():
-    stream = synthetic_stream(m=10)
-    assert [make_task(stream, i).start_step for i in range(3)] == [0, 10, 20]
-
-
 # --- batch delivery --------------------------------------------------------------
 
 def test_epoch_partitions_dataset():
@@ -280,11 +275,11 @@ def test_epochs_reshuffle_but_are_deterministic():
 
 def test_shuffled_visits_give_the_sequential_batches():
     # 10 samples, batches of 4 (ragged): 3 batches/epoch, 12 epochs over 2 tasks
-    stream = build_stream(RunConfig(problem="synthetic_permuted", input_width=12,
-                                    dataset_size=10, num_tasks=2, steps_per_task=18,
-                                    batch_size=4))
-    steps = [(i, s) for i in range(stream.num_tasks) for s in range(stream.steps_per_task)]
-    tasks = [make_task(stream, i) for i in range(stream.num_tasks)]
+    cfg = RunConfig(problem="synthetic_permuted", input_width=12, dataset_size=10,
+                    num_tasks=2, steps_per_task=18, batch_size=4)
+    stream = build_stream(cfg)
+    steps = [(i, s) for i in range(cfg.num_tasks) for s in range(cfg.steps_per_task)]
+    tasks = [make_task(stream, i) for i in range(cfg.num_tasks)]
     in_order = {(i, s): next_batch(tasks[i], s) for i, s in steps}
     for j in RngStream(7).permutation(len(steps)):
         i, s = steps[j]
@@ -293,14 +288,15 @@ def test_shuffled_visits_give_the_sequential_batches():
 
 
 def test_batch_count_totals():
-    stream = synthetic_stream(n=32, k=4, m=6)
+    k, m = 4, 6
+    stream = synthetic_stream(n=32, k=k, m=m)
     total = 0
-    for i in range(stream.num_tasks):
+    for i in range(k):
         task = make_task(stream, i)
-        for s in range(stream.steps_per_task):
+        for s in range(m):
             next_batch(task, s)
             total += 1
-    assert total == stream.num_tasks * stream.steps_per_task == 24
+    assert total == k * m == 24
 
 
 def test_relabel_label_marginals_within_5_sigma():

@@ -760,18 +760,54 @@ def test_cli_sweep_where_every_cell_diverges_is_a_numerical_failure(tmp_path, mo
     assert not any("errors" in cell for cell in cells)  # no row raised an error
 
 
-@pytest.mark.parametrize("command", (["run"], ["sweep", "--seeds", "1", "method=baseline"]),
-                         ids=("run", "sweep"))
-def test_an_unwritable_out_fails_before_the_first_step(tmp_path, capsys, monkeypatch, command):
+SWEEP_1 = ["sweep", "--seeds", "1", "method=baseline"]
+
+
+@pytest.mark.parametrize("command, set_out", [(["run"], True), (SWEEP_1, True),
+                                              (["run"], False), (SWEEP_1, False)],
+                         ids=("run", "sweep", "run_default_out", "sweep_default_out"))
+def test_an_unwritable_out_fails_before_the_first_step(tmp_path, capsys, monkeypatch, command,
+                                                       set_out):
     calls = count_forward_calls(monkeypatch)
-    (tmp_path / "f").write_text("not a directory\n")
+    monkeypatch.chdir(tmp_path)  # where the default `out` is made
+    (tmp_path / "out").write_text("not a directory\n")
     code = main([*command, "problem=synthetic_permuted", "num_tasks=1", "steps_per_task=3",
-                 f"out={tmp_path / 'f'}"])
+                 *([f"out={tmp_path / 'out'}"] if set_out else [])])
     assert code == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and err.startswith("i/o error: "), err
     assert calls == []
-    assert (tmp_path / "f").read_text() == "not a directory\n"
+    assert (tmp_path / "out").read_text() == "not a directory\n"
+
+
+def test_a_run_with_no_out_key_writes_and_echoes_the_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "problem=synthetic_permuted", "num_tasks=1", "steps_per_task=2"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["config"]["out"] == "out" and summary["steps_completed"] == 2
+
+
+TOO_LONG = "steps_per_task=1000000000000000000"  # more entries than any numpy array may hold
+
+
+def test_a_run_too_long_to_record_is_one_error_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "problem=synthetic_permuted", TOO_LONG]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith("error: cannot record num_tasks x steps_per_task = "), err
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_sweep_of_runs_too_long_to_record_writes_its_files(tmp_path):
+    code = main(["sweep", "--seeds", "1", "method=baseline", f"out={tmp_path / 'o'}",
+                 "problem=synthetic_permuted", TOO_LONG])
+    assert code == 1
+    rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["failed", "failed"]
+    cells = json.loads((tmp_path / "o" / "sweep_summary.json").read_text())["cells"]
+    assert [cell["status"] for cell in cells] == ["failed", "failed"]
+    assert all(cell["errors"][0].startswith("config: cannot record ") for cell in cells)
 
 
 def strict_json(path):
