@@ -7,8 +7,8 @@ seed and output directory (`out`, "out" if unset) included, is a `key=value`
 config key (see `config`); the flags are only those that are not:
 `--config`, and a sweep's `--seeds` and `--workers`. A sweep sets each
 cell's seed (0 to N-1 of `--seeds N`), so a `seed` key there is a config
-error. Exit codes: 0 success, 1 usage/config error (a run too long to
-record included), 2 I/O error (an `out` that cannot be made fails before
+error. Exit codes: 0 success, 1 usage/config error (a run too large to
+allocate included), 2 I/O error (an `out` that cannot be made fails before
 step 0), 3 numerical failure. A sweep with no successful cell exits with
 the code of its earliest-stage failure: 1 if any cell had a config error,
 else 2 if any had an I/O error, else 3 (a cell diverged).

@@ -31,17 +31,6 @@ def batch_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return np.count_nonzero(logits.argmax(axis=1) == labels) / len(labels)
 
 
-def avg_online_task_accuracy(
-    per_step: np.ndarray, task_start: int, steps_per_task: int
-) -> float:
-    """Mean batch accuracy over steps [task_start, task_start + steps_per_task)."""
-    return float(per_step[task_start : task_start + steps_per_task].mean())
-
-
-def total_avg_online_accuracy(per_step: np.ndarray) -> float:
-    return float(per_step.mean())
-
-
 def mean_param_magnitude(params: nn.ParameterSet) -> float:
     """Mean |theta| over all trainable entries (weights, biases, affines)."""
     return float(np.abs(params.flat, out=params.work[2]).sum()) / params.flat.size

@@ -68,6 +68,8 @@ class NetworkSpec:
         ndim = 3 if self.kind == "cnn" else 1  # (C,H,W) images or flat features
         if len(self.input_shape) != ndim:
             raise DimensionError(f"{self.kind} input_shape must be {ndim}-D: {self.input_shape}")
+        if self.kind == "cnn" and not self.conv_channels:  # only a conv layer's output is flattened
+            raise DimensionError("a cnn needs at least one conv layer")
         if not self.convs + self.hidden_widths:
             raise ValueError("network needs at least one hidden layer")
         layer_shapes(self)  # validates spatial extents

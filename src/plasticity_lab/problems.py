@@ -178,10 +178,6 @@ class TaskStream:
         if self.transform == "permute" and self.base.images.ndim != 2:
             raise ValueError("permutation streams need flat (N, D) images")
 
-    @property
-    def batches_per_epoch(self) -> int:
-        return -(-self.base.size // self.batch_size)
-
 
 @dataclass(frozen=True)
 class Task:
@@ -214,12 +210,12 @@ def make_task(stream: TaskStream, i: int) -> Task:
 def next_batch(task: Task, step: int) -> tuple[np.ndarray, np.ndarray]:
     """Batch for `step` >= 0 of a task, under fresh-shuffle-per-epoch delivery.
 
-    Each epoch visits every sample exactly once; epoch e of task i is
-    ordered by the substream (seed, "shuffle", i, e), so delivery is
-    random-access in `step`. The order is drawn once per epoch and cached.
+    Each epoch, ceil(n / batch_size) batches, visits every sample exactly
+    once; epoch e of task i is ordered by the substream (seed, "shuffle", i, e),
+    so delivery is random-access in `step`. The order is drawn once per epoch and cached.
     """
     stream = task.stream
-    epoch, b = divmod(step, stream.batches_per_epoch)
+    epoch, b = divmod(step, -(-stream.base.size // stream.batch_size))
     order = _epoch_order(stream.seed, task.index, epoch, stream.base.size)
     take = order[b * stream.batch_size : (b + 1) * stream.batch_size]
     return task.rows(take), task.labels[take]

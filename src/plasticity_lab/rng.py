@@ -7,7 +7,8 @@ counter-based Philox generator; a child stream's key is derived by hashing
 (seed, *labels), so children with distinct labels never share state and the
 same (seed, labels) always reproduces the same sequence, on any platform.
 Only `RngStream` turns Philox output into a distribution: init, resampled
-anchors, perturbation noise and neuron resets all draw through `uniform`.
+anchors, perturbation noise and neuron resets all draw through `uniform`,
+whose one formula scales Philox's [0, 1) doubles by hi - lo, then adds lo.
 """
 
 from __future__ import annotations
@@ -48,9 +49,7 @@ class RngStream:
         a contiguous float64 array, they fill it in place, with the same bits."""
         if not lo < hi:
             raise ValueError(f"uniform bounds require lo < hi, got lo={lo!r}, hi={hi!r}")
-        if out is None:
-            return lo + (hi - lo) * self._gen.random(shape)
-        self._gen.random(out=out)
+        out = self._gen.random(shape) if out is None else self._gen.random(out=out)
         out *= hi - lo
         out += lo
         return out

@@ -48,11 +48,9 @@ from .errors import ConfigError, DataFormatError, NumericalError
 from .metrics import (
     RunRecord,
     TaskRow,
-    avg_online_task_accuracy,
     batch_accuracy,
     feature_srank_probe,
     mean_param_magnitude,
-    total_avg_online_accuracy,
 )
 from .nn import NetworkSpec, ParameterSet, forward, init_params, loss_and_grad
 from .optim import apply_method_step, make_cbp_state, make_optimizer
@@ -71,7 +69,7 @@ log = logging.getLogger(__name__)
 
 DIVERGENCE_MAGNITUDE = 1e6
 
-TASK_CSV_HEADER = "task_index,start_step,avg_online_task_accuracy,weight_magnitude,feature_srank"
+TASK_CSV_HEADER = ",".join(f.name for f in dataclasses.fields(TaskRow))
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -115,24 +113,25 @@ def _check_magnitude(params: ParameterSet, step: int) -> float:
 def run_experiment(cfg: RunConfig) -> RunRecord:
     """Execute one run, deterministic given (config, seed); makes a set `cfg.out` before step 0.
 
-    A run too long to record (num_tasks x steps_per_task) is a ConfigError, raised before that."""
+    A set-up array the host cannot allocate is a ConfigError, raised before that."""
     cfg = cfg.resolved()
     cfg.validate()
     started = time.perf_counter()
-    stream = build_stream(cfg)
-    spec = build_network_spec(cfg, stream)
-
     master = RngStream(cfg.seed)
-    params = init_params(spec, master.split("init"))
-    opt = make_optimizer(cfg.optimizer, cfg.alpha, params)
-    cbp = make_cbp_state(spec) if cfg.method == "continual_backprop" else None
-    noise_rng = master.split("noise")
-
     k, m = cfg.num_tasks, cfg.steps_per_task
     try:
+        stream = build_stream(cfg)
+        spec = build_network_spec(cfg, stream)
+        params = init_params(spec, master.split("init"))
+        opt = make_optimizer(cfg.optimizer, cfg.alpha, params)
+        cbp = make_cbp_state(spec) if cfg.method == "continual_backprop" else None
         per_step = np.zeros(k * m, dtype=np.float64)
+    except (ConfigError, DataFormatError):
+        raise
     except (MemoryError, ValueError) as exc:  # ValueError: more entries than an array may hold
-        raise ConfigError(f"cannot record num_tasks x steps_per_task = {k * m} steps: {exc}")
+        raise ConfigError("cannot allocate the arrays sized by dataset_size, input_width, "
+                          f"hidden_widths and num_tasks x steps_per_task: {exc}") from exc
+    noise_rng = master.split("noise")
     theta = params.flat
     # mean |theta| <= RMS |theta| < DIVERGENCE_MAGNITUDE whenever theta . theta is below this
     sum_sq_bound = 0.5 * DIVERGENCE_MAGNITUDE**2 * theta.size
@@ -158,7 +157,7 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
                 TaskRow(
                     task_index=i,
                     start_step=i * m,
-                    avg_online_task_accuracy=avg_online_task_accuracy(per_step, i * m, m),
+                    avg_online_task_accuracy=float(per_step[i * m : step].mean()),
                     weight_magnitude=magnitude,
                     feature_srank=feature_srank_probe(spec, params, probe),
                 )
@@ -169,7 +168,7 @@ def run_experiment(cfg: RunConfig) -> RunRecord:
 
     record.steps_completed = step
     if step > 0:
-        record.total_avg_online_accuracy = total_avg_online_accuracy(per_step[:step])
+        record.total_avg_online_accuracy = float(per_step[:step].mean())
     record.per_step_accuracy = per_step[:step] if cfg.log_steps else None
     record.wall_clock_seconds = time.perf_counter() - started
     return record

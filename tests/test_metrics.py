@@ -6,27 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plasticity_lab.metrics import (
-    avg_online_task_accuracy,
     batch_accuracy,
     feature_srank_probe,
     mean_param_magnitude,
     srank,
-    total_avg_online_accuracy,
 )
 from plasticity_lab.nn import NetworkSpec, ParameterSet, hidden_feature_matrices, init_params
 from plasticity_lab.rng import RngStream
-
-
-def kahan_mean(values):
-    """Compensated summation, as an independent averaging oracle."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total / len(values)
 
 
 def jacobi_gram_eigenvalues(gram, sweeps=60):
@@ -81,33 +67,6 @@ def test_batch_accuracy_half():
     logits[1, 2] = 1.0
     labels = np.array([2, 2, 4, 5])
     assert batch_accuracy(logits, labels) == 0.5
-
-
-# --- averages --------------------------------------------------------------
-
-def test_task_average_constant():
-    a = np.full(20, 0.9)
-    assert avg_online_task_accuracy(a, 5, 10) == pytest.approx(0.9, abs=1e-15)
-
-
-def test_task_average_two_values():
-    assert avg_online_task_accuracy(np.array([0.0, 1.0]), 0, 2) == 0.5
-
-
-def test_task_average_matches_kahan_oracle():
-    vals = RngStream(3).uniform(0, 1, 625)
-    got = avg_online_task_accuracy(vals, 0, 625)
-    assert abs(got - kahan_mean(list(vals))) < 1e-12
-
-
-def test_total_average_constant():
-    assert total_avg_online_accuracy(np.full(7, 0.25)) == 0.25
-
-
-def test_total_average_equals_mean_of_task_averages():
-    vals = RngStream(4).uniform(0, 1, 12 * 50)
-    per_task = [avg_online_task_accuracy(vals, i * 50, 50) for i in range(12)]
-    assert abs(total_avg_online_accuracy(vals) - np.mean(per_task)) < 1e-12
 
 
 # --- parameter magnitude ------------------------------------------------------

@@ -183,6 +183,12 @@ def test_cnn_spec_rejects_small_spatial():
     NetworkSpec(kind="cnn", input_shape=(1, 16, 16))  # conv layer 1: 6x6 in, 2x2 out, 1x1 pooled
 
 
+def test_cnn_spec_rejects_no_conv_layer():
+    # forward flattens a CNN's maps after its last conv layer; with none it would matmul 3-D input
+    with pytest.raises(DimensionError, match="a cnn needs at least one conv layer"):
+        NetworkSpec(kind="cnn", input_shape=(3, 8, 8), conv_channels=(), hidden_widths=(4,))
+
+
 def test_forward_deterministic():
     spec = tiny_cnn_spec(layer_norm=True)
     params, images, _ = random_instance(spec, seed=5)

@@ -87,6 +87,47 @@ def test_log_steps_writes_full_sequence(tmp_path):
     assert abs(float(lines[1].split(",")[1]) - record.per_step_accuracy[0]) < 1e-15
 
 
+def kahan_mean(values):
+    """Compensated summation, as an independent averaging oracle."""
+    total = 0.0
+    comp = 0.0
+    for v in values:
+        y = v - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total / len(values)
+
+
+def read_back_accuracies(tmp_path, **kw):
+    """(steps.csv's accuracies, task_metrics.csv's, summary.json's total) of a log_steps run."""
+    write_outputs(run_experiment(desk_config(log_steps=True, **kw)), tmp_path)
+
+    def column(name, col):
+        lines = (tmp_path / name).read_text().splitlines()[1:]
+        return [float(line.split(",")[col]) for line in lines]
+    total = json.loads((tmp_path / "summary.json").read_text())["total_avg_online_accuracy"]
+    return np.array(column("steps.csv", 1)), column("task_metrics.csv", 2), total
+
+
+def test_each_task_row_holds_the_mean_of_its_steps(tmp_path):
+    steps, tasks, _ = read_back_accuracies(tmp_path)
+    assert tasks == [float(steps[i * 10 : (i + 1) * 10].mean()) for i in range(3)]
+
+
+def test_the_summary_total_is_the_mean_of_every_step(tmp_path):
+    steps, _, total = read_back_accuracies(tmp_path)
+    assert total == float(steps.mean())
+
+
+def test_the_accuracy_means_match_a_compensated_sum(tmp_path):
+    steps, tasks, total = read_back_accuracies(tmp_path, num_tasks=5, steps_per_task=125)
+    assert len(steps) == 625
+    assert abs(total - kahan_mean(steps.tolist())) < 1e-12
+    for i, acc in enumerate(tasks):
+        assert abs(acc - kahan_mean(steps[i * 125 : (i + 1) * 125].tolist())) < 1e-12
+
+
 def test_task_rows_emitted_at_boundaries_only():
     record = run_experiment(desk_config(num_tasks=5))
     assert [r.task_index for r in record.task_rows] == list(range(5))
@@ -788,26 +829,48 @@ def test_a_run_with_no_out_key_writes_and_echoes_the_default(tmp_path, monkeypat
 
 
 TOO_LONG = "steps_per_task=1000000000000000000"  # more entries than any numpy array may hold
+# every other array a config sizes, at the same 10**18: numpy refuses each without allocating it
+TOO_LARGE = ("dataset_size=1000000000000000000", "input_width=1000000000000000000",
+             "hidden_widths=1000000000000000000")
+SET_UP = ["problem=synthetic_permuted", "num_tasks=1", "steps_per_task=3"]
+ALLOCATION_ERROR = "cannot allocate the arrays sized by dataset_size, input_width, hidden_widths "
 
 
-def test_a_run_too_long_to_record_is_one_error_line(tmp_path, capsys, monkeypatch):
+def assert_run_is_one_allocation_error(tmp_path, capsys, monkeypatch, setting):
     monkeypatch.chdir(tmp_path)
-    assert main(["run", "problem=synthetic_permuted", TOO_LONG]) == 1
+    assert main(["run", *SET_UP, setting]) == 1
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1, err
-    assert err.startswith("error: cannot record num_tasks x steps_per_task = "), err
+    assert err.startswith("error: " + ALLOCATION_ERROR), err
     assert os.listdir(tmp_path) == []
 
 
-def test_a_sweep_of_runs_too_long_to_record_writes_its_files(tmp_path):
-    code = main(["sweep", "--seeds", "1", "method=baseline", f"out={tmp_path / 'o'}",
-                 "problem=synthetic_permuted", TOO_LONG])
-    assert code == 1
+def assert_sweep_writes_its_failed_cells(tmp_path, setting):
+    assert main(["sweep", "--seeds", "1", "method=baseline", f"out={tmp_path / 'o'}",
+                 *SET_UP, setting]) == 1
     rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
     assert [row.split(",")[-1] for row in rows] == ["failed", "failed"]
     cells = json.loads((tmp_path / "o" / "sweep_summary.json").read_text())["cells"]
     assert [cell["status"] for cell in cells] == ["failed", "failed"]
-    assert all(cell["errors"][0].startswith("config: cannot record ") for cell in cells)
+    assert all(cell["errors"][0].startswith("config: " + ALLOCATION_ERROR) for cell in cells)
+
+
+def test_a_run_too_long_to_record_is_one_error_line(tmp_path, capsys, monkeypatch):
+    assert_run_is_one_allocation_error(tmp_path, capsys, monkeypatch, TOO_LONG)
+
+
+def test_a_sweep_of_runs_too_long_to_record_writes_its_files(tmp_path):
+    assert_sweep_writes_its_failed_cells(tmp_path, TOO_LONG)
+
+
+@pytest.mark.parametrize("setting", TOO_LARGE, ids=lambda s: s.split("=")[0])
+def test_a_run_too_large_to_set_up_is_one_error_line(tmp_path, capsys, monkeypatch, setting):
+    assert_run_is_one_allocation_error(tmp_path, capsys, monkeypatch, setting)
+
+
+@pytest.mark.parametrize("setting", TOO_LARGE, ids=lambda s: s.split("=")[0])
+def test_a_sweep_of_runs_too_large_to_set_up_writes_its_files(tmp_path, setting):
+    assert_sweep_writes_its_failed_cells(tmp_path, setting)
 
 
 def strict_json(path):
