@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plasticity_lab import runner
+from plasticity_lab.config import RunConfig
 from plasticity_lab.metrics import (
     batch_accuracy,
     feature_srank_probe,
@@ -13,6 +15,7 @@ from plasticity_lab.metrics import (
 )
 from plasticity_lab.nn import NetworkSpec, ParameterSet, hidden_feature_matrices, init_params
 from plasticity_lab.rng import RngStream
+from plasticity_lab.runner import run_experiment
 
 
 def jacobi_gram_eigenvalues(gram, sweeps=60):
@@ -67,6 +70,35 @@ def test_batch_accuracy_half():
     logits[1, 2] = 1.0
     labels = np.array([2, 2, 4, 5])
     assert batch_accuracy(logits, labels) == 0.5
+
+
+# --- averages --------------------------------------------------------------
+
+def run_with_accuracies(monkeypatch, values, num_tasks, steps_per_task):
+    """A run whose step t scores values[t], for its task rows' and total's means."""
+    scores = iter(values)
+    monkeypatch.setattr(runner, "batch_accuracy", lambda logits, labels: next(scores))
+    return run_experiment(RunConfig(problem="synthetic_permuted", num_tasks=num_tasks,
+                                    steps_per_task=steps_per_task, dataset_size=32, seed=0))
+
+
+def test_task_average_constant(monkeypatch):
+    record = run_with_accuracies(monkeypatch, [0.9] * 20, 2, 10)
+    for row in record.task_rows:
+        assert row.avg_online_task_accuracy == pytest.approx(0.9, abs=1e-15)
+
+
+def test_task_average_two_values(monkeypatch):
+    record = run_with_accuracies(monkeypatch, [0.0, 1.0] * 3, 3, 2)
+    assert [row.avg_online_task_accuracy for row in record.task_rows] == [0.5] * 3
+
+
+def test_total_average_equals_mean_of_task_averages(monkeypatch):
+    vals = RngStream(4).uniform(0, 1, 12 * 50)
+    record = run_with_accuracies(monkeypatch, vals.tolist(), 12, 50)
+    per_task = [row.avg_online_task_accuracy for row in record.task_rows]
+    assert len(per_task) == 12
+    assert abs(record.total_avg_online_accuracy - np.mean(per_task)) < 1e-12
 
 
 # --- parameter magnitude ------------------------------------------------------
