@@ -200,6 +200,8 @@ def sweep_cells(base: RunConfig) -> list[dict[str, float]]:
     """The grid cells of the base config's method, small-hyper-parameter-first for tie-breaking."""
     if base.method not in METHODS:
         raise ConfigError(f"unknown method {base.method!r}")
+    if base.optimizer not in ALPHA_GRID:
+        raise ConfigError(f"unknown optimizer {base.optimizer!r}")
     names = METHODS[base.method]
     grids = [sorted(GRIDS[n]) for n in names] + [sorted(ALPHA_GRID[base.optimizer])]
     return [dict(zip((*names, "alpha"), v)) for v in itertools.product(*grids)]

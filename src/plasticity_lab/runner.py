@@ -1,10 +1,10 @@
 """Deterministic experiment loop, hyper-parameter sweeps, and output files.
 
-One run is strictly sequential: fetch batch, score it (online accuracy is
-measured before the update), compute loss gradients, apply the method
-step. The learner never receives task boundaries; they are used only for
-metric bookkeeping (per-task accuracy rows plus weight-magnitude and
-feature-rank diagnostics captured at the end of each task).
+One run is strictly sequential. `start_run` builds its state, a `Run`, and
+`run_task` advances it one task: per step, fetch batch, score it (online
+accuracy before the update), compute loss gradients, apply the method step.
+Task boundaries never reach the learner; they serve only bookkeeping: each
+task's accuracy row and its weight-magnitude and feature-rank diagnostics.
 
 Before each update, and at each task boundary before the probe, the loop
 checks mean |theta| <= DIVERGENCE_MAGNITUDE; NaN and inf fail that
@@ -53,7 +53,7 @@ from .metrics import (
     mean_param_magnitude,
 )
 from .nn import NetworkSpec, ParameterSet, forward, init_params, loss_and_grad
-from .optim import apply_method_step, make_cbp_state, make_optimizer
+from .optim import CbpState, OptimizerState, apply_method_step, make_cbp_state, make_optimizer
 from .problems import (
     TaskStream,
     load_cifar10_bin,
@@ -92,7 +92,6 @@ def build_stream(cfg: RunConfig) -> TaskStream:
 
 
 def build_network_spec(cfg: RunConfig, stream: TaskStream) -> NetworkSpec:
-    cfg = cfg.resolved()
     return NetworkSpec(
         kind="cnn" if PROBLEMS[cfg.problem].data == "cifar" else "mlp",
         input_shape=stream.base.images.shape[1:],
@@ -110,66 +109,90 @@ def _check_magnitude(params: ParameterSet, step: int) -> float:
     return magnitude
 
 
-def run_experiment(cfg: RunConfig) -> RunRecord:
-    """Execute one run, deterministic given (config, seed); makes a set `cfg.out` before step 0.
+@dataclasses.dataclass
+class Run:
+    """What a run's loop advances, task by task: `start_run` builds it, `run_task` steps it."""
+
+    cfg: RunConfig  # resolved and validated
+    spec: NetworkSpec
+    stream: TaskStream
+    params: ParameterSet
+    opt: OptimizerState
+    cbp: CbpState | None
+    noise_rng: RngStream
+    per_step: np.ndarray  # every step's online accuracy; the first steps_completed are set
+    record: RunRecord
+
+
+def start_run(cfg: RunConfig) -> Run:
+    """A run's state before step 0; makes a set `cfg.out`, after every check.
 
     A set-up array the host cannot allocate is a ConfigError, raised before that."""
     cfg = cfg.resolved()
     cfg.validate()
-    started = time.perf_counter()
     master = RngStream(cfg.seed)
-    k, m = cfg.num_tasks, cfg.steps_per_task
     try:
         stream = build_stream(cfg)
         spec = build_network_spec(cfg, stream)
         params = init_params(spec, master.split("init"))
         opt = make_optimizer(cfg.optimizer, cfg.alpha, params)
         cbp = make_cbp_state(spec) if cfg.method == "continual_backprop" else None
-        per_step = np.zeros(k * m, dtype=np.float64)
+        per_step = np.zeros(cfg.num_tasks * cfg.steps_per_task, dtype=np.float64)
     except (ConfigError, DataFormatError):
         raise
     except (MemoryError, ValueError) as exc:  # ValueError: more entries than an array may hold
         raise ConfigError("cannot allocate the arrays sized by dataset_size, input_width, "
                           f"hidden_widths and num_tasks x steps_per_task: {exc}") from exc
-    noise_rng = master.split("noise")
+    if cfg.out is not None:  # past the config and data checks: an unwritable out fails here
+        os.makedirs(cfg.out, exist_ok=True)
+    return Run(cfg, spec, stream, params, opt, cbp, master.split("noise"), per_step,
+               RunRecord(config=dataclasses.asdict(cfg)))
+
+
+def run_task(run: Run, i: int) -> None:
+    """Run task i's steps (step t = i * steps_per_task + j) and append its row; a run that
+    diverges raises NumericalError, leaving no row for task i."""
+    cfg, spec, params, per_step, record = run.cfg, run.spec, run.params, run.per_step, run.record
+    m = cfg.steps_per_task
     theta = params.flat
     # mean |theta| <= RMS |theta| < DIVERGENCE_MAGNITUDE whenever theta . theta is below this
     sum_sq_bound = 0.5 * DIVERGENCE_MAGNITUDE**2 * theta.size
-    record = RunRecord(config=dataclasses.asdict(cfg))
-    if cfg.out is not None:  # past the config and data checks: an unwritable out fails here
-        os.makedirs(cfg.out, exist_ok=True)
-    step = 0
+    task = make_task(run.stream, i)
+    for j in range(m):
+        t = i * m + j
+        images, labels = next_batch(task, j)
+        logits, cache = forward(spec, params, images)
+        per_step[t] = batch_accuracy(logits, labels)
+        _, grad = loss_and_grad(spec, params, cache, logits, labels)
+        if not np.dot(theta, theta) < sum_sq_bound:
+            _check_magnitude(params, t)
+        apply_method_step(cfg, run.opt, params, grad, rng=run.noise_rng, cache=cache, cbp=run.cbp)
+        record.steps_completed = t + 1
+    magnitude = _check_magnitude(params, record.steps_completed)
+    probe = probe_batch(task, cfg.probe_size)
+    record.task_rows.append(TaskRow(
+        task_index=i, start_step=i * m, weight_magnitude=magnitude,
+        avg_online_task_accuracy=float(per_step[i * m : (i + 1) * m].mean()),
+        feature_srank=feature_srank_probe(spec, params, probe)))
+
+
+def run_experiment(cfg: RunConfig) -> RunRecord:
+    """Execute one run, deterministic given (config, seed): `start_run`, then `run_task`
+    for each task; a diverged run stops there, flagged incomplete."""
+    started = time.perf_counter()
+    run = start_run(cfg)
+    record = run.record
     try:
-        for i in range(k):
-            task = make_task(stream, i)
-            for j in range(m):
-                images, labels = next_batch(task, j)
-                logits, cache = forward(spec, params, images)
-                per_step[step] = batch_accuracy(logits, labels)
-                _, grad = loss_and_grad(spec, params, cache, logits, labels)
-                if not np.dot(theta, theta) < sum_sq_bound:
-                    _check_magnitude(params, step)
-                apply_method_step(cfg, opt, params, grad, rng=noise_rng, cache=cache, cbp=cbp)
-                step += 1
-            magnitude = _check_magnitude(params, step)
-            probe = probe_batch(task, cfg.probe_size)
-            record.task_rows.append(
-                TaskRow(
-                    task_index=i,
-                    start_step=i * m,
-                    avg_online_task_accuracy=float(per_step[i * m : step].mean()),
-                    weight_magnitude=magnitude,
-                    feature_srank=feature_srank_probe(spec, params, probe),
-                )
-            )
+        for i in range(run.cfg.num_tasks):
+            run_task(run, i)
     except NumericalError as exc:
         log.warning("aborting run: %s", exc)
         record.incomplete = True
 
-    record.steps_completed = step
+    step = record.steps_completed
     if step > 0:
-        record.total_avg_online_accuracy = float(per_step[:step].mean())
-    record.per_step_accuracy = per_step[:step] if cfg.log_steps else None
+        record.total_avg_online_accuracy = float(run.per_step[:step].mean())
+    record.per_step_accuracy = run.per_step[:step] if run.cfg.log_steps else None
     record.wall_clock_seconds = time.perf_counter() - started
     return record
 

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import os
 import re
@@ -11,16 +13,15 @@ from plasticity_lab import runner
 from plasticity_lab.cli import main
 from plasticity_lab.config import PROBLEMS, RunConfig, parse_config, sweep_cells
 from plasticity_lab.errors import ConfigError
-from plasticity_lab.nn import init_params
 from plasticity_lab.optim import METHODS
 from plasticity_lab.problems import Dataset
 from plasticity_lab.rng import RngStream
 from plasticity_lab.runner import (
-    build_network_spec,
-    build_stream,
     run_experiment,
     run_sweep,
+    run_task,
     select_winner,
+    start_run,
     write_outputs,
     write_sweep_outputs,
 )
@@ -254,9 +255,7 @@ def cifar_config(tmp_path, **kw):
 
 
 def weight_shapes(cfg):
-    spec = build_network_spec(cfg, build_stream(cfg))
-    params = init_params(spec, RngStream(0))
-    return {k: v.shape for k, v in params.values.items() if k.startswith("w")}
+    return {k: v.shape for k, v in start_run(cfg).params.values.items() if k.startswith("w")}
 
 
 def test_default_cifar_network_has_a_10_wide_dense_layer(tmp_path):
@@ -299,9 +298,8 @@ def test_problem_table_sets_transform_network_and_widths(tmp_path, problem):
                               labels=np.asarray(rng.integers(0, 10, 12))))
     cfg = RunConfig(problem=problem, dataset_size=8, mnist_images=str(tmp_path / "i.idx"),
                     mnist_labels=str(tmp_path / "l.idx"), cifar_bin=str(tmp_path / "c.bin"))
-    stream = build_stream(cfg)
-    spec = build_network_spec(cfg, stream)
-    assert (stream.transform, spec.kind, cfg.resolved().hidden_widths) == PROBLEM_SHAPES[problem]
+    run = start_run(cfg)
+    assert (run.stream.transform, run.spec.kind, run.cfg.hidden_widths) == PROBLEM_SHAPES[problem]
     assert set(PROBLEM_SHAPES) == set(PROBLEMS)
 
 
@@ -313,6 +311,61 @@ def test_layer_norm_method_enables_normalization():
     rec = run_experiment(desk_config(method="layer_norm"))
     rec_base = run_experiment(desk_config())
     assert rec.task_rows[0].weight_magnitude != rec_base.task_rows[0].weight_magnitude
+
+
+# --- run state --------------------------------------------------------------
+
+def carried_over(run, cfg):
+    """A fresh `start_run(cfg)` given only the state a checkpoint of `run` holds."""
+    fresh = start_run(cfg)
+    fresh.params.flat[:] = run.params.flat
+    fresh.opt.moments[...] = run.opt.moments
+    fresh.opt.t = run.opt.t
+    fresh.cbp = copy.deepcopy(run.cbp)
+    fresh.noise_rng._gen.bit_generator.state = run.noise_rng._gen.bit_generator.state
+    fresh.per_step[:] = run.per_step
+    fresh.record.task_rows = list(run.record.task_rows)
+    fresh.record.steps_completed = run.record.steps_completed
+    return fresh
+
+
+def assert_state_round_trips(cfg):
+    """Tasks 2-3 after a copy of the state at task 2 match tasks 2-3 run straight on."""
+    straight = start_run(cfg)
+    for i in range(2):
+        run_task(straight, i)
+    resumed = carried_over(straight, cfg)
+    if cfg.method == "continual_backprop":  # units reset before the copy, and their ages went
+        assert any((ages < straight.opt.t).any() for ages in straight.cbp.ages)
+    for run in (straight, resumed):
+        for i in range(2, 4):
+            run_task(run, i)
+    assert resumed.record.steps_completed == len(straight.per_step)
+    assert np.array_equal(resumed.per_step, straight.per_step)
+    assert resumed.record.task_rows == straight.record.task_rows
+
+
+CBP = dict(method="continual_backprop", maturity_threshold=20, replacement_rate=1e-2,
+           steps_per_task=50)
+
+
+@pytest.mark.parametrize("kw", (
+    dict(method="shrink_perturb", optimizer="sgd", alpha=1e-2, shrink=1e-3, noise=1e-3),
+    dict(method="shrink_perturb", shrink=1e-3, noise=1e-3),
+    dict(CBP, optimizer="sgd", alpha=1e-2),
+    dict(CBP),
+    dict(method="l2_init_resample", lam=1e-3),
+    dict(method="l2_init", lam=1e-2, steps_per_task=200),  # copied at t = 400, past t = 356
+), ids=("shrink_perturb-sgd", "shrink_perturb-adam", "continual_backprop-sgd",
+        "continual_backprop-adam", "l2_init_resample-adam", "l2_init-adam"))
+def test_run_state_round_trips(kw):
+    assert_state_round_trips(desk_config(**{"num_tasks": 4, **kw}))
+
+
+def test_cnn_run_state_round_trips(tmp_path):
+    assert_state_round_trips(dataclasses.replace(
+        cifar_config(tmp_path), num_tasks=4, steps_per_task=3, method="shrink_perturb",
+        shrink=1e-3, noise=1e-3))
 
 
 # --- sweeps ----------------------------------------------------------------
@@ -599,6 +652,11 @@ def test_cli_sweep_of_an_unknown_method_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
     with pytest.raises(ConfigError, match="^unknown method 'dropout'$"):
         sweep_cells(desk_config(method="dropout"))
+
+
+def test_sweep_of_an_unknown_optimizer_is_a_config_error():
+    with pytest.raises(ConfigError, match="^unknown optimizer 'rmsprop'$"):
+        run_sweep(RunConfig(problem="synthetic_permuted", optimizer="rmsprop"), 1)
 
 
 @pytest.mark.parametrize("from_file", (False, True), ids=("argument", "config_file"))
