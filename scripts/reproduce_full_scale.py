@@ -38,7 +38,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from plasticity_lab.cli import Parser
+from plasticity_lab.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, Parser
 from plasticity_lab.config import RunConfig, parse_config
 from plasticity_lab.errors import ConfigError, DataFormatError
 from plasticity_lab.runner import run_experiment, write_outputs
@@ -149,11 +149,11 @@ def main(argv: list[str] | None = None) -> int:
             )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_USAGE
     except (OSError, DataFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    return 3 if incomplete else 0
+        return EXIT_IO
+    return EXIT_NUMERICAL if incomplete else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -9,12 +9,3 @@ effective-feature-rank diagnostics.
 """
 
 __version__ = "0.1.0"
-
-# the public names, each re-exported from its module
-from .config import RunConfig, parse_config
-from .metrics import RunRecord
-from .nn import NetworkSpec, ParameterSet, forward, init_params, loss_and_grad
-from .optim import MethodConfig, OptimizerState
-from .problems import Dataset, Task, TaskStream
-from .rng import RngStream
-from .runner import run_experiment, run_sweep, write_outputs

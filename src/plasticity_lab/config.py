@@ -30,21 +30,20 @@ class Problem(NamedTuple):
     dataset_size: int
     num_tasks: int
     steps_per_task: int
-    batch_size: int
     hidden_widths: tuple[int, ...]
 
 
 PROBLEMS: dict[str, Problem] = {
-    "permuted_mnist": Problem("mnist", "permute", 10_000, 500, 625, 16, (100, 100)),
-    "random_label_mnist": Problem("mnist", "relabel", 1_200, 50, 30_000, 16, (100, 100)),
+    "permuted_mnist": Problem("mnist", "permute", 10_000, 500, 625, (100, 100)),
+    "random_label_mnist": Problem("mnist", "relabel", 1_200, 50, 30_000, (100, 100)),
     # the CNN's dense layer, after its two convs
-    "random_label_cifar": Problem("cifar", "relabel", 1_200, 50, 30_000, 16, (10,)),
+    "random_label_cifar": Problem("cifar", "relabel", 1_200, 50, 30_000, (10,)),
     # desk scale: 32 samples -> 25 epochs/task; deliberately capacity-starved
     # so plasticity loss shows within 40 tasks
-    "synthetic_permuted": Problem("synthetic", "permute", 32, 40, 50, 16, (30, 30)),
+    "synthetic_permuted": Problem("synthetic", "permute", 32, 40, 50, (30, 30)),
     # 300 samples -> 100 epochs/task; wide enough to memorize 300 random
     # labels inside 100 epochs
-    "synthetic_random_label": Problem("synthetic", "relabel", 300, 10, 1_900, 16, (100, 100)),
+    "synthetic_random_label": Problem("synthetic", "relabel", 300, 10, 1_900, (100, 100)),
 }
 
 
@@ -58,7 +57,7 @@ class RunConfig(MethodConfig):
     dataset_size: int | None = None
     num_tasks: int | None = None
     steps_per_task: int | None = None
-    batch_size: int | None = None
+    batch_size: int = 16
     hidden_widths: tuple[int, ...] | None = None
     probe_size: int = 512
     input_width: int = 64   # synthetic problems only
@@ -87,7 +86,7 @@ class RunConfig(MethodConfig):
             raise ConfigError(f"classes must be <= 10, got {self.classes}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.optimizer not in ("sgd", "adam"):
+        if self.optimizer not in ALPHA_GRID:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if not 0 < self.alpha < float("inf"):
             raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
@@ -132,9 +131,10 @@ def _choice(options):
     return parse
 
 
+ALPHA_GRID = {"sgd": (1e-2, 1e-3), "adam": (1e-3, 1e-4)}  # each optimizer's swept alphas
 # the fields whose type alone does not parse them
 _PARSERS = {"problem": _choice(PROBLEMS), "method": _choice(METHODS),
-            "optimizer": _choice(("sgd", "adam")), "hidden_widths": _parse_widths,
+            "optimizer": _choice(ALPHA_GRID), "hidden_widths": _parse_widths,
             "log_steps": _parse_bool}
 # config key -> (RunConfig field, value parser): each field's name (`lambda` for `lam`), and
 # its parser above or else its type (X of `X | None`)
@@ -186,7 +186,6 @@ def parse_config(
 
 # -- hyper-parameter sweep grids --
 
-ALPHA_GRID = {"sgd": (1e-2, 1e-3), "adam": (1e-3, 1e-4)}
 # the swept hyper-parameters, in tie-break and sweep.csv column order
 GRIDS = {
     "lam": (1e-2, 1e-3, 1e-4, 1e-5),

@@ -5,10 +5,6 @@ config/usage problems, malformed data files, and numerical failures.
 """
 
 
-class DimensionError(ValueError):
-    """Operand shapes are incompatible with the requested operation."""
-
-
 class DataFormatError(ValueError):
     """A dataset file does not match its declared binary format."""
 

@@ -24,7 +24,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionError
 from .linalg import (
     conv2d,
     conv2d_input_gradient,
@@ -67,9 +66,9 @@ class NetworkSpec:
             raise ValueError(f"unknown network kind {self.kind!r}")
         ndim = 3 if self.kind == "cnn" else 1  # (C,H,W) images or flat features
         if len(self.input_shape) != ndim:
-            raise DimensionError(f"{self.kind} input_shape must be {ndim}-D: {self.input_shape}")
+            raise ValueError(f"{self.kind} input_shape must be {ndim}-D: {self.input_shape}")
         if self.kind == "cnn" and not self.conv_channels:  # only a conv layer's output is flattened
-            raise DimensionError("a cnn needs at least one conv layer")
+            raise ValueError("a cnn needs at least one conv layer")
         if not self.convs + self.hidden_widths:
             raise ValueError("network needs at least one hidden layer")
         layer_shapes(self)  # validates spatial extents
@@ -91,10 +90,10 @@ def layer_shapes(spec: NetworkSpec) -> list[tuple[tuple[int, ...], int, tuple[in
         c, h, w = shape
         where = f"cnn input {spec.input_shape}: conv layer {l}'s"
         if h < k or w < k:
-            raise DimensionError(f"{where} input map {h}x{w} is too small for {k}x{k} conv")
+            raise ValueError(f"{where} input map {h}x{w} is too small for {k}x{k} conv")
         h, w = h - k + 1, w - k + 1
         if h < 2 or w < 2:
-            raise DimensionError(f"{where} feature map {h}x{w} is too small for 2x2 max pool")
+            raise ValueError(f"{where} feature map {h}x{w} is too small for 2x2 max pool")
         layers.append(((f, c, k, k), c * k * k, (f, h, w)))
         shape = (f, h // 2, w // 2)
     dims = (int(np.prod(shape)), *spec.hidden_widths, spec.num_classes)
@@ -230,7 +229,7 @@ def forward(
     h = np.asarray(images, dtype=np.float64)
     expected = (h.shape[0],) + spec.input_shape
     if h.shape != expected:
-        raise DimensionError(f"forward: batch shape {h.shape} != expected {expected}")
+        raise ValueError(f"forward: batch shape {h.shape} != expected {expected}")
     v = params.values
     cache = ForwardCache()
     for l in range(len(spec.convs) + len(spec.hidden_widths)):
@@ -283,7 +282,7 @@ def loss_and_grad(
     cache.consumed = True
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
-        raise DimensionError(f"labels shape {labels.shape} incompatible with logits {logits.shape}")
+        raise ValueError(f"labels shape {labels.shape} incompatible with logits {logits.shape}")
     if labels.min() < 0 or labels.max() >= spec.num_classes:
         raise ValueError(f"labels out of range [0, {spec.num_classes})")
 

@@ -123,6 +123,8 @@ def _read_records(path: str, offset: int, record_bytes: int, idx, cols=slice(Non
 def load_idx(images_path: str, labels_path: str, n: int, rng: RngStream) -> Dataset:
     """Keep n rows of an MNIST IDX image/label pair, reading only the kept image rows."""
     size, rows, cols = _idx_dims(images_path, IDX_IMAGES_MAGIC)
+    if rows * cols == 0:
+        raise DataFormatError(f"{images_path}: images of {rows}x{cols} pixels hold no data")
     (count,) = _idx_dims(labels_path, IDX_LABELS_MAGIC)
     labels = np.empty(count, dtype=np.uint8)
     _read_records(labels_path, 8, 1, np.arange(0), first=labels)

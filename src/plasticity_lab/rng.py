@@ -60,6 +60,3 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed}, path={self.path!r})"

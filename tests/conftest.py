@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from plasticity_lab import runner
+from plasticity_lab import nn, runner
 from plasticity_lab.nn import NetworkSpec, init_params
 from plasticity_lab.problems import Dataset, TaskStream, make_task
 from plasticity_lab.rng import RngStream
@@ -41,6 +41,16 @@ def count_forward_calls(monkeypatch):
         return forward(spec, params, images)
     monkeypatch.setattr(runner, "forward", counted)
     return calls
+
+
+def double_the_gradient(monkeypatch):
+    """Make `nn.loss_and_grad`, as the finite-difference check calls it, return 2x the gradient."""
+    true_loss_and_grad = nn.loss_and_grad
+
+    def doubled(*args):
+        loss, grad = true_loss_and_grad(*args)
+        return loss, 2.0 * grad
+    monkeypatch.setattr(nn, "loss_and_grad", doubled)
 
 
 def write_idx_images(path, images_u8):

@@ -114,6 +114,11 @@ def test_unknown_choices_rejected():
         parse_config(None, ["method=dropout"])
 
 
+def test_the_optimizer_key_names_each_optimizer():
+    with pytest.raises(ConfigError, match="expected one of sgd, adam; got 'rmsprop'"):
+        parse_config(None, ["optimizer=rmsprop"])
+
+
 def test_validate_requires_dataset_paths():
     with pytest.raises(ConfigError, match="mnist_images"):
         RunConfig(problem="permuted_mnist").resolved().validate()
@@ -143,7 +148,7 @@ def test_run_config_fields_and_defaults_are_pinned():
         "method": "baseline", "lam": 1e-2, "shrink": 1e-4, "noise": 1e-2,
         "replacement_rate": 1e-4, "maturity_threshold": 100, "utility_decay": 0.99,
         "problem": "permuted_mnist", "optimizer": "adam", "alpha": 1e-3, "seed": 0,
-        "dataset_size": None, "num_tasks": None, "steps_per_task": None, "batch_size": None,
+        "dataset_size": None, "num_tasks": None, "steps_per_task": None, "batch_size": 16,
         "hidden_widths": None, "probe_size": 512, "input_width": 64, "classes": 10,
         "mnist_images": None, "mnist_labels": None, "cifar_bin": None, "out": None,
         "log_steps": False,

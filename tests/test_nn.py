@@ -3,12 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_instance, tiny_cnn_spec, tiny_mlp_spec
-from plasticity_lab.errors import DimensionError
+from conftest import double_the_gradient, random_instance, tiny_cnn_spec, tiny_mlp_spec
 from plasticity_lab.nn import (
     PROBE_CHUNK,
     NetworkSpec,
     ParameterSet,
+    finite_difference_max_error,
     forward,
     hidden_feature_matrices,
     init_params,
@@ -166,7 +166,7 @@ def test_logits_shape_for_batch_of_16():
 def test_forward_rejects_wrong_batch_shape():
     spec = tiny_mlp_spec()
     params, _, _ = random_instance(spec, seed=0)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match=r"forward: batch shape \(4, 7\) != expected"):
         forward(spec, params, np.zeros((4, 7)))
 
 
@@ -178,15 +178,44 @@ def test_cnn_spec_rejects_small_spatial():
         ((1, 12, 12), r"\(1, 12, 12\): conv layer 1's input map 4x4 is too small for 5x5 conv"),
         ((1, 14, 14), r"\(1, 14, 14\): conv layer 1's feature map 1x1 is too small for 2x2 max"),
     ]:
-        with pytest.raises(DimensionError, match=message):
+        with pytest.raises(ValueError, match=message):
             NetworkSpec(kind="cnn", input_shape=shape)
     NetworkSpec(kind="cnn", input_shape=(1, 16, 16))  # conv layer 1: 6x6 in, 2x2 out, 1x1 pooled
 
 
 def test_cnn_spec_rejects_no_conv_layer():
     # forward flattens a CNN's maps after its last conv layer; with none it would matmul 3-D input
-    with pytest.raises(DimensionError, match="a cnn needs at least one conv layer"):
+    with pytest.raises(ValueError, match="a cnn needs at least one conv layer"):
         NetworkSpec(kind="cnn", input_shape=(3, 8, 8), conv_channels=(), hidden_widths=(4,))
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(kind="rnn", input_shape=(4,)), "unknown network kind 'rnn'"),
+    (dict(kind="mlp", input_shape=(2, 2)), r"mlp input_shape must be 1-D: \(2, 2\)"),
+    (dict(kind="cnn", input_shape=(16, 16)), r"cnn input_shape must be 3-D: \(16, 16\)"),
+    (dict(kind="mlp", input_shape=(4,), hidden_widths=()), "needs at least one hidden layer"),
+], ids=("kind", "mlp_rank", "cnn_rank", "no_hidden_layer"))
+def test_network_spec_rejects_what_it_cannot_lay_out(kw, message):
+    with pytest.raises(ValueError, match=message):
+        NetworkSpec(**kw)
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 1)], ids=("short", "2-d"))
+def test_loss_and_grad_rejects_labels_not_one_per_sample(shape):
+    spec = tiny_mlp_spec()
+    params, images, _ = random_instance(spec, seed=0)
+    logits, cache = forward(spec, params, images)
+    with pytest.raises(ValueError, match=r"labels shape .* incompatible with logits \(4, 3\)"):
+        loss_and_grad(spec, params, cache, logits, np.zeros(shape, dtype=np.int64))
+
+
+def test_the_gradient_check_gates_a_wrong_gradient(monkeypatch):
+    spec = tiny_mlp_spec()
+    params, images, labels = random_instance(spec, seed=0)
+    assert finite_difference_max_error(spec, params, images, labels)[0] < 1e-4
+    double_the_gradient(monkeypatch)
+    gated, unfloored = finite_difference_max_error(spec, params, images, labels)
+    assert 1e-4 < gated <= unfloored
 
 
 def test_forward_deterministic():

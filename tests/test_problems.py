@@ -24,6 +24,7 @@ from plasticity_lab.problems import (
     READ_BYTES,
     READ_CALL_BYTES,
     Dataset,
+    TaskStream,
     load_cifar10_bin,
     load_idx,
     make_task,
@@ -81,6 +82,21 @@ def test_idx_truncated_payload(tmp_path):
         fh.write(b"\x00" * 5)  # needs 8
     with pytest.raises(DataFormatError, match="length"):
         load_idx(str(path), str(path), 1, RngStream(0))
+
+
+def test_idx_truncated_dimension_header(tmp_path):
+    path = tmp_path / "short.idx"
+    path.write_bytes(struct.pack(">III", 0x00000803, 2, 2))  # an image file has three sizes
+    with pytest.raises(DataFormatError, match="truncated IDX dimension header"):
+        load_idx(str(path), str(path), 1, RngStream(0))
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (28, 0)])
+def test_idx_images_of_no_pixels_are_a_format_error(tmp_path, rows, cols):
+    # the header matches the payload, but a network's init would divide by sqrt(0)
+    images, labels = idx_pair(tmp_path, np.zeros((20, rows, cols), dtype=np.uint8), [1] * 20)
+    with pytest.raises(DataFormatError, match=f"i.idx: images of {rows}x{cols} pixels"):
+        load_idx(images, labels, 10, RngStream(0))
 
 
 # --- CIFAR parsing -------------------------------------------------------------
@@ -163,6 +179,17 @@ def synthetic_stream(transform="permute", n=32, k=6, m=10, seed=0, classes=10, w
     problem = "synthetic_permuted" if transform == "permute" else "synthetic_random_label"
     return build_stream(RunConfig(problem=problem, input_width=width, classes=classes,
                                   dataset_size=n, num_tasks=k, steps_per_task=m, seed=seed))
+
+
+@pytest.mark.parametrize("transform, shape, message", [
+    ("rotate", (4, 6), "unknown transform 'rotate'"),
+    ("permute", (4, 1, 2, 3), r"permutation streams need flat \(N, D\) images"),
+])
+def test_task_stream_rejects_what_its_tasks_cannot_transform(transform, shape, message):
+    base = Dataset(images=np.zeros(shape), labels=np.zeros(4, dtype=np.int64))
+    with pytest.raises(ValueError, match=message):
+        TaskStream(transform=transform, base=base, batch_size=2, seed=0)
+    TaskStream(transform="relabel", base=base, batch_size=2, seed=0)  # any image shape relabels
 
 
 def test_make_task_is_pure():
@@ -399,6 +426,18 @@ def test_bad_data_files_are_format_errors(tmp_path, case):
         build_stream(RunConfig(**fields))
     overrides = [f"{key}={value}" for key, value in fields.items()]
     assert main(["run", f"out={tmp_path / 'o'}", *overrides]) == 2
+
+
+@pytest.mark.parametrize("problem", ("permuted_mnist", "random_label_mnist"))
+def test_idx_images_of_no_pixels_are_one_io_error_line(tmp_path, capsys, monkeypatch, problem):
+    monkeypatch.chdir(tmp_path)  # a run that got past its data would make ./out
+    write_idx_images(tmp_path / "i.idx", np.zeros((20, 0, 0)))
+    write_idx_labels(tmp_path / "l.idx", [1] * 20)
+    code = main(["run", f"problem={problem}", "mnist_images=i.idx", "mnist_labels=l.idx",
+                 "dataset_size=10", "num_tasks=2", "steps_per_task=5"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "i/o error: i.idx: images of 0x0 pixels hold no data\n")
+    assert sorted(os.listdir(tmp_path)) == ["i.idx", "l.idx"]
 
 
 def test_build_stream_scales_only_the_kept_rows(tmp_path):

@@ -40,6 +40,11 @@ def test_split_is_pure_and_label_sensitive():
     assert not np.array_equal(first, other)
 
 
+def test_split_requires_a_label():
+    with pytest.raises(ValueError, match=r"split\(\) requires at least one label"):
+        RngStream(7).split()
+
+
 def test_split_composite_labels_distinct():
     root = RngStream(7)
     a = root.split("task", 0).uniform(0.0, 1.0, 8)

@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (count_forward_calls, write_cifar10_bin, write_idx_images,
-                      write_idx_labels)
+from conftest import (count_forward_calls, double_the_gradient, write_cifar10_bin,
+                      write_idx_images, write_idx_labels)
 from plasticity_lab import runner
 from plasticity_lab.cli import main
 from plasticity_lab.config import PROBLEMS, RunConfig, parse_config, sweep_cells
@@ -234,6 +234,16 @@ def test_version_string_names_the_package_checkout(tmp_path, monkeypatch):
     from_package = runner._version_string()
     monkeypatch.chdir(tmp_path)
     assert runner._version_string() == from_package
+
+
+# parse_config rejects these names first; only the Python API reaches resolved's and validate's
+@pytest.mark.parametrize("field, value", [
+    ("problem", "mnist"), ("method", "dropout"), ("optimizer", "rmsprop")])
+def test_a_run_of_an_unknown_name_makes_no_directory(tmp_path, field, value):
+    cfg = dataclasses.replace(desk_config(), out=str(tmp_path / "o"), **{field: value})
+    with pytest.raises(ConfigError, match=f"unknown {field} '{value}'"):
+        run_experiment(cfg)
+    assert os.listdir(tmp_path) == []
 
 
 def test_missing_dataset_fails_before_compute(tmp_path):
@@ -970,6 +980,13 @@ def test_cli_gradcheck_passes(capsys):
     unfloored = [float(x) for x in re.findall(r"\(unfloored (\S+)\)", out)]
     assert len(unfloored) == 4
     assert all(0.0 < err < 1e-4 for err in unfloored), unfloored
+
+
+def test_cli_gradcheck_fails_on_a_wrong_gradient(capsys, monkeypatch):
+    double_the_gradient(monkeypatch)  # the check's gradient, not the signal test's
+    assert main(["gradcheck"]) == 3
+    worst = re.search(r"overall max relative error: (\S+)", capsys.readouterr().out)
+    assert float(worst.group(1)) > 1e-4
 
 
 def test_cli_sweep(tmp_path):
