@@ -32,13 +32,14 @@ Usage (key=value arguments go before --methods, which takes the rest):
 """
 
 import argparse
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from plasticity_lab.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, Parser
+from plasticity_lab.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, LOG_FORMAT, Parser
 from plasticity_lab.config import RunConfig, parse_config
 from plasticity_lab.errors import ConfigError, DataFormatError
 from plasticity_lab.runner import run_experiment, write_outputs
@@ -126,6 +127,7 @@ def _jobs(args) -> list[RunConfig]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    logging.basicConfig(level=logging.INFO, format=LOG_FORMAT)  # each run's per-task progress
     # plab's parser: `--seed 3` is not `--seeds 3`, and an argument error is a ConfigError
     ap = Parser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--config", default=None, help="flat key=value config file")

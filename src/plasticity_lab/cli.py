@@ -41,6 +41,7 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERICAL = 3
 SWEEP_EXIT = {"config": EXIT_USAGE, "io": EXIT_IO}  # by failed-row cause; else numerical
+LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"  # INFO and up to stderr: per-task progress
 
 
 class Parser(argparse.ArgumentParser):  # plab's, and the full-scale script's
@@ -156,7 +157,7 @@ def _cmd_inspect(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=logging.INFO, format=LOG_FORMAT)
     parser = _build_parser()
     try:
         args, extra = parser.parse_known_args(argv)  # key=values after a flag land in `extra`

@@ -29,8 +29,8 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
     f, _, kh, kw = kernels.shape
     n, ho, wo = x.shape[0], x.shape[2] - kh + 1, x.shape[3] - kw + 1
     prod = kernels.reshape(f, -1) @ _columns(x, kh, kw)
-    out = np.empty((n, f, ho, wo))
-    return np.add(prod.reshape(f, n, ho, wo).transpose(1, 0, 2, 3), bias[:, None, None], out=out)
+    prod += bias[:, None]  # the adds of the transposed layout, on the contiguous product
+    return np.ascontiguousarray(prod.reshape(f, n, ho, wo).transpose(1, 0, 2, 3))
 
 
 def conv2d_kernel_gradient(x: np.ndarray, grad_out: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -57,16 +57,25 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
 
 
 def maxpool2_backward(grad_out: np.ndarray, x: np.ndarray, pooled: np.ndarray) -> np.ndarray:
-    """Route each window's gradient to its first entry of x (row-major) equal to `pooled`,
-    as argmax breaks ties, so a constant window routes to its top-left; elsewhere +0.0."""
-    grad_in = np.zeros(x.shape)
+    """Gradient of ReLU then 2x2 max pool w.r.t. the pre-ReLU map z, given x = max(z, 0) and
+    `pooled` = maxpool2(x): the bits of routing, then multiplying by (z > 0) = (x > 0).
+
+    Each window's gradient goes to its first entry of x (row-major) equal to `pooled`, as
+    argmax breaks ties, so a constant window routes to its top-left; elsewhere +0.0. Only a
+    window of zeros routes to an entry with x == 0, its top-left, so only the top-left slot
+    is multiplied, by (pooled > 0): a negative gradient there becomes -0.0.
+    """
     ho2, wo2 = 2 * pooled.shape[2], 2 * pooled.shape[3]
+    # on an even map the four slots write every entry; an odd one drops a row or column
+    grad_in = (np.empty if x.shape[2:] == (ho2, wo2) else np.zeros)(x.shape)
     free = np.ones(pooled.shape, dtype=bool)  # windows not routed yet
+    routed = grad_out * (pooled > 0)  # the top-left slot's gradient
     for du, dv in ((0, 0), (0, 1), (1, 0), (1, 1)):
         slot = (..., slice(du, ho2, 2), slice(dv, wo2, 2))
         hit = (x[slot] == pooled) & free
         free ^= hit
-        # grad_out's exact bits where hit, else +0.0: np.where's result without its branches
+        # routed's exact bits where hit, else +0.0: np.where's result without its branches
         mask = np.negative(hit, dtype=np.int64)
-        np.bitwise_and(grad_out.view(np.int64), mask, out=grad_in[slot].view(np.int64))
+        np.bitwise_and(routed.view(np.int64), mask, out=grad_in[slot].view(np.int64))
+        routed = grad_out  # a later slot's entry is routed to only if it is positive
     return grad_in

@@ -4,12 +4,13 @@ One layout covers both architectures: hidden layers l = 0 .. L-2, valid
 5x5 conv layers first and then dense layers of widths `hidden_widths`,
 then the linear output layer L-1. An MLP is the case with no conv layers;
 a CNN has `conv_channels`. Every hidden layer runs the same steps: conv
-or affine map, optional layer norm over each sample's features, ReLU,
-and, on a conv layer, a 2x2 max pool. `forward` and `loss_and_grad` are
-one loop each over these layers. Parameters, and the gradient, live in
-flat vectors read through named views (`ParameterSet`); layer l uses
-keys "w{l}"/"b{l}" and, when layer normalization is enabled, hidden
-layer l adds "gain{l}"/"shift{l}".
+or affine map, optional layer norm over each sample's features, ReLU (in
+place: the cache keeps the post-ReLU map), and, on a conv layer, a 2x2
+max pool, whose backward also takes the ReLU's derivative. `forward` and
+`loss_and_grad` are one loop each over these layers. Parameters, and the
+gradient, live in flat vectors read through named views (`ParameterSet`);
+layer l uses keys "w{l}"/"b{l}" and, when layer normalization is enabled,
+hidden layer l adds "gain{l}"/"shift{l}".
 
 `layer_shapes` lays the network out once. `init_params` builds from it each
 tensor's init distribution (weights and biases uniform(+-1/sqrt(fan_in)),
@@ -183,15 +184,16 @@ class ForwardCache:
     Layer l's entries sit at index l in each list (conv layers first):
     `inputs` holds the input to every layer, the output layer last, so
     `inputs[l + 1]` is hidden layer l's output (pooled on a conv layer);
-    `preacts` the post-layer-norm, pre-ReLU output of each hidden layer;
+    `acts` the post-ReLU map of each hidden layer, before any pool, whose
+    positive entries are those of the pre-ReLU map;
     `ln` its layer norm's (xhat, inv_std), empty when layer norm is off.
     A conv layer's max pool keeps nothing: the backward pass routes each
-    window's gradient to the first position of `max(preacts[l], 0)` equal
-    to the pooled value in `inputs[l + 1]`, which is argmax's tie rule.
+    window's gradient to the first position of `acts[l]` equal to the
+    pooled value in `inputs[l + 1]`, which is argmax's tie rule.
     """
 
     inputs: list = field(default_factory=list)
-    preacts: list = field(default_factory=list)
+    acts: list = field(default_factory=list)
     ln: list = field(default_factory=list)
     consumed: bool = False
 
@@ -234,29 +236,29 @@ def forward(
     cache = ForwardCache()
     for l in range(len(spec.convs) + len(spec.hidden_widths)):
         cache.inputs.append(h)
-        z, ln, h = _hidden_layer(spec, v, l, h)
-        cache.preacts.append(z)
+        a, ln, h = _hidden_layer(spec, v, l, h)
+        cache.acts.append(a)
         cache.ln += ln
 
     cache.inputs.append(h)
-    out_layer = len(cache.preacts)
+    out_layer = len(cache.acts)
     logits = h @ v[f"w{out_layer}"] + v[f"b{out_layer}"]
     return logits, cache
 
 
 def _hidden_layer(spec: NetworkSpec, v, l: int, h: np.ndarray):
-    """Hidden layer l on h: its pre-ReLU z, [layer norm's (xhat, inv_std)] or [], and output."""
+    """Hidden layer l on h: its post-ReLU map, [layer norm's (xhat, inv_std)] or [], and output."""
     conv, ln = l < len(spec.convs), []
     z = conv2d(h, v[f"w{l}"], v[f"b{l}"]) if conv else h @ v[f"w{l}"] + v[f"b{l}"]
     if spec.layer_norm:  # over each sample's features; a no-op reshape on a dense layer
         out, xhat, inv_std = _ln_forward(z.reshape(len(z), -1), v[f"gain{l}"], v[f"shift{l}"])
         z, ln = out.reshape(z.shape), [(xhat, inv_std)]
-    h = np.maximum(z, 0.0)
+    h = a = np.maximum(z, 0.0, out=z)
     if conv:
-        h = maxpool2(h)
+        h = maxpool2(a)
         if l == len(spec.convs) - 1:  # dense layers take each sample's features flat
             h = h.reshape(len(h), -1)
-    return z, ln, h
+    return a, ln, h
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -295,7 +297,7 @@ def loss_and_grad(
     d[np.arange(batch), labels] -= 1.0
     d /= batch
 
-    out_layer = len(cache.preacts)
+    out_layer = len(cache.acts)
     np.matmul(cache.inputs[out_layer].T, d, out=g[f"w{out_layer}"])
     d.sum(axis=0, out=g[f"b{out_layer}"])
     da = d @ v[f"w{out_layer}"].T  # gradient w.r.t. the output layer's input
@@ -303,11 +305,12 @@ def loss_and_grad(
     n_conv = len(spec.convs)
     for l in reversed(range(out_layer)):
         conv = l < n_conv
-        y = cache.preacts[l]
-        if conv:
-            pooled = cache.inputs[l + 1].reshape(len(y), y.shape[1], y.shape[2] // 2, -1)
-            da = maxpool2_backward(da.reshape(pooled.shape), np.maximum(y, 0.0), pooled)
-        dz = da * (y > 0)
+        a = cache.acts[l]
+        if conv:  # the pool's backward takes the ReLU's derivative too
+            pooled = cache.inputs[l + 1].reshape(len(a), a.shape[1], a.shape[2] // 2, -1)
+            dz = maxpool2_backward(da.reshape(pooled.shape), a, pooled)
+        else:
+            dz = da * (a > 0)
         if spec.layer_norm:
             gain = v[f"gain{l}"]
             dz2d, dgain, dshift = _ln_backward(dz.reshape(len(dz), -1), gain, *cache.ln[l])

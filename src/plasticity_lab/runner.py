@@ -39,6 +39,7 @@ import os
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
+from datetime import timedelta
 
 import numpy as np
 
@@ -178,13 +179,19 @@ def run_task(run: Run, i: int) -> None:
 
 def run_experiment(cfg: RunConfig) -> RunRecord:
     """Execute one run, deterministic given (config, seed): `start_run`, then `run_task`
-    for each task; a diverged run stops there, flagged incomplete."""
+    for each task, each finished task logging its accuracy, the steps/s so far and the
+    ETA; a diverged run stops there, flagged incomplete."""
     started = time.perf_counter()
     run = start_run(cfg)
-    record = run.record
+    record, k = run.record, run.cfg.num_tasks
+    loop_start = time.perf_counter()
     try:
-        for i in range(run.cfg.num_tasks):
+        for i in range(k):
             run_task(run, i)
+            rate = record.steps_completed / (time.perf_counter() - loop_start)
+            eta = timedelta(seconds=round((k - 1 - i) * run.cfg.steps_per_task / rate))
+            log.info("task %d/%d: accuracy %.4f, %.1f steps/s, ETA %s", i + 1, k,
+                     record.task_rows[-1].avg_online_task_accuracy, rate, eta)
     except NumericalError as exc:
         log.warning("aborting run: %s", exc)
         record.incomplete = True

@@ -70,13 +70,16 @@ def same_bytes(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def check_maxpool_against_loops(x, grad_out):
-    """maxpool2 and its backward against the loop oracle and a scatter to its argmax."""
-    want, idx = maxpool2_loops(x)
-    got = maxpool2(x)
+def check_maxpool_against_loops(z, grad_out):
+    """maxpool2 of z against the loop oracle; the backward of ReLU then pool against a
+    scatter to the loop argmax of max(z, 0), times the ReLU's derivative (z > 0)."""
+    assert np.array_equal(maxpool2(z), maxpool2_loops(z)[0])
+    a = np.maximum(z, 0.0)
+    want, idx = maxpool2_loops(a)
+    got = maxpool2(a)
     assert np.array_equal(got, want)
-    back = maxpool2_backward(grad_out, x, got)
-    assert same_bytes(back, scatter_to_window_index(grad_out, idx, x.shape))
+    back = maxpool2_backward(grad_out, a, got)
+    assert same_bytes(back, scatter_to_window_index(grad_out, idx, z.shape) * (z > 0))
 
 
 # --- conv2d ---------------------------------------------------------------
@@ -169,8 +172,15 @@ def test_maxpool_tie_goes_to_first():
     assert back.sum() == out.size
 
 
+def test_maxpool_backward_of_a_window_of_zeros_keeps_the_gradients_sign():
+    # z <= 0 everywhere: the window routes to its top-left, where the ReLU's derivative is 0
+    a = np.maximum(np.array([[[[-1.0, -2.0], [-3.0, 0.0]]]]), 0.0)
+    back = maxpool2_backward(np.full((1, 1, 1, 1), -2.0), a, maxpool2(a))
+    assert same_bytes(back, np.array([[[[-0.0, 0.0], [0.0, 0.0]]]]))
+
+
 def test_maxpool_odd_dims_dropped_and_backward_routes():
-    x = RngStream(6).uniform(-1, 1, (1, 1, 5, 5))
+    x = np.maximum(RngStream(6).uniform(-1, 1, (1, 1, 5, 5)), 0.0)  # the post-ReLU map
     out = maxpool2(x)
     assert out.shape == (1, 1, 2, 2)
     g = np.ones_like(out)
@@ -243,10 +253,10 @@ def test_conv_and_pool_match_the_einsum_and_argmax_code_bit_for_bit(in_shape):
     pooled, idx = maxpool2_argmax(a)
     assert same_bytes(maxpool2(a), pooled)
     grad_out = rng.uniform(-1, 1, pooled.shape)
-    back = maxpool2_backward(grad_out, a, pooled)
-    assert same_bytes(back, maxpool2_backward_argmax(grad_out, idx, a.shape))
+    dz = maxpool2_backward(grad_out, a, pooled)
+    assert same_bytes(dz, maxpool2_backward_argmax(grad_out, idx, a.shape) * (z > 0))
+    assert np.signbit(dz[dz == 0.0]).any()  # windows of zeros met negative gradients
 
-    dz = back * (z > 0)
     assert same_bytes(conv2d_kernel_gradient(x, dz, 5, 5), conv2d_kernel_gradient_einsum(x, dz))
     assert same_bytes(conv2d_input_gradient(dz, k), conv2d_input_gradient_einsum(dz, k))
 

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import double_the_gradient, random_instance, tiny_cnn_spec, tiny_mlp_spec
+from plasticity_lab.linalg import conv2d, conv2d_input_gradient, conv2d_kernel_gradient
 from plasticity_lab.nn import (
     PROBE_CHUNK,
     NetworkSpec,
     ParameterSet,
+    _ln_backward,
+    _ln_forward,
+    _log_softmax,
     finite_difference_max_error,
     forward,
     hidden_feature_matrices,
@@ -294,12 +298,107 @@ def test_gradients_match_finite_differences(kind, layer_norm):
     assert max_rel_error(grads, numeric) < 1e-4
 
 
+@pytest.mark.parametrize("layer_norm", [False, True], ids=("plain", "layer_norm"))
+def test_gradients_of_odd_maps_match_finite_differences(layer_norm):
+    # the first map is 13x13, so its max pool drops a row and a column
+    spec = NetworkSpec(kind="cnn", input_shape=(2, 17, 17), conv_channels=(3, 3),
+                       hidden_widths=(4,), layer_norm=layer_norm)
+    assert layer_shapes(spec)[0][2] == (3, 13, 13)
+    params, images, labels = random_instance(spec, seed=19, batch=6)
+    logits, cache = forward(spec, params, images)
+    _, grad = loss_and_grad(spec, params, cache, logits, labels)
+    grads = params.named(grad)
+    assert all(np.abs(g).max() > 1e-8 for g in grads.values())  # check is non-vacuous
+    numeric = fd_gradients(spec, params, images, labels)
+    assert max_rel_error(grads, numeric) < 1e-4
+
+
+def argmax_pool(a):
+    """2x2 max pool and each window's argmax (0..3, row-major, the first of ties)."""
+    n, f, ho, wo = a.shape[0], a.shape[1], a.shape[2] // 2, a.shape[3] // 2
+    t = a[:, :, : 2 * ho, : 2 * wo].reshape(n, f, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5)
+    t = t.reshape(n, f, ho, wo, 4)
+    idx = t.argmax(axis=-1)
+    return np.take_along_axis(t, idx[..., None], axis=-1)[..., 0], idx
+
+
+def scatter_to_argmax(grad_out, idx, shape):
+    """Each window's gradient at its argmax, +0.0 elsewhere, on a map of `shape`."""
+    n, f, ho, wo = grad_out.shape
+    scattered = np.zeros((n, f, ho, wo, 4))
+    np.put_along_axis(scattered, idx[..., None], grad_out[..., None], axis=-1)
+    grad = np.zeros(shape)
+    windows = scattered.reshape(n, f, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    grad[:, :, : 2 * ho, : 2 * wo] = windows.reshape(n, f, 2 * ho, 2 * wo)
+    return grad
+
+
+def unfused_gradient(spec, params, images, labels):
+    """The gradient row by the unfused recipe, and conv layer 0's dz: each pool's gradient
+    scattered to the argmax of max(y, 0), then multiplied by (y > 0) over the whole map."""
+    v, g = params.values, {}
+    n_conv, out_layer = len(spec.convs), len(spec.convs) + len(spec.hidden_widths)
+    h, inputs, ys, lns, idxs = images, [], [], [], []
+    for l in range(out_layer):
+        inputs.append(h)
+        y = conv2d(h, v[f"w{l}"], v[f"b{l}"]) if l < n_conv else h @ v[f"w{l}"] + v[f"b{l}"]
+        if spec.layer_norm:
+            out, xhat, inv_std = _ln_forward(y.reshape(len(y), -1), v[f"gain{l}"], v[f"shift{l}"])
+            y = out.reshape(y.shape)
+            lns.append((xhat, inv_std))
+        ys.append(y)
+        h = np.maximum(y, 0.0)
+        if l < n_conv:
+            h, idx = argmax_pool(h)
+            idxs.append(idx)
+            h = h.reshape(len(h), -1) if l == n_conv - 1 else h
+    d = np.exp(_log_softmax(h @ v[f"w{out_layer}"] + v[f"b{out_layer}"]))
+    d[np.arange(len(d)), labels] -= 1.0
+    d /= len(d)
+    g[f"w{out_layer}"], g[f"b{out_layer}"] = h.T @ d, d.sum(axis=0)
+    da = d @ v[f"w{out_layer}"].T
+    for l in reversed(range(out_layer)):
+        y, w = ys[l], v[f"w{l}"]
+        if l < n_conv:
+            da = scatter_to_argmax(da.reshape(idxs[l].shape), idxs[l], y.shape)
+        dz = da * (y > 0)
+        if l == 0:
+            dz0 = dz
+        if spec.layer_norm:
+            dz2d, g[f"gain{l}"], g[f"shift{l}"] = _ln_backward(dz.reshape(len(dz), -1),
+                                                               v[f"gain{l}"], *lns[l])
+            dz = dz2d.reshape(dz.shape)
+        if l < n_conv:
+            g[f"w{l}"] = conv2d_kernel_gradient(inputs[l], dz, 5, 5)
+            g[f"b{l}"] = dz.sum(axis=(0, 2, 3))
+            da = conv2d_input_gradient(dz, w)
+        else:
+            g[f"w{l}"], g[f"b{l}"] = inputs[l].T @ dz, dz.sum(axis=0)
+            da = dz @ w.T
+    return np.concatenate([g[name].ravel() for name in v]), dz0
+
+
+@pytest.mark.parametrize("layer_norm", [False, True], ids=("plain", "layer_norm"))
+def test_cnn_gradient_has_the_bits_of_the_unfused_relu_and_pool_backward(layer_norm):
+    # the CIFAR CNN at batch 16; conv 0's channel 0 never activates, so its windows of
+    # zeros meet upstream gradients of both signs, and -0.0 != +0.0 in the comparison
+    spec = NetworkSpec(kind="cnn", input_shape=(3, 32, 32), layer_norm=layer_norm)
+    params, images, labels = random_instance(spec, seed=23, batch=16)
+    params.values["b0"][0] = -100.0
+    want, dz0 = unfused_gradient(spec, params, images, labels)
+    assert np.signbit(dz0[:, 0][dz0[:, 0] == 0.0]).any()
+    assert not np.signbit(dz0[:, 0]).all()
+    logits, cache = forward(spec, params, images)
+    _, grad = loss_and_grad(spec, params, cache, logits, labels)
+    assert grad.tobytes() == want.tobytes()
+
+
 def test_dead_unit_gets_zero_incoming_gradient():
     spec = tiny_mlp_spec()
     params, images, labels = random_instance(spec, seed=6)
     params.values["b0"][2] = -100.0  # unit 2 of layer 0 never activates
     logits, cache = forward(spec, params, images)
-    assert np.all(cache.preacts[0][:, 2] <= 0)
+    assert np.all(cache.acts[0][:, 2] == 0)
     _, grad = loss_and_grad(spec, params, cache, logits, labels)
     grads = params.named(grad)
     assert np.array_equal(grads["w0"][:, 2], np.zeros(spec.input_shape[0]))

@@ -229,6 +229,40 @@ def test_a_nan_parameter_stops_the_run_with_the_exact_message(monkeypatch, caplo
     assert caplog.messages == ["aborting run: run diverged at step 0 (mean |theta|=nan)"]
 
 
+PROGRESS = r"task (\d+)/3: accuracy (\S+), \d+\.\d steps/s, ETA \d+:\d\d:\d\d"
+
+
+def test_each_finished_task_logs_one_progress_line_and_leaves_the_csvs_alone(tmp_path, caplog):
+    cfg = desk_config(log_steps=True)
+    with caplog.at_level("INFO", logger=runner.__name__):
+        record = run_experiment(cfg)
+    write_outputs(record, tmp_path / "on")
+    lines = [re.fullmatch(PROGRESS, message) for message in caplog.messages]
+    assert [(int(m[1]), m[2]) for m in lines] == [
+        (row.task_index + 1, f"{row.avg_online_task_accuracy:.4f}") for row in record.task_rows]
+    caplog.clear()
+    with caplog.at_level("WARNING", logger=runner.__name__):  # progress logging off
+        write_outputs(run_experiment(cfg), tmp_path / "off")
+    assert caplog.messages == []
+    for name in ("task_metrics.csv", "steps.csv"):
+        assert (tmp_path / "on" / name).read_bytes() == (tmp_path / "off" / name).read_bytes()
+
+
+def test_a_task_that_diverges_logs_no_progress_line(monkeypatch, caplog):
+    finish = runner.run_task
+
+    def diverge_in_task_1(run, i):
+        if i == 1:
+            run.params.flat[0] = np.nan
+        finish(run, i)
+    monkeypatch.setattr(runner, "run_task", diverge_in_task_1)
+    with caplog.at_level("INFO", logger=runner.__name__):
+        record = run_experiment(desk_config())
+    assert record.incomplete and len(record.task_rows) == 1
+    assert re.fullmatch(PROGRESS, caplog.messages[0])[1] == "1"
+    assert caplog.messages[1:] == ["aborting run: run diverged at step 10 (mean |theta|=nan)"]
+
+
 def test_version_string_names_the_package_checkout(tmp_path, monkeypatch):
     monkeypatch.chdir(os.path.dirname(runner.__file__))
     from_package = runner._version_string()
