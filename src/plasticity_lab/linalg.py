@@ -14,30 +14,36 @@ import numpy as np
 
 def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """im2col (C*kh*kw, N*Ho*Wo): entry ((c, u, v), (n, i, j)) is x[n, c, i+u, j+v]. A fresh
-    copy, dropped after its one GEMM: a 512-sample probe's layer-0 columns are 230 MiB."""
+    copy (230 MiB for a 512-sample probe's layer 0), kept past its GEMM only by `nn.forward`."""
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     return windows.transpose(1, 4, 5, 0, 2, 3).reshape(x.shape[1] * kh * kw, -1)
 
 
-def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray) -> np.ndarray:
+def conv2d(
+    x: np.ndarray, kernels: np.ndarray, bias: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Valid cross-correlation of a batch with a kernel bank, plus bias: one GEMM.
 
     x: (N, C, H, W), kernels: (F, C, kh, kw), bias: (F,), float64 arrays
     with H >= kh and W >= kw (`nn.NetworkSpec` checks the extents).
-    Returns a C-contiguous (N, F, H-kh+1, W-kw+1).
+    Returns a C-contiguous (N, F, H-kh+1, W-kw+1) and the im2col columns of x
+    (`_columns`), which `conv2d_kernel_gradient` takes in place of x.
     """
     f, _, kh, kw = kernels.shape
     n, ho, wo = x.shape[0], x.shape[2] - kh + 1, x.shape[3] - kw + 1
-    prod = kernels.reshape(f, -1) @ _columns(x, kh, kw)
+    cols = _columns(x, kh, kw)
+    prod = kernels.reshape(f, -1) @ cols
     prod += bias[:, None]  # the adds of the transposed layout, on the contiguous product
-    return np.ascontiguousarray(prod.reshape(f, n, ho, wo).transpose(1, 0, 2, 3))
+    return np.ascontiguousarray(prod.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)), cols
 
 
-def conv2d_kernel_gradient(x: np.ndarray, grad_out: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Gradient of conv2d w.r.t. the kernels given upstream grad (N,F,Ho,Wo): one GEMM."""
+def conv2d_kernel_gradient(cols: np.ndarray, grad_out: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Gradient of conv2d w.r.t. the kernels, from the columns conv2d returned for its input and
+    upstream grad (N,F,Ho,Wo): one GEMM, cols @ G.T for the (F, N*Ho*Wo) grad G, transposed.
+    On the CIFAR CNN's layers it has the bits of G @ cols.T, in less time."""
     f = grad_out.shape[1]
-    grad = grad_out.transpose(1, 0, 2, 3).reshape(f, -1) @ _columns(x, kh, kw).T
-    return grad.reshape(f, x.shape[1], kh, kw)
+    grad = cols @ grad_out.transpose(1, 0, 2, 3).reshape(f, -1).T
+    return grad.T.reshape(f, -1, kh, kw)
 
 
 def conv2d_input_gradient(grad_out: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -45,7 +51,7 @@ def conv2d_input_gradient(grad_out: np.ndarray, kernels: np.ndarray) -> np.ndarr
     as one conv2d of the padded gradient with the (C, F, kh, kw) flipped bank."""
     c, kh, kw = kernels.shape[1:]
     padded = np.pad(grad_out, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-    return conv2d(padded, kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), np.zeros(c))
+    return conv2d(padded, kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), np.zeros(c))[0]
 
 
 def maxpool2(x: np.ndarray) -> np.ndarray:

@@ -7,10 +7,11 @@ a CNN has `conv_channels`. Every hidden layer runs the same steps: conv
 or affine map, optional layer norm over each sample's features, ReLU (in
 place: the cache keeps the post-ReLU map), and, on a conv layer, a 2x2
 max pool, whose backward also takes the ReLU's derivative. `forward` and
-`loss_and_grad` are one loop each over these layers. Parameters, and the
-gradient, live in flat vectors read through named views (`ParameterSet`);
-layer l uses keys "w{l}"/"b{l}" and, when layer normalization is enabled,
-hidden layer l adds "gain{l}"/"shift{l}".
+`loss_and_grad` are one loop each over these layers. A conv layer's im2col
+columns are built once, by its forward conv, and kept until its kernel
+gradient. Parameters, and the gradient, live in flat vectors read through
+named views (`ParameterSet`); layer l uses keys "w{l}"/"b{l}" and, when
+layer normalization is enabled, hidden layer l adds "gain{l}"/"shift{l}".
 
 `layer_shapes` lays the network out once. `init_params` builds from it each
 tensor's init distribution (weights and biases uniform(+-1/sqrt(fan_in)),
@@ -186,7 +187,9 @@ class ForwardCache:
     `inputs[l + 1]` is hidden layer l's output (pooled on a conv layer);
     `acts` the post-ReLU map of each hidden layer, before any pool, whose
     positive entries are those of the pre-ReLU map;
-    `ln` its layer norm's (xhat, inv_std), empty when layer norm is off.
+    `ln` its layer norm's (xhat, inv_std), empty when layer norm is off;
+    `cols` each conv layer's im2col columns, none on an MLP, each popped by
+    `loss_and_grad` once its kernel gradient is taken.
     A conv layer's max pool keeps nothing: the backward pass routes each
     window's gradient to the first position of `acts[l]` equal to the
     pooled value in `inputs[l + 1]`, which is argmax's tie rule.
@@ -195,6 +198,7 @@ class ForwardCache:
     inputs: list = field(default_factory=list)
     acts: list = field(default_factory=list)
     ln: list = field(default_factory=list)
+    cols: list = field(default_factory=list)
     consumed: bool = False
 
 
@@ -236,9 +240,10 @@ def forward(
     cache = ForwardCache()
     for l in range(len(spec.convs) + len(spec.hidden_widths)):
         cache.inputs.append(h)
-        a, ln, h = _hidden_layer(spec, v, l, h)
+        a, ln, h, cols = _hidden_layer(spec, v, l, h)
         cache.acts.append(a)
         cache.ln += ln
+        cache.cols += cols
 
     cache.inputs.append(h)
     out_layer = len(cache.acts)
@@ -247,9 +252,9 @@ def forward(
 
 
 def _hidden_layer(spec: NetworkSpec, v, l: int, h: np.ndarray):
-    """Hidden layer l on h: its post-ReLU map, [layer norm's (xhat, inv_std)] or [], and output."""
+    """Hidden layer l on h: post-ReLU map, [layer norm's (xhat, inv_std)], output, [im2col]."""
     conv, ln = l < len(spec.convs), []
-    z = conv2d(h, v[f"w{l}"], v[f"b{l}"]) if conv else h @ v[f"w{l}"] + v[f"b{l}"]
+    z, *cols = conv2d(h, v[f"w{l}"], v[f"b{l}"]) if conv else (h @ v[f"w{l}"] + v[f"b{l}"],)
     if spec.layer_norm:  # over each sample's features; a no-op reshape on a dense layer
         out, xhat, inv_std = _ln_forward(z.reshape(len(z), -1), v[f"gain{l}"], v[f"shift{l}"])
         z, ln = out.reshape(z.shape), [(xhat, inv_std)]
@@ -258,7 +263,7 @@ def _hidden_layer(spec: NetworkSpec, v, l: int, h: np.ndarray):
         h = maxpool2(a)
         if l == len(spec.convs) - 1:  # dense layers take each sample's features flat
             h = h.reshape(len(h), -1)
-    return a, ln, h
+    return a, ln, h, cols
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -319,7 +324,7 @@ def loss_and_grad(
             dz = dz2d.reshape(dz.shape)
         w, x_in = v[f"w{l}"], cache.inputs[l]
         if conv:
-            g[f"w{l}"][...] = conv2d_kernel_gradient(x_in, dz, w.shape[2], w.shape[3])
+            g[f"w{l}"][...] = conv2d_kernel_gradient(cache.cols.pop(), dz, *w.shape[2:])
             dz.sum(axis=(0, 2, 3), out=g[f"b{l}"])
         else:
             np.matmul(x_in.T, dz, out=g[f"w{l}"])

@@ -85,7 +85,7 @@ def check_maxpool_against_loops(z, grad_out):
 # --- conv2d ---------------------------------------------------------------
 
 def test_conv2d_all_ones_sums_window():
-    out = conv2d(np.ones((1, 1, 5, 5)), np.ones((1, 1, 5, 5)), np.zeros(1))
+    out = conv2d(np.ones((1, 1, 5, 5)), np.ones((1, 1, 5, 5)), np.zeros(1))[0]
     assert out.shape == (1, 1, 1, 1)
     assert out[0, 0, 0, 0] == 25.0
 
@@ -93,7 +93,7 @@ def test_conv2d_all_ones_sums_window():
 def test_conv2d_zero_kernel_gives_bias():
     x = RngStream(2).uniform(0, 1, (2, 3, 6, 7))
     bias = np.array([1.5, -0.5])
-    out = conv2d(x, np.zeros((2, 3, 5, 5)), bias)
+    out = conv2d(x, np.zeros((2, 3, 5, 5)), bias)[0]
     assert np.array_equal(out, np.broadcast_to(bias[None, :, None, None], out.shape))
 
 
@@ -102,7 +102,7 @@ def test_conv2d_matches_loop_oracle_single():
     x = rng.uniform(-1, 1, (1, 1, 6, 6))
     k = rng.uniform(-1, 1, (1, 1, 5, 5))
     b = rng.uniform(-1, 1, (1,))
-    assert np.allclose(conv2d(x, k, b), conv2d_loops(x, k, b), rtol=1e-12, atol=1e-12)
+    assert np.allclose(conv2d(x, k, b)[0], conv2d_loops(x, k, b), rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("trial", range(100))
@@ -118,7 +118,7 @@ def test_conv2d_and_maxpool_match_loop_oracles(trial):
     x = rng.uniform(-1, 1, (n, c, h, w))
     k = rng.uniform(-1, 1, (f, c, kh, kw))
     b = rng.uniform(-1, 1, (f,))
-    assert np.allclose(conv2d(x, k, b), conv2d_loops(x, k, b), rtol=1e-12, atol=1e-12)
+    assert np.allclose(conv2d(x, k, b)[0], conv2d_loops(x, k, b), rtol=1e-12, atol=1e-12)
 
     hp = max(h, 2)
     xp = rng.uniform(-1, 1, (n, f, hp, hp + 1))  # one odd spatial size
@@ -136,9 +136,9 @@ def test_conv2d_gradients_match_finite_differences():
     upstream = rng.uniform(-1, 1, (2, 3, 4, 4))
 
     def objective(xv, kv):
-        return float(np.sum(conv2d(xv, kv, b) * upstream))
+        return float(np.sum(conv2d(xv, kv, b)[0] * upstream))
 
-    gk = conv2d_kernel_gradient(x, upstream, 3, 3)
+    gk = conv2d_kernel_gradient(conv2d(x, k, b)[1], upstream, 3, 3)
     gx = conv2d_input_gradient(upstream, k)
     h = 1e-6
     for arr, grad in ((x, gx), (k, gk)):
@@ -244,7 +244,7 @@ def test_conv_and_pool_match_the_einsum_and_argmax_code_bit_for_bit(in_shape):
     k = rng.uniform(-1, 1, (16, in_shape[1], 5, 5)) / np.sqrt(fan_in)
     b = rng.uniform(-1, 1, (16,)) / np.sqrt(fan_in)
 
-    z = conv2d(x, k, b)
+    z, cols = conv2d(x, k, b)
     assert same_bytes(z, conv2d_einsum(x, k, b))
     assert z.flags.c_contiguous
     a = np.maximum(z, 0.0)
@@ -257,7 +257,10 @@ def test_conv_and_pool_match_the_einsum_and_argmax_code_bit_for_bit(in_shape):
     assert same_bytes(dz, maxpool2_backward_argmax(grad_out, idx, a.shape) * (z > 0))
     assert np.signbit(dz[dz == 0.0]).any()  # windows of zeros met negative gradients
 
-    assert same_bytes(conv2d_kernel_gradient(x, dz, 5, 5), conv2d_kernel_gradient_einsum(x, dz))
+    dk = conv2d_kernel_gradient(cols, dz, 5, 5)
+    assert same_bytes(dk, conv2d_kernel_gradient_einsum(x, dz))
+    # the other GEMM orientation, whose bits every recorded run has
+    assert same_bytes(dk, (dz.transpose(1, 0, 2, 3).reshape(16, -1) @ cols.T).reshape(k.shape))
     assert same_bytes(conv2d_input_gradient(dz, k), conv2d_input_gradient_einsum(dz, k))
 
 
@@ -273,6 +276,29 @@ def test_input_gradient_matches_the_einsum_code(trial):
     got, want = conv2d_input_gradient(grad_out, k), conv2d_input_gradient_einsum(grad_out, k)
     assert got.shape == (n, c, grad_out.shape[2] + kh - 1, grad_out.shape[3] + kw - 1)
     if c >= 2:
+        assert same_bytes(got, want)
+    else:
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_kernel_gradient_matches_the_einsum_code(trial):
+    # fed the columns conv2d built. With one kernel or one column row the GEMM is a
+    # matrix-vector product, whose sums may round differently; so may sums of 16 to 31
+    # terms, for which OpenBLAS picks a small-matrix kernel by operand layout (the einsum
+    # and the g @ cols.T orientation differ there too); otherwise the bits agree
+    rng = RngStream(700 + trial)
+    n, c, f = (int(v) for v in rng.integers(1, 5, 3))
+    kh, kw = (int(v) for v in rng.integers(1, 6, 2))
+    x = rng.uniform(-1, 1, (n, c, kh + int(rng.integers(0, 8)), kw + int(rng.integers(0, 8))))
+    k = rng.uniform(-1, 1, (f, c, kh, kw))
+    z, cols = conv2d(x, k, rng.uniform(-1, 1, (f,)))
+    assert cols.shape == (c * kh * kw, z.size // f)
+    grad_out = rng.uniform(-1, 1, z.shape)
+    got = conv2d_kernel_gradient(cols, grad_out, kh, kw)
+    want = conv2d_kernel_gradient_einsum(x, grad_out)
+    assert got.shape == k.shape
+    if f >= 2 and c * kh * kw >= 2 and not 16 <= cols.shape[1] < 32:
         assert same_bytes(got, want)
     else:
         assert np.allclose(got, want, rtol=0, atol=1e-12)

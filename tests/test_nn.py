@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import double_the_gradient, random_instance, tiny_cnn_spec, tiny_mlp_spec
-from plasticity_lab.linalg import conv2d, conv2d_input_gradient, conv2d_kernel_gradient
+from plasticity_lab.linalg import _columns, conv2d, conv2d_input_gradient, conv2d_kernel_gradient
 from plasticity_lab.nn import (
     PROBE_CHUNK,
     NetworkSpec,
@@ -341,7 +341,7 @@ def unfused_gradient(spec, params, images, labels):
     h, inputs, ys, lns, idxs = images, [], [], [], []
     for l in range(out_layer):
         inputs.append(h)
-        y = conv2d(h, v[f"w{l}"], v[f"b{l}"]) if l < n_conv else h @ v[f"w{l}"] + v[f"b{l}"]
+        y = conv2d(h, v[f"w{l}"], v[f"b{l}"])[0] if l < n_conv else h @ v[f"w{l}"] + v[f"b{l}"]
         if spec.layer_norm:
             out, xhat, inv_std = _ln_forward(y.reshape(len(y), -1), v[f"gain{l}"], v[f"shift{l}"])
             y = out.reshape(y.shape)
@@ -369,7 +369,7 @@ def unfused_gradient(spec, params, images, labels):
                                                                v[f"gain{l}"], *lns[l])
             dz = dz2d.reshape(dz.shape)
         if l < n_conv:
-            g[f"w{l}"] = conv2d_kernel_gradient(inputs[l], dz, 5, 5)
+            g[f"w{l}"] = conv2d_kernel_gradient(_columns(inputs[l], 5, 5), dz, 5, 5)
             g[f"b{l}"] = dz.sum(axis=(0, 2, 3))
             da = conv2d_input_gradient(dz, w)
         else:
@@ -391,6 +391,20 @@ def test_cnn_gradient_has_the_bits_of_the_unfused_relu_and_pool_backward(layer_n
     logits, cache = forward(spec, params, images)
     _, grad = loss_and_grad(spec, params, cache, logits, labels)
     assert grad.tobytes() == want.tobytes()
+
+
+def test_only_a_training_forward_holds_conv_columns_until_the_backward():
+    # the CIFAR CNN at batch 16: one column matrix per conv layer, each dropped by the backward
+    spec = NetworkSpec(kind="cnn", input_shape=(3, 32, 32))
+    params, images, labels = random_instance(spec, seed=29, batch=16)
+    logits, cache = forward(spec, params, images)
+    assert [c.shape for c in cache.cols] == [(75, 16 * 28 * 28), (400, 16 * 10 * 10)]
+    loss_and_grad(spec, params, cache, logits, labels)
+    assert cache.cols == []
+
+    mlp = tiny_mlp_spec()
+    mparams, mimages, _ = random_instance(mlp, seed=29)
+    assert forward(mlp, mparams, mimages)[1].cols == []
 
 
 def test_dead_unit_gets_zero_incoming_gradient():
