@@ -137,8 +137,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("overrides", nargs="*", help="key=value config overrides")
     incomplete = False
     try:
-        for cfg in _jobs(ap.parse_args(argv)):
-            print(f"running {cfg.method} seed {cfg.seed} -> {cfg.out}", flush=True)
+        jobs = _jobs(ap.parse_args(argv))
+        for j, cfg in enumerate(jobs, 1):
+            print(f"[{j}/{len(jobs)}] running {cfg.method} seed {cfg.seed} -> {cfg.out}",
+                  flush=True)
             record = run_experiment(cfg)
             write_outputs(record, cfg.out)
             incomplete |= record.incomplete

@@ -1,10 +1,10 @@
 """Convolution and pooling primitives.
 
-Tensors are plain numpy float64 arrays in row-major order. All reductions
-here are deterministic for a fixed platform and input; nothing is
-parallelized within a run. Convolutions are "valid" (no padding, stride 1)
-and pooling is 2x2 with stride 2, matching the conventions the experiments
-assume.
+Tensors are numpy arrays indexed (N, C, H, W), each allocated here in its input's dtype. A conv
+map keeps the channel-major (C, N, H, W) memory order its GEMM writes, as does the pool's
+backward of it, so no map is copied to be reordered. Reductions are deterministic for a fixed
+platform and input; nothing is parallelized within a run. Convolutions are "valid" (no padding,
+stride 1) and pooling is 2x2 with stride 2, matching the conventions the experiments assume.
 """
 
 from __future__ import annotations
@@ -24,23 +24,24 @@ def conv2d(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Valid cross-correlation of a batch with a kernel bank, plus bias: one GEMM.
 
-    x: (N, C, H, W), kernels: (F, C, kh, kw), bias: (F,), float64 arrays
+    x: (N, C, H, W), kernels: (F, C, kh, kw), bias: (F,), float arrays of one dtype
     with H >= kh and W >= kw (`nn.NetworkSpec` checks the extents).
-    Returns a C-contiguous (N, F, H-kh+1, W-kw+1) and the im2col columns of x
-    (`_columns`), which `conv2d_kernel_gradient` takes in place of x.
+    Returns the (N, F, H-kh+1, W-kw+1) map, a view of the GEMM's channel-major product,
+    and the im2col columns of x (`_columns`), which `conv2d_kernel_gradient` takes for x.
     """
     f, _, kh, kw = kernels.shape
     n, ho, wo = x.shape[0], x.shape[2] - kh + 1, x.shape[3] - kw + 1
     cols = _columns(x, kh, kw)
     prod = kernels.reshape(f, -1) @ cols
     prod += bias[:, None]  # the adds of the transposed layout, on the contiguous product
-    return np.ascontiguousarray(prod.reshape(f, n, ho, wo).transpose(1, 0, 2, 3)), cols
+    return prod.reshape(f, n, ho, wo).transpose(1, 0, 2, 3), cols
 
 
 def conv2d_kernel_gradient(cols: np.ndarray, grad_out: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Gradient of conv2d w.r.t. the kernels, from the columns conv2d returned for its input and
     upstream grad (N,F,Ho,Wo): one GEMM, cols @ G.T for the (F, N*Ho*Wo) grad G, transposed.
-    On the CIFAR CNN's layers it has the bits of G @ cols.T, in less time."""
+    On the CIFAR CNN's layers it has the bits of G @ cols.T, in less time; G is a view
+    of a channel-major grad, as `maxpool2_backward` gives for a conv map, else a copy."""
     f = grad_out.shape[1]
     grad = cols @ grad_out.transpose(1, 0, 2, 3).reshape(f, -1).T
     return grad.T.reshape(f, -1, kh, kw)
@@ -48,10 +49,12 @@ def conv2d_kernel_gradient(cols: np.ndarray, grad_out: np.ndarray, kh: int, kw: 
 
 def conv2d_input_gradient(grad_out: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """Gradient of conv2d w.r.t. its input: full correlation with flipped kernels,
-    as one conv2d of the padded gradient with the (C, F, kh, kw) flipped bank."""
-    c, kh, kw = kernels.shape[1:]
-    padded = np.pad(grad_out, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
-    return conv2d(padded, kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), np.zeros(c))[0]
+    as one conv2d of the zero-padded gradient with the (C, F, kh, kw) flipped bank."""
+    (n, f, ho, wo), (c, kh, kw) = grad_out.shape, kernels.shape[1:]
+    padded = np.zeros((n, f, ho + 2 * (kh - 1), wo + 2 * (kw - 1)), dtype=grad_out.dtype)
+    padded[:, :, kh - 1 : kh - 1 + ho, kw - 1 : kw - 1 + wo] = grad_out
+    flipped, zeros = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), np.zeros(c, grad_out.dtype)
+    return conv2d(padded, flipped, zeros)[0]
 
 
 def maxpool2(x: np.ndarray) -> np.ndarray:
@@ -72,16 +75,17 @@ def maxpool2_backward(grad_out: np.ndarray, x: np.ndarray, pooled: np.ndarray) -
     is multiplied, by (pooled > 0): a negative gradient there becomes -0.0.
     """
     ho2, wo2 = 2 * pooled.shape[2], 2 * pooled.shape[3]
-    # on an even map the four slots write every entry; an odd one drops a row or column
-    grad_in = (np.empty if x.shape[2:] == (ho2, wo2) else np.zeros)(x.shape)
-    free = np.ones(pooled.shape, dtype=bool)  # windows not routed yet
+    # in x's memory order; on an even map the four slots write every entry, an odd one drops some
+    grad_in = (np.empty_like if x.shape[2:] == (ho2, wo2) else np.zeros_like)(x)
+    free = np.ones_like(pooled, dtype=bool)  # windows not routed yet
     routed = grad_out * (pooled > 0)  # the top-left slot's gradient
+    bits = np.dtype(f"i{grad_in.itemsize}")  # a signed integer as wide as an entry
     for du, dv in ((0, 0), (0, 1), (1, 0), (1, 1)):
         slot = (..., slice(du, ho2, 2), slice(dv, wo2, 2))
         hit = (x[slot] == pooled) & free
         free ^= hit
         # routed's exact bits where hit, else +0.0: np.where's result without its branches
-        mask = np.negative(hit, dtype=np.int64)
-        np.bitwise_and(routed.view(np.int64), mask, out=grad_in[slot].view(np.int64))
+        mask = np.negative(hit, dtype=bits)
+        np.bitwise_and(routed.view(bits), mask, out=grad_in[slot].view(bits))
         routed = grad_out  # a later slot's entry is routed to only if it is positive
     return grad_in

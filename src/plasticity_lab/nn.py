@@ -4,9 +4,9 @@ One layout covers both architectures: hidden layers l = 0 .. L-2, valid
 5x5 conv layers first and then dense layers of widths `hidden_widths`,
 then the linear output layer L-1. An MLP is the case with no conv layers;
 a CNN has `conv_channels`. Every hidden layer runs the same steps: conv
-or affine map, optional layer norm over each sample's features, ReLU (in
-place: the cache keeps the post-ReLU map), and, on a conv layer, a 2x2
-max pool, whose backward also takes the ReLU's derivative. `forward` and
+or affine map, optional layer norm over each sample's features, ReLU (the
+cache keeps the post-ReLU map), and, on a conv layer, a 2x2 max pool,
+whose backward also takes the ReLU's derivative. `forward` and
 `loss_and_grad` are one loop each over these layers. A conv layer's im2col
 columns are built once, by its forward conv, and kept until its kernel
 gradient. Parameters, and the gradient, live in flat vectors read through
@@ -185,8 +185,8 @@ class ForwardCache:
     Layer l's entries sit at index l in each list (conv layers first):
     `inputs` holds the input to every layer, the output layer last, so
     `inputs[l + 1]` is hidden layer l's output (pooled on a conv layer);
-    `acts` the post-ReLU map of each hidden layer, before any pool, whose
-    positive entries are those of the pre-ReLU map;
+    `acts` the post-ReLU map of each hidden layer, before any pool (channel-major on a conv
+    layer without layer norm: see `linalg`), whose positive entries are the pre-ReLU map's;
     `ln` its layer norm's (xhat, inv_std), empty when layer norm is off;
     `cols` each conv layer's im2col columns, none on an MLP, each popped by
     `loss_and_grad` once its kernel gradient is taken.
@@ -258,7 +258,9 @@ def _hidden_layer(spec: NetworkSpec, v, l: int, h: np.ndarray):
     if spec.layer_norm:  # over each sample's features; a no-op reshape on a dense layer
         out, xhat, inv_std = _ln_forward(z.reshape(len(z), -1), v[f"gain{l}"], v[f"shift{l}"])
         z, ln = out.reshape(z.shape), [(xhat, inv_std)]
-    h = a = np.maximum(z, 0.0, out=z)
+    # out of place on a conv layer, freeing the GEMM product (or norm output) here: cached, it
+    # left a heap layout that glibc trimmed and faulted back in every few steps (CHANGES.md)
+    h = a = np.maximum(z, 0.0) if conv else np.maximum(z, 0.0, out=z)
     if conv:
         h = maxpool2(a)
         if l == len(spec.convs) - 1:  # dense layers take each sample's features flat
@@ -325,7 +327,8 @@ def loss_and_grad(
         w, x_in = v[f"w{l}"], cache.inputs[l]
         if conv:
             g[f"w{l}"][...] = conv2d_kernel_gradient(cache.cols.pop(), dz, *w.shape[2:])
-            dz.sum(axis=(0, 2, 3), out=g[f"b{l}"])
+            # per-sample sums added in sample order: a C-ordered map's bits, whatever dz's order
+            np.ascontiguousarray(dz.sum(axis=(2, 3))).sum(axis=0, out=g[f"b{l}"])
         else:
             np.matmul(x_in.T, dz, out=g[f"w{l}"])
             dz.sum(axis=0, out=g[f"b{l}"])

@@ -246,7 +246,7 @@ def test_conv_and_pool_match_the_einsum_and_argmax_code_bit_for_bit(in_shape):
 
     z, cols = conv2d(x, k, b)
     assert same_bytes(z, conv2d_einsum(x, k, b))
-    assert z.flags.c_contiguous
+    assert z.transpose(1, 0, 2, 3).flags.c_contiguous  # channel-major, as the GEMM wrote it
     a = np.maximum(z, 0.0)
     assert np.mean(a == 0.0) > 0.2  # many zero ties inside pool windows
 
@@ -256,6 +256,9 @@ def test_conv_and_pool_match_the_einsum_and_argmax_code_bit_for_bit(in_shape):
     dz = maxpool2_backward(grad_out, a, pooled)
     assert same_bytes(dz, maxpool2_backward_argmax(grad_out, idx, a.shape) * (z > 0))
     assert np.signbit(dz[dz == 0.0]).any()  # windows of zeros met negative gradients
+    # the map's gradient keeps its order, so the kernel gradient's (F, N*Ho*Wo) grad is a view
+    assert dz.transpose(1, 0, 2, 3).flags.c_contiguous
+    assert np.shares_memory(dz.transpose(1, 0, 2, 3).reshape(16, -1), dz)
 
     dk = conv2d_kernel_gradient(cols, dz, 5, 5)
     assert same_bytes(dk, conv2d_kernel_gradient_einsum(x, dz))
@@ -302,3 +305,29 @@ def test_kernel_gradient_matches_the_einsum_code(trial):
         assert same_bytes(got, want)
     else:
         assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+# the shapes of the CIFAR CNN's two conv maps at batch 16
+@pytest.mark.parametrize("shape", ((16, 16, 28, 28), (16, 16, 10, 10)))
+def test_bias_gradient_of_a_channel_major_map_has_the_bits_of_a_c_ordered_sum(shape):
+    # nn's conv bias gradient: per-sample sums, then their sum in sample order
+    rng = RngStream(88).split(*shape)
+    for _ in range(200):
+        # a pool's gradient: about one entry in four routed, the rest zero
+        values = rng.uniform(-1, 1, (shape[1], shape[0]) + shape[2:])
+        dz = (values * (rng.uniform(0, 1, values.shape) < 0.25)).transpose(1, 0, 2, 3)
+        got = np.ascontiguousarray(dz.sum(axis=(2, 3))).sum(axis=0)
+        assert same_bytes(got, np.ascontiguousarray(dz).sum(axis=(0, 2, 3)))
+
+
+def test_every_function_keeps_a_float32_inputs_dtype():
+    rng = RngStream(9)
+    x = rng.uniform(-1, 1, (2, 2, 7, 7)).astype(np.float32)
+    k = rng.uniform(-1, 1, (3, 2, 3, 3)).astype(np.float32)
+    z, cols = conv2d(x, k, np.zeros(3, np.float32))  # a 5x5 map: the pool drops a row and column
+    a = np.maximum(z, 0.0)
+    pooled = maxpool2(a)
+    dz = maxpool2_backward(np.ones_like(pooled), a, pooled)
+    outputs = (z, cols, pooled, dz, conv2d_kernel_gradient(cols, dz, 3, 3),
+               conv2d_input_gradient(dz, k))
+    assert [out.dtype for out in outputs] == [np.float32] * 6

@@ -49,6 +49,17 @@ def test_a_script_run_writes_the_bytes_of_plab_run(tmp_path, script, keys):
     assert {**configs[0], "out": None} == {**configs[1], "out": None}
 
 
+def test_each_running_line_gives_the_jobs_position(tmp_path, capsys, script, keys):
+    code = script.main([*keys, f"out={tmp_path / 'runs'}", "--seeds", "2",
+                        "--methods", "baseline", "l2_init"])
+    assert code == 0
+    root = tmp_path / "runs" / "permuted_mnist" / "sgd"
+    running = [line for line in capsys.readouterr().out.splitlines() if "running" in line]
+    assert running == [f"[{j}/4] running {method} seed {seed} -> {root / method / f'seed{seed}'}"
+                       for j, (method, seed) in enumerate(
+                           [("baseline", 0), ("baseline", 1), ("l2_init", 0), ("l2_init", 1)], 1)]
+
+
 @pytest.mark.parametrize("args, message", [
     (["--methods", "l2_init_resample"],
      "no reported optima for 'l2_init_resample' on permuted_mnist / sgd"),

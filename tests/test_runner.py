@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -288,14 +289,14 @@ def test_missing_dataset_fails_before_compute(tmp_path):
         run_experiment(cfg)
 
 
-def cifar_config(tmp_path, **kw):
+def cifar_config(tmp_path, records=20, **kw):
     rng = RngStream(3)
-    ds = Dataset(images=np.round(rng.uniform(0, 1, (20, 3, 32, 32)) * 255) / 255,
-                 labels=np.asarray(rng.integers(0, 10, 20)))
+    ds = Dataset(images=np.round(rng.uniform(0, 1, (records, 3, 32, 32)) * 255) / 255,
+                 labels=np.asarray(rng.integers(0, 10, records)))
     path = tmp_path / "batch.bin"
     write_cifar10_bin(str(path), ds)
-    return RunConfig(problem="random_label_cifar", cifar_bin=str(path), dataset_size=16,
-                     num_tasks=1, steps_per_task=1, probe_size=16, **kw)
+    return RunConfig(**{**dict(problem="random_label_cifar", cifar_bin=str(path), dataset_size=16,
+                               num_tasks=1, steps_per_task=1, probe_size=16), **kw})
 
 
 def weight_shapes(cfg):
@@ -320,6 +321,31 @@ def test_conv_only_cnn_runs(tmp_path):
     assert weight_shapes(cfg)["w2"] == (400, 10)
     record = run_experiment(cfg)
     assert record.steps_completed == 1 and not record.incomplete
+
+
+# sha256 of (task_metrics.csv, steps.csv) after 2 tasks x 20 steps on 72 CIFAR records, recorded
+# while every conv map was laid out (N, C, H, W): a 70-sample probe runs one full conv chunk
+# of PROBE_CHUNK samples and one partial chunk
+PINNED_CNN_OUTPUTS = {
+    ("baseline", "sgd"): ("67ab49e86ef03f21899ca6878c1e1af6892b6bac6379e81adc6a664aeb7163db",
+                        "0ce6aa96718e041e5d8bf286b1311146b5c05103c354a0920b4411900b474dab"),
+    ("l2_init", "adam"): ("83464a74ba6d0709844ef8638772be39f04c6deb67287f24ac712c3032336d05",
+                        "14e457d1a9a6e67d03c4867024aef90e6dfc022c57c7ce071c7065438d00f2e1"),
+    ("layer_norm", "adam"): ("e9beaba20dea1e164c7b93b63360425e8a50b60791ecba1503e7f247ebb67cbe",
+                           "ec3da9e29c9944a6d01590ac1160e9e7a67e57ee9f275096ca9dda9ef4f0cbd9"),
+    ("shrink_perturb", "adam"): ("72fb0c678c54962a760228dc058ca85c4fa29ff6c23f396b2ec4c9fb82955018",
+                               "b9ff1cbac03768815c089695563bbb55e8f10bfae66faa0c1fb1a4399a31169b"),
+}
+
+
+@pytest.mark.parametrize("method, optimizer", PINNED_CNN_OUTPUTS)
+def test_cnn_runs_write_pinned_bytes(tmp_path, method, optimizer):
+    cfg = cifar_config(tmp_path, records=80, dataset_size=72, num_tasks=2, steps_per_task=20,
+                       probe_size=70, method=method, optimizer=optimizer, log_steps=True)
+    write_outputs(run_experiment(cfg), str(tmp_path / "out"))
+    got = tuple(hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                for name in ("task_metrics.csv", "steps.csv"))
+    assert got == PINNED_CNN_OUTPUTS[method, optimizer]
 
 
 # problem -> (stream transform, network kind, default hidden widths)
