@@ -25,23 +25,23 @@ one `error:` line and exits 1, and unreadable data or an unwritable `out`
 (a run makes its directory before its first step) one `i/o error:` line
 and exits 2; the script exits 3 if any run diverged.
 
-Usage (key=value arguments go before --methods, which takes the rest):
-  python3 scripts/reproduce_full_scale.py problem=permuted_mnist \
+Usage (key=value arguments may come before or after `--config` and
+`--seeds`, but not after `--methods`, which takes every argument after it):
+  python3 scripts/reproduce_full_scale.py --seeds 3 problem=permuted_mnist \
       optimizer=adam mnist_images=train-images-idx3-ubyte \
       mnist_labels=train-labels-idx1-ubyte out=runs/permuted
 """
 
 import argparse
-import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from plasticity_lab.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, LOG_FORMAT, Parser
+from plasticity_lab.cli import EXIT_NUMERICAL, EXIT_OK, Parser, run
 from plasticity_lab.config import RunConfig, parse_config
-from plasticity_lab.errors import ConfigError, DataFormatError
+from plasticity_lab.errors import ConfigError
 from plasticity_lab.runner import run_experiment, write_outputs
 
 # the keys the roster sets for each run, and what to give instead
@@ -126,8 +126,26 @@ def _jobs(args) -> list[RunConfig]:
     return jobs
 
 
+def _run_roster(args) -> int:
+    """Run and write every job in turn; exit 3 if any diverged."""
+    incomplete = False
+    jobs = _jobs(args)
+    for j, cfg in enumerate(jobs, 1):
+        print(f"[{j}/{len(jobs)}] running {cfg.method} seed {cfg.seed} -> {cfg.out}", flush=True)
+        record = run_experiment(cfg)
+        write_outputs(record, cfg.out)
+        incomplete |= record.incomplete
+        flag = " (INCOMPLETE)" if record.incomplete else ""
+        print(
+            f"  total average online accuracy "
+            f"{record.total_avg_online_accuracy:.4f}{flag} "
+            f"[{record.wall_clock_seconds:.0f}s]",
+            flush=True,
+        )
+    return EXIT_NUMERICAL if incomplete else EXIT_OK
+
+
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format=LOG_FORMAT)  # each run's per-task progress
     # plab's parser: `--seed 3` is not `--seeds 3`, and an argument error is a ConfigError
     ap = Parser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--config", default=None, help="flat key=value config file")
@@ -135,29 +153,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="subset of methods (default: full roster for the problem)")
     ap.add_argument("--seeds", type=int, default=3)
     ap.add_argument("overrides", nargs="*", help="key=value config overrides")
-    incomplete = False
-    try:
-        jobs = _jobs(ap.parse_args(argv))
-        for j, cfg in enumerate(jobs, 1):
-            print(f"[{j}/{len(jobs)}] running {cfg.method} seed {cfg.seed} -> {cfg.out}",
-                  flush=True)
-            record = run_experiment(cfg)
-            write_outputs(record, cfg.out)
-            incomplete |= record.incomplete
-            flag = " (INCOMPLETE)" if record.incomplete else ""
-            print(
-                f"  total average online accuracy "
-                f"{record.total_avg_online_accuracy:.4f}{flag} "
-                f"[{record.wall_clock_seconds:.0f}s]",
-                flush=True,
-            )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, DataFormatError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_NUMERICAL if incomplete else EXIT_OK
+    return run(ap, _run_roster, argv)
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NUMERICAL = 3
 SWEEP_EXIT = {"config": EXIT_USAGE, "io": EXIT_IO}  # by failed-row cause; else numerical
-LOG_FORMAT = "%(levelname)s %(name)s: %(message)s"  # INFO and up to stderr: per-task progress
 
 
 class Parser(argparse.ArgumentParser):  # plab's, and the full-scale script's
@@ -104,7 +103,7 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_gradcheck() -> int:
+def _cmd_gradcheck(args) -> int:
     """Check analytic gradients for both architectures, LN on and off."""
     mlp = dict(kind="mlp", input_shape=(6,), hidden_widths=(5, 4))
     cnn = dict(kind="cnn", input_shape=(2, 16, 16), conv_channels=(3, 3), hidden_widths=(4,))
@@ -156,21 +155,17 @@ def _cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format=LOG_FORMAT)
-    parser = _build_parser()
+def run(parser: Parser, command, argv: list[str] | None = None) -> int:
+    """plab's and the full-scale script's front end: `command(args)` of argv, key=values after a
+    flag among the overrides, INFO logged to stderr; a ConfigError is one `error:` line and
+    exit 1, an OSError or DataFormatError one `i/o error:` line and exit 2."""
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         args, extra = parser.parse_known_args(argv)  # key=values after a flag land in `extra`
         if extra and ("overrides" not in args or any(arg.startswith("-") for arg in extra)):
             raise ConfigError(f"unrecognized arguments: {' '.join(extra)}")
         args.overrides = getattr(args, "overrides", []) + extra
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck()
-        return _cmd_inspect(args)
+        return command(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -179,9 +174,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
 
 
-def entrypoint() -> None:
-    sys.exit(main())
+def main(argv: list[str] | None = None) -> int:
+    commands = {"run": _cmd_run, "sweep": _cmd_sweep, "gradcheck": _cmd_gradcheck,
+                "inspect": _cmd_inspect}
+    return run(_build_parser(), lambda args: commands[args.command](args), argv)
 
 
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

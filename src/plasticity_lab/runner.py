@@ -242,8 +242,13 @@ def _write_json(path: str, obj) -> None:
 
 
 def write_outputs(record: RunRecord, out_dir: str) -> None:
-    """Write task_metrics.csv, summary.json, and steps.csv if recorded (else remove it)."""
+    """Write steps.csv if recorded (else remove it), task_metrics.csv, and summary.json last."""
     os.makedirs(out_dir, exist_ok=True)
+    steps = os.path.join(out_dir, "steps.csv")
+    if record.per_step_accuracy is not None:
+        _write_csv(steps, "step,online_accuracy", enumerate(record.per_step_accuracy.tolist()))
+    elif os.path.exists(steps):  # an earlier run's, which this record would contradict
+        os.remove(steps)
     _write_csv(os.path.join(out_dir, "task_metrics.csv"), TASK_CSV_HEADER,
                (dataclasses.astuple(row) for row in record.task_rows))
 
@@ -258,11 +263,6 @@ def write_outputs(record: RunRecord, out_dir: str) -> None:
         "version": _version_string(),
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)
-    steps = os.path.join(out_dir, "steps.csv")
-    if record.per_step_accuracy is not None:
-        _write_csv(steps, "step,online_accuracy", enumerate(record.per_step_accuracy.tolist()))
-    elif os.path.exists(steps):  # an earlier run's, which this record would contradict
-        os.remove(steps)
 
 
 def _run_cell(args) -> dict:

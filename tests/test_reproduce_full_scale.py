@@ -49,6 +49,23 @@ def test_a_script_run_writes_the_bytes_of_plab_run(tmp_path, script, keys):
     assert {**configs[0], "out": None} == {**configs[1], "out": None}
 
 
+@pytest.mark.parametrize("flag", ("--seeds", "--config"))
+def test_key_values_after_a_flag_join_the_overrides(tmp_path, script, keys, flag):
+    config = tmp_path / "run.cfg"
+    config.write_text("log_steps = true\n")
+    first = [*keys, f"out={tmp_path / 'first'}"]
+    assert script.main([*first, "--config", str(config), "--seeds", "1",
+                        "--methods", "l2_init"]) == 0
+    later = [*keys, f"out={tmp_path / 'later'}"]  # the first before the flags, the rest after
+    flags = {"--seeds": ["--config", str(config), "--seeds", "1"],
+             "--config": ["--seeds", "1", "--config", str(config)]}[flag]
+    assert script.main([later[0], *flags, *later[1:], "--methods", "l2_init"]) == 0
+    for name in ("task_metrics.csv", "steps.csv"):
+        ran = [tmp_path / out / "permuted_mnist" / "sgd" / "l2_init" / "seed0" / name
+               for out in ("first", "later")]
+        assert ran[0].read_bytes() == ran[1].read_bytes()
+
+
 def test_each_running_line_gives_the_jobs_position(tmp_path, capsys, script, keys):
     code = script.main([*keys, f"out={tmp_path / 'runs'}", "--seeds", "2",
                         "--methods", "baseline", "l2_init"])

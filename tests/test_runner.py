@@ -1,9 +1,11 @@
 import copy
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -495,6 +497,14 @@ def test_a_write_that_raises_part_way_leaves_the_earlier_files(tmp_path):
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
+def test_a_steps_csv_that_cannot_be_written_leaves_no_summary(tmp_path):
+    record = run_experiment(desk_config(num_tasks=2, log_steps=True))
+    (tmp_path / "steps.csv").mkdir()  # the rename onto it fails
+    with pytest.raises(OSError):
+        write_outputs(record, tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["steps.csv"]
+
+
 def test_single_cell_sweep_wins(tmp_path):
     base = desk_config(num_tasks=2, optimizer="adam", method="baseline")
     rows, sweep = run_sweep(base, 1)
@@ -874,6 +884,18 @@ def test_cli_io_error_exit_code(tmp_path):
         f"mnist_images={tmp_path}/absent.idx", f"mnist_labels={tmp_path}/absent.idx",
     ])
     assert code == 2
+
+
+def test_the_console_script_exits_with_mains_code(tmp_path, monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["plab"]
+    module, _, name = target.partition(":")
+    script = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(sys, "argv", ["plab", "inspect", "--summary", str(tmp_path / "absent")])
+    with pytest.raises(SystemExit) as exit_:  # as the installed shim calls it
+        sys.exit(script())
+    assert exit_.value.code == 2
 
 
 def test_cli_numerical_failure_exit_code(tmp_path):
