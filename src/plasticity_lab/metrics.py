@@ -33,7 +33,7 @@ def batch_accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 def mean_param_magnitude(params: nn.ParameterSet) -> float:
     """Mean |theta| over all trainable entries (weights, biases, affines)."""
-    return float(np.abs(params.flat, out=params.work[2]).sum()) / params.flat.size
+    return float(np.abs(params.flat, out=params.work[1]).sum()) / params.flat.size
 
 
 def srank(sing_vals: np.ndarray) -> int:

@@ -125,9 +125,9 @@ class ParameterSet:
     order, and fills each constant one. Init (`init_params`, before it
     constructs) and each later redraw -- shrink & perturb noise, resampled
     anchors -- run that one loop; a neuron reset reads its bound here.
-    `work` holds three scratch vectors, the gradient (row 0) and the update
-    terms, so no step allocates a full-length array. Every full-length row
-    here starts on a 64-byte boundary (`aligned_rows`).
+    `work` holds two scratch vectors, the gradient (row 0, which the update
+    consumes) and one more row, so no step allocates a full-length array.
+    Every full-length row here starts on a 64-byte boundary (`aligned_rows`).
     """
 
     def __init__(self, values: dict[str, np.ndarray], init_spec: dict[str, tuple[str, float]]):
@@ -144,7 +144,7 @@ class ParameterSet:
         np.concatenate([a.ravel() for a in arrays.values()], out=self._flat)
         self._flat0[:] = self._flat
         self._flat0.setflags(write=False)
-        self.work = aligned_rows(3, size)
+        self.work = aligned_rows(2, size)
         self._values, self._grad = self.named(self._flat), self.named(self.work[0])
 
     flat = property(lambda self: self._flat)

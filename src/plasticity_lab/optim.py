@@ -13,10 +13,10 @@ optimizer step. Every intervention covers all trainable tensors (weights,
 biases, and layer-norm affines where present), and none of them ever sees
 a task boundary.
 
-Every term is computed in place on the flat parameter vector, into its
-scratch rows `params.work`, with the per-element operation order of the
-per-tensor formulas. Row 0 holds the loss gradient that `nn.loss_and_grad`
-wrote; the update adds the regularizer term into it.
+Every term is computed in place on the flat parameter vector, with the
+per-element operation order of the per-tensor formulas. `params.work[0]`
+holds the loss gradient that `nn.loss_and_grad` wrote; the update adds the
+regularizer term into it, then consumes it as scratch beside `work[1]`.
 
 `MethodConfig` is plain data, checked by `RunConfig.validate`. Nothing
 here re-checks its inputs: `validate` admits only SGD or Adam, and
@@ -93,14 +93,14 @@ def regularizer_gradient(
 
 
 def sgd_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> None:
-    """theta <- theta - alpha * grad, for a flat `grad`."""
+    """theta <- theta - alpha * grad, for a flat `grad`, which it consumes (scales in place)."""
     state.t += 1
     theta = params.flat
-    theta -= np.multiply(grad, state.alpha, out=params.work[1])
+    theta -= np.multiply(grad, state.alpha, out=grad)
 
 
 def adam_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> None:
-    """One bias-corrected Adam update for a flat `grad`.
+    """One bias-corrected Adam update for a flat `grad`, which it consumes as scratch.
 
     A bias correction 1 - beta**t that has rounded to exactly 1.0 (from
     t = 356 for m, t = 37,412 for v) is skipped: x / 1.0 == x in IEEE 754,
@@ -109,35 +109,35 @@ def adam_step(state: OptimizerState, params: ParameterSet, grad: np.ndarray) -> 
     state.t += 1
     bias1 = 1.0 - BETA1**state.t
     bias2 = 1.0 - BETA2**state.t
-    theta, (m, v) = params.flat, state.moments
-    tmp, tmp2 = params.work[1], params.work[2]
-    m *= BETA1
-    m += np.multiply(grad, 1.0 - BETA1, out=tmp)
+    theta, (m, v), tmp = params.flat, state.moments, params.work[1]
     v *= BETA2
     np.multiply(grad, 1.0 - BETA2, out=tmp)
     v += np.multiply(tmp, grad, out=tmp)
+    m *= BETA1
+    m += np.multiply(grad, 1.0 - BETA1, out=grad)
     if bias1 == 1.0:
-        np.multiply(m, state.alpha, out=tmp)
+        np.multiply(m, state.alpha, out=grad)
     else:
-        np.divide(m, bias1, out=tmp)  # m_hat
-        tmp *= state.alpha
+        np.divide(m, bias1, out=grad)  # m_hat
+        grad *= state.alpha
     if bias2 == 1.0:
-        np.sqrt(v, out=tmp2)
+        np.sqrt(v, out=tmp)
     else:
-        np.divide(v, bias2, out=tmp2)  # v_hat
-        np.sqrt(tmp2, out=tmp2)
-    tmp2 += EPS
-    tmp /= tmp2
-    theta -= tmp
+        np.divide(v, bias2, out=tmp)  # v_hat
+        np.sqrt(tmp, out=tmp)
+    tmp += EPS
+    grad /= tmp
+    theta -= grad
 
 
 def shrink_perturb_apply(config: MethodConfig, params: ParameterSet, rng: RngStream) -> None:
     """theta <- (1 - s) * theta + sigma * eps, applied after every gradient step.
 
     eps is drawn per parameter from that parameter's own initialization
-    distribution, so the noise scale tracks layer fan-in.
+    distribution, so the noise scale tracks layer fan-in. It is drawn into
+    the gradient row `params.work[0]`, which the optimizer step consumed.
     """
-    noise = params.draw_initial(rng, params.work[1])
+    noise = params.draw_initial(rng, params.work[0])
     noise *= config.noise
     theta = params.flat
     theta *= 1.0 - config.shrink

@@ -237,22 +237,13 @@ def _write_csv(path: str, header: str, rows) -> None:
     _write_atomic(path, "\n".join(lines) + "\n")
 
 
-def _write_json(path: str, obj) -> None:
-    _write_atomic(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_outputs(record: RunRecord, out_dir: str) -> None:
     """Write steps.csv if recorded (else remove it), task_metrics.csv, and summary.json last."""
-    os.makedirs(out_dir, exist_ok=True)
-    steps = os.path.join(out_dir, "steps.csv")
-    if record.per_step_accuracy is not None:
-        _write_csv(steps, "step,online_accuracy", enumerate(record.per_step_accuracy.tolist()))
-    elif os.path.exists(steps):  # an earlier run's, which this record would contradict
-        os.remove(steps)
-    _write_csv(os.path.join(out_dir, "task_metrics.csv"), TASK_CSV_HEADER,
-               (dataclasses.astuple(row) for row in record.task_rows))
-
-    summary = {
+    summary = _json({  # before any file is touched: a summary that cannot be encoded writes none
         "total_avg_online_accuracy":
             record.total_avg_online_accuracy if record.steps_completed else None,
         "seed": record.config["seed"],
@@ -261,8 +252,18 @@ def write_outputs(record: RunRecord, out_dir: str) -> None:
         "config": record.config,
         "wall_clock_seconds": record.wall_clock_seconds,
         "version": _version_string(),
-    }
-    _write_json(os.path.join(out_dir, "summary.json"), summary)
+    })
+    os.makedirs(out_dir, exist_ok=True)
+    steps, summary_path = (os.path.join(out_dir, name) for name in ("steps.csv", "summary.json"))
+    if os.path.exists(summary_path):  # an earlier run's, which a failed write below would strand
+        os.remove(summary_path)
+    if record.per_step_accuracy is not None:
+        _write_csv(steps, "step,online_accuracy", enumerate(record.per_step_accuracy.tolist()))
+    elif os.path.exists(steps):  # an earlier run's, which this record would contradict
+        os.remove(steps)
+    _write_csv(os.path.join(out_dir, "task_metrics.csv"), TASK_CSV_HEADER,
+               (dataclasses.astuple(row) for row in record.task_rows))
+    _write_atomic(summary_path, summary)
 
 
 def _run_cell(args) -> dict:
@@ -356,4 +357,4 @@ def write_sweep_outputs(rows: list[dict], summary: dict, out_dir: str) -> None:
                "method," + ",".join(keys) + ",seed,total_avg_online_accuracy,status",
                ((summary["method"], *(row.get(k, "") for k in keys), row["seed"],
                  row["total_avg_online_accuracy"], row["status"]) for row in rows))
-    _write_json(os.path.join(out_dir, "sweep_summary.json"), summary)
+    _write_atomic(os.path.join(out_dir, "sweep_summary.json"), _json(summary))

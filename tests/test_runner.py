@@ -505,6 +505,19 @@ def test_a_steps_csv_that_cannot_be_written_leaves_no_summary(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["steps.csv"]
 
 
+def test_a_failed_write_over_an_earlier_run_leaves_no_summary(tmp_path):
+    write_outputs(run_experiment(desk_config(num_tasks=2, seed=0, log_steps=True)), tmp_path)
+    assert json.loads((tmp_path / "summary.json").read_text())["seed"] == 0
+    record = run_experiment(desk_config(num_tasks=3, seed=1, log_steps=True))
+    (tmp_path / f"task_metrics.csv.{os.getpid()}.tmp").mkdir()  # in the way of its write
+    with pytest.raises(OSError):
+        write_outputs(record, tmp_path)
+    # seed 0's summary would describe seed 1's steps.csv, which is already in place
+    assert not (tmp_path / "summary.json").exists()
+    steps = (tmp_path / "steps.csv").read_text().splitlines()
+    assert len(steps) == 1 + len(record.per_step_accuracy)
+
+
 def test_single_cell_sweep_wins(tmp_path):
     base = desk_config(num_tasks=2, optimizer="adam", method="baseline")
     rows, sweep = run_sweep(base, 1)
