@@ -101,11 +101,9 @@ class RunConfig(MethodConfig):
             raise ConfigError(f"{self.problem} needs mnist_images and mnist_labels paths")
         if data == "cifar" and self.cifar_bin is None:
             raise ConfigError(f"{self.problem} needs a cifar_bin path")
-        for name in ("lam", "shrink", "noise", "replacement_rate"):
+        for name in GRIDS:
             if not 0 <= getattr(self, name) < float("inf"):
                 raise ConfigError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        if not 0 <= self.utility_decay <= 1:
-            raise ConfigError(f"utility_decay must be in [0, 1], got {self.utility_decay}")
         if not self.maturity_threshold >= 0:
             raise ConfigError(f"maturity_threshold must be >= 0, got {self.maturity_threshold}")
 

@@ -6,12 +6,12 @@ then the linear output layer L-1. An MLP is the case with no conv layers;
 a CNN has `conv_channels`. Every hidden layer runs the same steps: conv
 or affine map, optional layer norm over each sample's features, ReLU (the
 cache keeps the post-ReLU map), and, on a conv layer, a 2x2 max pool,
-whose backward also takes the ReLU's derivative. `forward` and
-`loss_and_grad` are one loop each over these layers. A conv layer's im2col
-columns are built once, by its forward conv, and kept until its kernel
-gradient. Parameters, and the gradient, live in flat vectors read through
-named views (`ParameterSet`); layer l uses keys "w{l}"/"b{l}" and, when
-layer normalization is enabled, hidden layer l adds "gain{l}"/"shift{l}".
+whose backward also takes the ReLU's derivative. `forward` is one loop
+over these layers, `loss_and_grad` one over the output layer, then these.
+A conv layer's im2col columns are built once, by its forward conv, and
+kept until its kernel gradient. Parameters, and the gradient, live in flat
+vectors read through named views (`ParameterSet`): "w{l}"/"b{l}" for layer
+l and, with layer normalization, "gain{l}"/"shift{l}" for hidden layer l.
 
 `layer_shapes` lays the network out once. `init_params` builds from it each
 tensor's init distribution (weights and biases uniform(+-1/sqrt(fan_in)),
@@ -300,30 +300,26 @@ def loss_and_grad(
     logp = _log_softmax(logits)
     loss = float(-logp[np.arange(batch), labels].mean())
 
-    d = np.exp(logp)
-    d[np.arange(batch), labels] -= 1.0
-    d /= batch
+    dz = np.exp(logp)  # the output layer's pre-activation gradient
+    dz[np.arange(batch), labels] -= 1.0
+    dz /= batch
 
-    out_layer = len(cache.acts)
-    np.matmul(cache.inputs[out_layer].T, d, out=g[f"w{out_layer}"])
-    d.sum(axis=0, out=g[f"b{out_layer}"])
-    da = d @ v[f"w{out_layer}"].T  # gradient w.r.t. the output layer's input
-
-    n_conv = len(spec.convs)
-    for l in reversed(range(out_layer)):
+    n_conv, out_layer = len(spec.convs), len(cache.acts)
+    for l in reversed(range(out_layer + 1)):
         conv = l < n_conv
-        a = cache.acts[l]
-        if conv:  # the pool's backward takes the ReLU's derivative too
-            pooled = cache.inputs[l + 1].reshape(len(a), a.shape[1], a.shape[2] // 2, -1)
-            dz = maxpool2_backward(da.reshape(pooled.shape), a, pooled)
-        else:
-            dz = da * (a > 0)
-        if spec.layer_norm:
-            gain = v[f"gain{l}"]
-            dz2d, dgain, dshift = _ln_backward(dz.reshape(len(dz), -1), gain, *cache.ln[l])
-            g[f"gain{l}"][...] = dgain.reshape(gain.shape)
-            g[f"shift{l}"][...] = dshift.reshape(gain.shape)
-            dz = dz2d.reshape(dz.shape)
+        if l < out_layer:  # `da` holds the gradient w.r.t. hidden layer l's output
+            a = cache.acts[l]
+            if conv:  # the pool's backward takes the ReLU's derivative too
+                pooled = cache.inputs[l + 1].reshape(len(a), a.shape[1], a.shape[2] // 2, -1)
+                dz = maxpool2_backward(da.reshape(pooled.shape), a, pooled)
+            else:
+                dz = da * (a > 0)
+            if spec.layer_norm:
+                gain = v[f"gain{l}"]
+                dz2d, dgain, dshift = _ln_backward(dz.reshape(len(dz), -1), gain, *cache.ln[l])
+                g[f"gain{l}"][...] = dgain.reshape(gain.shape)
+                g[f"shift{l}"][...] = dshift.reshape(gain.shape)
+                dz = dz2d.reshape(dz.shape)
         w, x_in = v[f"w{l}"], cache.inputs[l]
         if conv:
             g[f"w{l}"][...] = conv2d_kernel_gradient(cache.cols.pop(), dz, *w.shape[2:])

@@ -43,8 +43,8 @@ METHODS: dict[str, tuple[str, ...]] = {
     "continual_backprop": ("replacement_rate",),
     "l2_init_resample": ("lam",),
 }
-REGULARIZED = ("l2_init", "l2", "l2_init_resample")
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's constants
+UTILITY_DECAY = 0.99  # continual backprop's utility EMA decay, fixed as in Dohare et al.
 
 
 @dataclass
@@ -58,7 +58,6 @@ class MethodConfig:
     noise: float = 1e-2           # sigma, perturbation scale
     replacement_rate: float = 1e-4
     maturity_threshold: int = 100
-    utility_decay: float = 0.99
 
 
 @dataclass
@@ -79,8 +78,8 @@ def make_optimizer(kind: str, alpha: float, params: ParameterSet) -> OptimizerSt
 def regularizer_gradient(
     config: MethodConfig, params: ParameterSet, rng: RngStream
 ) -> np.ndarray:
-    """Flat gradient of the regularization term of a method in REGULARIZED,
-    in the scratch row `params.work[1]`."""
+    """Flat gradient of the regularization term of a method with a `lam`
+    in `METHODS`, in the scratch row `params.work[1]`."""
     out = params.work[1]
     if config.method == "l2":
         out[:] = params.flat
@@ -179,7 +178,7 @@ def cbp_step(
     pass: incoming weights redrawn from the initialization distribution;
     bias, outgoing weights, utility, age and every optimizer moment zeroed.
     """
-    decay = config.utility_decay
+    decay = UTILITY_DECAY
     scratch = params.work[1]
     for layer in range(len(cbp.utilities)):
         width = cbp.utilities[layer].shape[0]
@@ -226,7 +225,7 @@ def apply_method_step(
     `grad` is the row `loss_and_grad` returned, laid out like `params.flat`;
     the update consumes it, adding the regularizer term in place.
     """
-    if config.method in REGULARIZED and config.lam != 0.0:
+    if "lam" in METHODS[config.method] and config.lam != 0.0:
         grad += regularizer_gradient(config, params, rng)
     if opt.kind == "sgd":
         sgd_step(opt, params, grad)

@@ -53,12 +53,13 @@ def test_unknown_key_rejected(tmp_path):
     path = write(tmp_path, "stepsize = 3\n")
     with pytest.raises(ConfigError, match="stepsize"):
         parse_config(path)
-    # continual backprop has one utility, so its old selector is gone
-    path = write(tmp_path, "utility_kind = contribution\n")
-    with pytest.raises(ConfigError, match="unknown key 'utility_kind'"):
-        parse_config(path)
-    with pytest.raises(ConfigError, match="unknown key 'utility_kind'"):
-        parse_config(None, ["utility_kind=contribution"])
+    # continual backprop has one utility, with a fixed decay, so their old keys are gone
+    for key, value in (("utility_kind", "contribution"), ("utility_decay", "0.5")):
+        path = write(tmp_path, f"{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(path)
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(None, [f"{key}={value}"])
 
 
 def test_non_utf8_file_is_a_config_error_naming_it(tmp_path):
@@ -133,20 +134,20 @@ def test_validate_rejects_cbp_on_cnn_problem():
 
 
 def test_validate_checks_the_method_fields_in_order():
-    cfg = RunConfig(problem="synthetic_permuted", lam=-1.0, utility_decay=5.0).resolved()
+    cfg = RunConfig(problem="synthetic_permuted", lam=-1.0, maturity_threshold=-1).resolved()
     with pytest.raises(ConfigError) as exc:
         cfg.validate()
     assert str(exc.value) == "lam must be >= 0 and finite, got -1.0"
     with pytest.raises(ConfigError) as exc:
         dataclasses.replace(cfg, lam=0.0).validate()
-    assert str(exc.value) == "utility_decay must be in [0, 1], got 5.0"
+    assert str(exc.value) == "maturity_threshold must be >= 0, got -1"
 
 
 def test_run_config_fields_and_defaults_are_pinned():
-    # summary.json echoes these, key-sorted, under "config"; the first seven are MethodConfig's
+    # summary.json echoes these, key-sorted, under "config"; the first six are MethodConfig's
     assert dataclasses.asdict(RunConfig()) == {
         "method": "baseline", "lam": 1e-2, "shrink": 1e-4, "noise": 1e-2,
-        "replacement_rate": 1e-4, "maturity_threshold": 100, "utility_decay": 0.99,
+        "replacement_rate": 1e-4, "maturity_threshold": 100,
         "problem": "permuted_mnist", "optimizer": "adam", "alpha": 1e-3, "seed": 0,
         "dataset_size": None, "num_tasks": None, "steps_per_task": None, "batch_size": 16,
         "hidden_widths": None, "probe_size": 512, "input_width": 64, "classes": 10,
@@ -162,7 +163,7 @@ def test_lambda_key_maps_to_lam_field():
 # a value for every RunConfig field, none of them its default
 NON_DEFAULT = dict(
     method="l2_init", lam=0.5, shrink=0.25, noise=0.125, replacement_rate=1e-3,
-    maturity_threshold=7, utility_decay=0.5, problem="synthetic_permuted", optimizer="sgd",
+    maturity_threshold=7, problem="synthetic_permuted", optimizer="sgd",
     alpha=0.25, seed=9, dataset_size=33, num_tasks=4, steps_per_task=5, batch_size=6,
     hidden_widths=(7, 8), probe_size=9, input_width=10, classes=3, mnist_images="i.idx",
     mnist_labels="l.idx", cifar_bin="b.bin", out="o", log_steps=True,

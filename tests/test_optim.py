@@ -8,7 +8,6 @@ from plasticity_lab.metrics import mean_param_magnitude
 from plasticity_lab.nn import NetworkSpec, ParameterSet, forward, init_params, loss_and_grad
 from plasticity_lab.optim import (
     METHODS,
-    REGULARIZED,
     MethodConfig,
     adam_step,
     apply_method_step,
@@ -515,7 +514,7 @@ def per_tensor_trajectory(cfg, optimizer="adam", steps=30, seed=11, alpha=1e-2, 
         _, grad = loss_and_grad(spec, net, cache, logits, labels)
         grads = dict(net.named(grad))
         total = grads
-        if cfg.method in REGULARIZED and cfg.lam != 0.0:
+        if cfg.method in ("l2_init", "l2", "l2_init_resample") and cfg.lam != 0.0:
             two_lam = 2.0 * cfg.lam
             reg = {}
             for name, theta in values.items():
@@ -545,7 +544,7 @@ def per_tensor_trajectory(cfg, optimizer="adam", steps=30, seed=11, alpha=1e-2, 
                 w_in, b, w_out = f"w{layer}", f"b{layer}", f"w{layer + 1}"
                 inst = (np.mean(np.abs(cache.inputs[layer + 1]), axis=0)
                         * np.mean(np.abs(values[w_out]), axis=1))
-                decay = cfg.utility_decay
+                decay = 0.99
                 utilities[layer] = decay * utilities[layer] + (1.0 - decay) * inst
                 ages[layer] += 1
                 accumulators[layer] += cfg.replacement_rate * width

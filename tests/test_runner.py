@@ -350,6 +350,109 @@ def test_cnn_runs_write_pinned_bytes(tmp_path, method, optimizer):
     assert got == PINNED_CNN_OUTPUTS[method, optimizer]
 
 
+# sha256 of (task_metrics.csv, steps.csv) of synthetic_permuted, then of synthetic_random_label,
+# after 3 tasks x 40 steps at seed 1; continual backprop resets units in both
+PINNED_MLP_OUTPUTS = {
+    ("baseline", "sgd"): (
+        "5ceb00cf3af85cbbf31c1f7b9a21f3cdb66bd768d64d8e3453fb7ec81ec604a1",
+        "e19e1cd139da16c1c862158ee2d53bf6f73b0640984143cff59a5911b463211e",
+        "9529549fe14b132f7c0e948f8126560496ceafff9a2798bc9bbadfe04a47b36c",
+        "f538a2f323b2b88ce83e14577eba5b6c9fcc5c8174824b17ab2f468fa1bca05b",
+    ),
+    ("baseline", "adam"): (
+        "9772b850f5627627c34ff258df9947f404f60f5955d6ee6ddd3ebe6dabff9cde",
+        "ace26de23f36bc0233d20485cbfd02c4c1cd639450a37dbfd1c26bb93cfb10ac",
+        "ffbd60b0e0a74b6930e1fb8c83e715f0e016943e365a6ef181b3e77ba671c22d",
+        "930cb289af70e2c85fa08111823f5f606f652af3a86c8eb9192e21ab598ca9c3",
+    ),
+    ("layer_norm", "sgd"): (
+        "2e5703337212542c6e4207a69b57b4ca5232adeab1f3eff8c5c4751450a8d5a5",
+        "083582f3dcc8d1de7b451518917f191e55189adc5c1aad7716ccb1657742f789",
+        "140bcb17b0ed67a9581863416f4e6fc23512045116c8a7f9b005a33b11fb8ff7",
+        "e38b0bbc366786ec4a61cfb6cfcbfe841db5308f1926c12871061acaee250bdf",
+    ),
+    ("layer_norm", "adam"): (
+        "b34695d6f34b7e2c31291a84de45abeb4f7d6008d64dbfdd85149c68fc0efacb",
+        "7e685ece1ae530b22d7e92fbd6ca2280499dfaace26765dee02d154c99fb4d95",
+        "aa1c0a3134a193a8d831c097116670e0eed977b856252967b21b8b08504a1282",
+        "e2b233d66bf5630548d115c29dd1c4754bd4860ce638a505029ebb92b0e0dc4d",
+    ),
+    ("l2_init", "sgd"): (
+        "54d9d916cbd8f28a8232b6d4f2d7809ad029726a9485fbfc7335e1f958e7647b",
+        "e19e1cd139da16c1c862158ee2d53bf6f73b0640984143cff59a5911b463211e",
+        "1425de1acf6550f7abec01000ba85e99a5b9942bfb9b6911ebdc9c82448216ba",
+        "f538a2f323b2b88ce83e14577eba5b6c9fcc5c8174824b17ab2f468fa1bca05b",
+    ),
+    ("l2_init", "adam"): (
+        "e0db09b830463e4b7a8021f03e35f8f195c422b9fbf74e6f284d56b2260ba29c",
+        "f43832487a8e107755bba60dc395ce407cb38cc02d7a30514a81789c8e464c15",
+        "3a2cc9e28c9b28ad7dd0a4e91ecc84455056900c63f7cd8ece69f476d673be43",
+        "9ff7066ac4e98544b177702b34e88e4ddb601f7f152c1143a29fd0a9b03aed52",
+    ),
+    ("l2", "sgd"): (
+        "d24c02425aad9cca4d47f3f274c27dc98165af60f1a9d40d299b08801dd4608c",
+        "e19e1cd139da16c1c862158ee2d53bf6f73b0640984143cff59a5911b463211e",
+        "ff449fb63720b487de68fc0fdef8faf05c7e1e0ced3668993e94259ad1408130",
+        "f538a2f323b2b88ce83e14577eba5b6c9fcc5c8174824b17ab2f468fa1bca05b",
+    ),
+    ("l2", "adam"): (
+        "bdd2511c85d514eb6c88a7f45872e46e0895832add323b853510ccb89e28c678",
+        "f42e669b0c4099436d0d5274fe5961be1742a187e817ab9510bbebc6987c0ffe",
+        "dad862d3f96d872a6df463356a996fa319a006d2df6e8a23026c457d62e2d504",
+        "41380f14fc1ee3fefabf69c4b8201f58b6b204ef8f32d69cf3ad9f704a85ba45",
+    ),
+    ("shrink_perturb", "sgd"): (
+        "13f40c436740cae33c40113c02432b8e18863412290c5ff9c022b4804398d23b",
+        "e19e1cd139da16c1c862158ee2d53bf6f73b0640984143cff59a5911b463211e",
+        "b05d7b68b780fb93e320704157b018ad1db56881acdc4939b6deb647fe423d2b",
+        "d09787670a8fab51288cffac35c17d02436a10bae4678f9154fdcceeec175f12",
+    ),
+    ("shrink_perturb", "adam"): (
+        "53b004c3bcaea5212754fb4eeec6f03b985de8810e7c52a01f6672c7570def65",
+        "c1709ab3ab705fa11e59f99e5141bcc1bdcffaf3c8acbcb46fae0f8200a395b8",
+        "da105223154ddc887f022f4d397134ecc7a0bb3da9ef9b0b23f59a071e90a1f3",
+        "4cd95b54931fce1f1c29bd5e999128e19ed91415e867a79edea8299ae83fa35c",
+    ),
+    ("continual_backprop", "sgd"): (
+        "e62ae23f7ea41d67355091a3864db8902a506a95833614973852fd7c83ec3865",
+        "e19e1cd139da16c1c862158ee2d53bf6f73b0640984143cff59a5911b463211e",
+        "b2416dc44072193dafd2568d50fa4ac50cd9d5fb72bb5bb409803f590bf5dbbe",
+        "49eb7b48332b58f1fd9769f3abdae913fe7702c5e598c43931c44174807107c4",
+    ),
+    ("continual_backprop", "adam"): (
+        "11f9906cc22b2ac128ee2ba1a5640e065d6f14490351bfccaf250d6715f32ffb",
+        "7cf5c65aba2a6100cc8142294b57d87f423350b0fbbce620c80eae7612952602",
+        "c1d960e406ae294382020191e995fec077ca2d0a3dd212b09682480164c1996f",
+        "628349913263a0635d96effb0cd5aabf14d78ac5504f9f31aa6fefa3825e8d80",
+    ),
+    ("l2_init_resample", "sgd"): (
+        "4d4655448392253456f4165177ea597d72a391547417be28eb05189d7ddb942b",
+        "e19e1cd139da16c1c862158ee2d53bf6f73b0640984143cff59a5911b463211e",
+        "1b9b3eced048d98aed744a3d98613f5a28337f19272c3daafeacf1f2e58e88e1",
+        "f538a2f323b2b88ce83e14577eba5b6c9fcc5c8174824b17ab2f468fa1bca05b",
+    ),
+    ("l2_init_resample", "adam"): (
+        "c048fa6dc78609c5616f0774c4abd97c7a34bf0ae84a24bfcda7e4eb1fb195e2",
+        "37b02900d84ad0e7408d7c2af4c7b314e672ac5faf669482fa4715d80bc2e3ad",
+        "5b9d81c5ff7c00a8a5c109ea806b0c52ad823b31b25ecfd3509da97f146037b7",
+        "e6e97cca5d7bbbe7aa6363af474476f7cf634d9d9e4bf039e59c2d7c1633ee34",
+    ),
+}
+
+
+@pytest.mark.parametrize("method, optimizer", PINNED_MLP_OUTPUTS)
+def test_mlp_runs_write_pinned_bytes(tmp_path, method, optimizer):
+    cbp = dict(maturity_threshold=5, replacement_rate=5e-2) if method == "continual_backprop" else {}
+    got = ()
+    for problem in ("synthetic_permuted", "synthetic_random_label"):
+        cfg = RunConfig(problem=problem, method=method, optimizer=optimizer, seed=1, num_tasks=3,
+                        steps_per_task=40, log_steps=True, **cbp)
+        write_outputs(run_experiment(cfg), str(tmp_path / problem))
+        got += tuple(hashlib.sha256((tmp_path / problem / name).read_bytes()).hexdigest()
+                     for name in ("task_metrics.csv", "steps.csv"))
+    assert got == PINNED_MLP_OUTPUTS[method, optimizer]
+
+
 # problem -> (stream transform, network kind, default hidden widths)
 PROBLEM_SHAPES = {
     "permuted_mnist": ("permute", "mlp", (100, 100)),
@@ -774,15 +877,17 @@ def test_cli_usage_error_exit_code():
 
 @pytest.mark.parametrize("from_file", (False, True))
 def test_cli_removed_utility_kind_is_an_unknown_key(tmp_path, capsys, from_file):
-    args = ["run", f"out={tmp_path / 'o'}", "problem=synthetic_permuted"]
-    if from_file:
-        (tmp_path / "run.cfg").write_text("utility_kind = contribution\n")
-        args[1:1] = ["--config", str(tmp_path / "run.cfg")]
-    else:
-        args.append("utility_kind=contribution")
-    assert main(args) == 1
-    assert "unknown key 'utility_kind'" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    # and the removed utility_decay: continual backprop's decay is fixed
+    for key, value in (("utility_kind", "contribution"), ("utility_decay", "0.5")):
+        args = ["run", f"out={tmp_path / 'o'}", "problem=synthetic_permuted"]
+        if from_file:
+            (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+            args[1:1] = ["--config", str(tmp_path / "run.cfg")]
+        else:
+            args.append(f"{key}={value}")
+        assert main(args) == 1
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -852,8 +957,6 @@ HYPER_ERRORS = [
     ("method=shrink_perturb noise=nan", "noise must be >= 0 and finite, got nan"),
     ("method=continual_backprop replacement_rate=nan",
      "replacement_rate must be >= 0 and finite, got nan"),
-    ("method=continual_backprop utility_decay=5", "utility_decay must be in [0, 1], got 5.0"),
-    ("method=continual_backprop utility_decay=nan", "utility_decay must be in [0, 1], got nan"),
     ("method=continual_backprop maturity_threshold=-5", "maturity_threshold must be >= 0, got -5"),
 ]
 
