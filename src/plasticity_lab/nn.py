@@ -15,8 +15,9 @@ l and, with layer normalization, "gain{l}"/"shift{l}" for hidden layer l.
 
 `layer_shapes` lays the network out once. `init_params` builds from it each
 tensor's init distribution (weights and biases uniform(+-1/sqrt(fan_in)),
-layer-norm gains 1, shifts 0), draws with the loop of every later redraw, and
-snapshots the flat vector: the anchor used by the regularizers in `optim`.
+layer-norm gains 1, shifts 0), draws it with the loop of every later redraw,
+one call on each run of adjacent tensors sharing a distribution, and snapshots
+the flat vector: the anchor used by the regularizers in `optim`.
 """
 
 from __future__ import annotations
@@ -102,49 +103,51 @@ def layer_shapes(spec: NetworkSpec) -> list[tuple[tuple[int, ...], int, tuple[in
     return layers + [((din, dout), din, (dout,)) for din, dout in zip(dims[:-1], dims[1:])]
 
 
-def _draw(init_spec: dict[str, tuple[str, float]], tensors, rng: RngStream) -> None:
-    """Fill each tensor from its init distribution; uniform ones draw from `rng` in order."""
-    for name, seg in tensors.items():
-        kind, v = init_spec[name]
-        if kind == "uniform":
-            rng.uniform(-v, v, out=seg)
-        else:
-            seg[...] = v
-
-
 class ParameterSet:
     """Trainable tensors in one flat float64 vector, plus its step-0 snapshot.
 
-    `values` maps each name to a view of its tensor in `flat` (tensors in
-    construction order), `grad` the same over the gradient row `work[0]`.
-    Neither mapping can be replaced: write tensors in place.
+    It is built from a name -> tensor mapping or, with `rng`, a name -> shape
+    one, and then `flat` is drawn by `draw_initial`. `values` maps each name to
+    a view of its tensor in `flat` (tensors in construction order), `grad` the
+    same over the gradient row `work[0]`. Neither mapping can be replaced:
+    write tensors in place.
 
     `init_spec` records each tensor's initialization distribution
-    (("uniform", bound) or ("const", value)). `draw_initial` draws each
-    uniform tensor with `RngStream.uniform(-bound, bound)`, in construction
-    order, and fills each constant one. Init (`init_params`, before it
-    constructs) and each later redraw -- shrink & perturb noise, resampled
-    anchors -- run that one loop; a neuron reset reads its bound here.
+    (("uniform", bound) or ("const", value)). Adjacent tensors with one uniform
+    distribution form a run (784-100-100-10 has two: w0 b0, and w1 b1 w2 b2);
+    each constant tensor is a run of its own. `draw_initial` draws each uniform
+    run with one `RngStream.uniform(-bound, bound)` call, in construction order,
+    and fills each constant run: the bits of one call per tensor, as Philox is
+    consumed in sequence. Init (`init_params`, which passes `rng`) and each
+    later redraw -- shrink & perturb noise, resampled anchors -- run that one
+    loop; a neuron reset reads its bound here.
     `work` holds two scratch vectors, the gradient (row 0, which the update
     consumes) and one more row, so no step allocates a full-length array.
     Every full-length row here starts on a 64-byte boundary (`aligned_rows`).
     """
 
-    def __init__(self, values: dict[str, np.ndarray], init_spec: dict[str, tuple[str, float]]):
-        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in values.items()}
+    def __init__(self, values: dict, init_spec: dict[str, tuple[str, float]], rng=None):
+        arrays = {} if rng else {k: np.asarray(v, dtype=np.float64) for k, v in values.items()}
+        self._shapes = {k: tuple(v) if rng else arrays[k].shape for k, v in values.items()}
         self.init_spec = dict(init_spec)
-        self._shapes = {k: a.shape for k, a in arrays.items()}
-        sizes = [a.size for a in arrays.values()]
-        self._splits = np.cumsum(sizes)[:-1]
+        ends = np.cumsum([int(np.prod(s)) for s in self._shapes.values()]).tolist()
+        self._splits, self._runs = ends[:-1], []  # runs: (start, stop, init_spec entry)
+        for name, start, stop in zip(self._shapes, [0, *self._splits], ends):
+            dist = self.init_spec[name]
+            if self._runs and dist[0] == "uniform" and self._runs[-1][2] == dist:
+                start = self._runs.pop()[0]
+            self._runs.append((start, stop, dist))
         # one-row buffers, not one multi-row buffer: the allocator can serve
         # each from freed heap memory, where one large buffer is fresh pages that
         # fault on first write (a four-row buffer measured about 0.4 ms slower per run)
-        size = sum(sizes)
-        self._flat, self._flat0 = (aligned_rows(1, size)[0] for _ in range(2))
-        np.concatenate([a.ravel() for a in arrays.values()], out=self._flat)
+        self._flat, self._flat0 = (aligned_rows(1, ends[-1])[0] for _ in range(2))
+        if rng:
+            self.draw_initial(rng, self._flat)
+        else:
+            np.concatenate([a.ravel() for a in arrays.values()], out=self._flat)
         self._flat0[:] = self._flat
         self._flat0.setflags(write=False)
-        self.work = aligned_rows(2, size)
+        self.work = aligned_rows(2, ends[-1])
         self._values, self._grad = self.named(self._flat), self.named(self.work[0])
 
     flat = property(lambda self: self._flat)
@@ -159,23 +162,28 @@ class ParameterSet:
 
     def draw_initial(self, rng: RngStream, out: np.ndarray) -> np.ndarray:
         """A fresh draw of every entry from its initialization distribution, into `out`."""
-        _draw(self.init_spec, self.named(out), rng)
+        if out.shape != self._flat.shape:
+            raise ValueError(f"draw_initial: out has shape {out.shape}, not {self._flat.shape}")
+        for start, stop, (kind, v) in self._runs:
+            if kind == "uniform":
+                rng.uniform(-v, v, out=out[start:stop])
+            else:
+                out[start:stop] = v
         return out
 
 
 def init_params(spec: NetworkSpec, rng: RngStream) -> ParameterSet:
-    """Every tensor of `spec`, filled by `draw_initial`'s loop before the snapshot is taken:
+    """Every tensor of `spec`, drawn into `flat` by `draw_initial` before the snapshot is taken:
     weights and biases uniform(+-1/sqrt(fan_in)), layer-norm gains 1 and shifts 0."""
     layers = layer_shapes(spec)
-    init_spec, values = {}, {}
+    init_spec, shapes = {}, {}
     for l, (w_shape, fan_in, out_shape) in enumerate(layers):
         init_spec[f"w{l}"] = init_spec[f"b{l}"] = ("uniform", 1.0 / np.sqrt(fan_in))
-        values[f"w{l}"], values[f"b{l}"] = np.empty(w_shape), np.empty(out_shape[0])
+        shapes[f"w{l}"], shapes[f"b{l}"] = w_shape, out_shape[:1]
     for l, (_, _, out_shape) in enumerate(layers[:-1] if spec.layer_norm else []):
         init_spec[f"gain{l}"], init_spec[f"shift{l}"] = ("const", 1.0), ("const", 0.0)
-        values[f"gain{l}"], values[f"shift{l}"] = np.empty(out_shape), np.empty(out_shape)
-    _draw(init_spec, values, rng)
-    return ParameterSet(values, init_spec)
+        shapes[f"gain{l}"] = shapes[f"shift{l}"] = out_shape
+    return ParameterSet(shapes, init_spec, rng)
 
 
 @dataclass

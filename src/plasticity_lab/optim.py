@@ -185,7 +185,7 @@ def cbp_step(
         w_in_name, b_name, w_out_name = f"w{layer}", f"b{layer}", f"w{layer + 1}"
         w_in, w_out = params.values[w_in_name], params.values[w_out_name]
         abs_out = np.abs(w_out, out=scratch[: w_out.size].reshape(w_out.shape))
-        inst = np.mean(np.abs(cache.inputs[layer + 1]), axis=0) * np.mean(abs_out, axis=1)
+        inst = np.mean(cache.inputs[layer + 1], axis=0) * np.mean(abs_out, axis=1)  # post-ReLU
         cbp.utilities[layer] = decay * cbp.utilities[layer] + (1.0 - decay) * inst
         cbp.ages[layer] += 1
 

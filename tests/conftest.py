@@ -9,9 +9,9 @@ from plasticity_lab.problems import Dataset, TaskStream, make_task
 from plasticity_lab.rng import RngStream
 
 
-def tiny_mlp_spec(layer_norm=False):
+def tiny_mlp_spec(layer_norm=False, hidden_widths=(5, 4)):
     return NetworkSpec(
-        kind="mlp", input_shape=(6,), hidden_widths=(5, 4), num_classes=3,
+        kind="mlp", input_shape=(6,), hidden_widths=hidden_widths, num_classes=3,
         layer_norm=layer_norm,
     )
 

@@ -131,14 +131,30 @@ def test_values_are_fixed_views_of_one_flat_vector():
 
 
 def test_a_constant_tensor_may_precede_a_uniform_one():
-    params = ParameterSet({"gain0": np.ones(3), "w0": np.zeros((2, 4))},
-                          {"gain0": ("const", 1.5), "w0": ("uniform", 0.25)})
-    rng, ref = RngStream(4), RngStream(4)
-    drawn = params.named(params.draw_initial(rng, np.full(params.flat.size, np.nan)))
-    assert np.all(drawn["gain0"] == 1.5)
-    want = ref.uniform(-0.25, 0.25, (2, 4))
-    assert np.array_equal(drawn["w0"].view(np.int64), want.view(np.int64))
-    assert rng.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)  # the same stream state after
+    # and may sit between two uniform tensors of one bound, which stay two draws;
+    # adjacent uniform tensors of two bounds are two draws too
+    shapes = {"gain0": (3,), "w0": (2, 4), "w1": (3, 2), "b0": (5,)}
+    for init_spec in ({"gain0": ("const", 1.5), "w0": ("uniform", 0.25)},
+                      {"w0": ("uniform", 0.25), "gain0": ("const", 1.5), "w1": ("uniform", 0.25)},
+                      {"w0": ("uniform", 0.25), "b0": ("uniform", 0.5)}):
+        params = ParameterSet({k: np.zeros(shapes[k]) for k in init_spec}, init_spec)
+        rng, ref = RngStream(4), RngStream(4)
+        drawn = params.named(params.draw_initial(rng, np.full(params.flat.size, np.nan)))
+        for name, (kind, v) in init_spec.items():
+            shape = shapes[name]
+            want = ref.uniform(-v, v, shape) if kind == "uniform" else np.full(shape, v)
+            assert np.array_equal(drawn[name].view(np.int64), want.view(np.int64)), name
+        assert rng.uniform(0.0, 1.0) == ref.uniform(0.0, 1.0)  # the same stream state after
+
+
+def test_draw_initial_rejects_an_out_of_another_length():
+    # a slice of a longer row would leave its tail stale; a shorter row would take too few draws
+    params = init_params(tiny_mlp_spec(layer_norm=True), RngStream(0).split("init"))
+    rng = RngStream(4)
+    for size in (params.flat.size - 1, params.flat.size + 1):
+        with pytest.raises(ValueError):
+            params.draw_initial(rng, np.zeros(size))
+    assert rng.uniform(0.0, 1.0) == RngStream(4).uniform(0.0, 1.0)  # nothing was drawn
 
 
 def test_layer_norm_affines_start_at_identity():

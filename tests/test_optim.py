@@ -602,12 +602,17 @@ def test_flat_update_matches_per_tensor_oracle(method, optimizer, layer_norm):
 
 
 @pytest.mark.parametrize("optimizer", ("sgd", "adam"))
-@pytest.mark.parametrize("method", METHODS)
-def test_flat_update_matches_per_tensor_oracle_past_t_356(method, optimizer):
+@pytest.mark.parametrize("method, hidden_widths", [
+    *(pytest.param(method, (5, 4), id=method) for method in METHODS),
+    # equal widths give w1 b1 w2 b2 one bound, so the flat path draws them in one call
+    *(pytest.param(method, (4, 4), id=f"{method}-equal_widths")
+      for method in ("shrink_perturb", "l2_init_resample")),
+])
+def test_flat_update_matches_per_tensor_oracle_past_t_356(method, hidden_widths, optimizer):
     # the update consumes the gradient row as its scratch; over 400 steps Adam's m bias
     # correction rounds to 1.0 at t = 356 and is skipped from there, while the oracle keeps
     # dividing, writes every term into a fresh array and draws its noise into its own arrays
-    spec = tiny_mlp_spec(layer_norm=method == "layer_norm")
+    spec = tiny_mlp_spec(layer_norm=method == "layer_norm", hidden_widths=hidden_widths)
     cfg = ORACLE_CONFIGS[method]
     assert_same_bits(run_trajectory(cfg, optimizer, steps=400, spec=spec),
                      per_tensor_trajectory(cfg, optimizer, steps=400, spec=spec))
