@@ -25,7 +25,7 @@ from .optim import METHODS, MethodConfig
 class Problem(NamedTuple):
     """One base dataset under one kind of non-stationarity, at one scale."""
 
-    data: str       # "mnist" | "cifar" (the CNN) | "synthetic"
+    data: str       # "mnist" | "cifar" (the CNN) | "synthetic" (64 wide); all have 10 classes
     transform: str  # "permute" | "relabel"
     dataset_size: int
     num_tasks: int
@@ -60,8 +60,6 @@ class RunConfig(MethodConfig):
     batch_size: int = 16
     hidden_widths: tuple[int, ...] | None = None
     probe_size: int = 512
-    input_width: int = 64   # synthetic problems only
-    classes: int = 10       # synthetic problems only (at most 10); sets the output width
     mnist_images: str | None = None
     mnist_labels: str | None = None
     cifar_bin: str | None = None
@@ -78,12 +76,9 @@ class RunConfig(MethodConfig):
 
     def validate(self) -> None:
         """Reject a resolved config that cannot run."""
-        for name in ("dataset_size", "num_tasks", "steps_per_task", "batch_size",
-                     "probe_size", "input_width", "classes"):
+        for name in ("dataset_size", "num_tasks", "steps_per_task", "batch_size", "probe_size"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.classes > 10:  # every Dataset's labels lie in [0, 10)
-            raise ConfigError(f"classes must be <= 10, got {self.classes}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.optimizer not in ALPHA_GRID:

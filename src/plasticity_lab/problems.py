@@ -6,8 +6,8 @@ task, labels kept) or random relabelling (inputs kept, labels redrawn per
 task). A permuted task is only a column order over the base rows, applied
 to the rows each batch gathers, so no task copies the images. The base
 dataset is n rows of an MNIST IDX pair (`load_idx`), of a CIFAR-10 binary
-batch (`load_cifar10_bin`), or a seeded synthetic set
-(`make_synthetic_dataset`); `runner.build_stream` picks one per problem.
+batch (`load_cifar10_bin`), or a seeded synthetic set of SYNTHETIC_WIDTH-wide
+inputs (`make_synthetic_dataset`); `runner.build_stream` picks one per problem.
 A file loader checks each header against the file's length, streams every
 label in one pass for `subsample` to check (CIFAR's kept records ride along),
 and keeps n raw uint8 rows drawn from the record count alone, with one
@@ -45,11 +45,13 @@ IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073
 READ_BYTES = 1 << 20  # the loaders' read buffer
 READ_CALL_BYTES = 8 << 10  # one read call costs about as much as streaming this many bytes
+NUM_CLASSES = 10  # every label, read or drawn, lies in [0, NUM_CLASSES): the output width
+SYNTHETIC_WIDTH = 64
 
 
 @dataclass
 class Dataset:
-    """Base rows, integer labels in [0,10); tasks see images / divisor (255.0 for uint8 rows)."""
+    """Base rows, labels in [0, NUM_CLASSES); tasks see images / divisor (255.0 for uint8 rows)."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -157,8 +159,8 @@ def subsample(size: int, labels: np.ndarray, n: int, idx: np.ndarray) -> np.ndar
         raise DataFormatError("dataset is empty")
     if labels.shape != (size,):
         raise DataFormatError(f"label count {labels.shape} != image count {size}")
-    if labels.max() >= 10:
-        raise DataFormatError("labels outside [0, 10)")
+    if labels.max() >= NUM_CLASSES:
+        raise DataFormatError(f"labels outside [0, {NUM_CLASSES})")
     if n > size:
         raise ConfigError(f"cannot subsample {n} from {size} samples")
     return idx
@@ -172,7 +174,6 @@ class TaskStream:
     base: Dataset
     batch_size: int
     seed: int
-    num_classes: int = 10
 
     def __post_init__(self):
         if self.transform not in ("permute", "relabel"):
@@ -203,9 +204,7 @@ def make_task(stream: TaskStream, i: int) -> Task:
         labels = stream.base.labels
     else:
         perm = None
-        labels = np.asarray(
-            task_rng.integers(0, stream.num_classes, stream.base.size), dtype=np.int64
-        )
+        labels = np.asarray(task_rng.integers(0, NUM_CLASSES, stream.base.size), dtype=np.int64)
     return Task(stream=stream, index=i, perm=perm, labels=labels)
 
 
@@ -240,8 +239,8 @@ def probe_batch(task: Task, size: int) -> np.ndarray:
     return task.rows(idx)
 
 
-def make_synthetic_dataset(width: int, classes: int, n: int, rng: RngStream) -> Dataset:
-    """Seeded stand-in data: uniform [0,1]^width inputs, uniform labels."""
-    images = rng.uniform(0.0, 1.0, (n, width))
-    labels = np.asarray(rng.integers(0, classes, n), dtype=np.int64)
+def make_synthetic_dataset(n: int, rng: RngStream) -> Dataset:
+    """Seeded stand-in data: uniform [0,1]^SYNTHETIC_WIDTH inputs, uniform labels."""
+    images = rng.uniform(0.0, 1.0, (n, SYNTHETIC_WIDTH))
+    labels = np.asarray(rng.integers(0, NUM_CLASSES, n), dtype=np.int64)
     return Dataset(images=images, labels=labels)

@@ -56,6 +56,7 @@ from .metrics import (
 from .nn import NetworkSpec, ParameterSet, forward, init_params, loss_and_grad
 from .optim import CbpState, OptimizerState, apply_method_step, make_cbp_state, make_optimizer
 from .problems import (
+    NUM_CLASSES,
     TaskStream,
     load_cifar10_bin,
     load_idx,
@@ -80,16 +81,15 @@ def build_stream(cfg: RunConfig) -> TaskStream:
     cfg = cfg.resolved()
     problem = PROBLEMS[cfg.problem]
     rng = RngStream(cfg.seed)
-    classes = cfg.classes if problem.data == "synthetic" else 10
     if problem.data == "synthetic":
-        base = make_synthetic_dataset(cfg.input_width, classes, cfg.dataset_size, rng.split("base"))
+        base = make_synthetic_dataset(cfg.dataset_size, rng.split("base"))
     elif problem.data == "cifar":
         base = load_cifar10_bin(cfg.cifar_bin, cfg.dataset_size, rng.split("subsample"))
     else:
         base = load_idx(cfg.mnist_images, cfg.mnist_labels, cfg.dataset_size,
                         rng.split("subsample"))
     return TaskStream(transform=problem.transform, base=base, batch_size=cfg.batch_size,
-                      seed=cfg.seed, num_classes=classes)
+                      seed=cfg.seed)
 
 
 def build_network_spec(cfg: RunConfig, stream: TaskStream) -> NetworkSpec:
@@ -97,7 +97,7 @@ def build_network_spec(cfg: RunConfig, stream: TaskStream) -> NetworkSpec:
         kind="cnn" if PROBLEMS[cfg.problem].data == "cifar" else "mlp",
         input_shape=stream.base.images.shape[1:],
         hidden_widths=cfg.hidden_widths,
-        num_classes=stream.num_classes,
+        num_classes=NUM_CLASSES,
         layer_norm=cfg.method == "layer_norm",
     )
 
@@ -142,8 +142,8 @@ def start_run(cfg: RunConfig) -> Run:
     except (ConfigError, DataFormatError):
         raise
     except (MemoryError, ValueError) as exc:  # ValueError: more entries than an array may hold
-        raise ConfigError("cannot allocate the arrays sized by dataset_size, input_width, "
-                          f"hidden_widths and num_tasks x steps_per_task: {exc}") from exc
+        raise ConfigError("cannot allocate the arrays sized by dataset_size, hidden_widths "
+                          f"and num_tasks x steps_per_task: {exc}") from exc
     if cfg.out is not None:  # past the config and data checks: an unwritable out fails here
         os.makedirs(cfg.out, exist_ok=True)
     return Run(cfg, spec, stream, params, opt, cbp, master.split("noise"), per_step,
@@ -219,26 +219,26 @@ def _version_string() -> str:
     return f"plasticity-lab {__version__}" + (f" ({rev})" if rev else "")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text, LF line ends, to a temporary file beside path, then rename it into place."""
+def _write_atomic(path: str, data: bytes) -> None:
+    """Write data to a temporary file beside path, then rename it into place."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the write or the rename failed
             os.unlink(tmp)
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    """One CSV file: strings as they are, numbers as their repr."""
+def _csv(header: str, rows) -> bytes:
+    """One CSV file, UTF-8 with LF line ends: strings as they are, numbers as their repr."""
     lines = [header] + [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows]
-    _write_atomic(path, "\n".join(lines) + "\n")
+    return ("\n".join(lines) + "\n").encode()
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _json(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
 
 
 def write_outputs(record: RunRecord, out_dir: str) -> None:
@@ -258,11 +258,12 @@ def write_outputs(record: RunRecord, out_dir: str) -> None:
     if os.path.exists(summary_path):  # an earlier run's, which a failed write below would strand
         os.remove(summary_path)
     if record.per_step_accuracy is not None:
-        _write_csv(steps, "step,online_accuracy", enumerate(record.per_step_accuracy.tolist()))
+        _write_atomic(steps, _csv("step,online_accuracy",
+                                  enumerate(record.per_step_accuracy.tolist())))
     elif os.path.exists(steps):  # an earlier run's, which this record would contradict
         os.remove(steps)
-    _write_csv(os.path.join(out_dir, "task_metrics.csv"), TASK_CSV_HEADER,
-               (dataclasses.astuple(row) for row in record.task_rows))
+    _write_atomic(os.path.join(out_dir, "task_metrics.csv"),
+                  _csv(TASK_CSV_HEADER, (dataclasses.astuple(row) for row in record.task_rows)))
     _write_atomic(summary_path, summary)
 
 
@@ -350,11 +351,14 @@ def select_winner(cell_means: list[dict]) -> dict | None:
 
 
 def write_sweep_outputs(rows: list[dict], summary: dict, out_dir: str) -> None:
-    """Write sweep.csv (one line per row) and `run_sweep`'s summary as sweep_summary.json."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write sweep.csv (one line per row), then `run_sweep`'s summary, both encoded first."""
     keys = ("alpha", *GRIDS)
-    _write_csv(os.path.join(out_dir, "sweep.csv"),
-               "method," + ",".join(keys) + ",seed,total_avg_online_accuracy,status",
-               ((summary["method"], *(row.get(k, "") for k in keys), row["seed"],
-                 row["total_avg_online_accuracy"], row["status"]) for row in rows))
-    _write_atomic(os.path.join(out_dir, "sweep_summary.json"), _json(summary))
+    table = _csv("method," + ",".join(keys) + ",seed,total_avg_online_accuracy,status",
+                 ((summary["method"], *(row.get(k, "") for k in keys), row["seed"],
+                   row["total_avg_online_accuracy"], row["status"]) for row in rows))
+    text, summary_path = _json(summary), os.path.join(out_dir, "sweep_summary.json")
+    os.makedirs(out_dir, exist_ok=True)
+    if os.path.exists(summary_path):  # an earlier sweep's, which a failed write below would strand
+        os.remove(summary_path)
+    _write_atomic(os.path.join(out_dir, "sweep.csv"), table)
+    _write_atomic(summary_path, text)

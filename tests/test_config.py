@@ -53,8 +53,10 @@ def test_unknown_key_rejected(tmp_path):
     path = write(tmp_path, "stepsize = 3\n")
     with pytest.raises(ConfigError, match="stepsize"):
         parse_config(path)
-    # continual backprop has one utility, with a fixed decay, so their old keys are gone
-    for key, value in (("utility_kind", "contribution"), ("utility_decay", "0.5")):
+    # continual backprop has one utility, with a fixed decay, so their old keys are gone; so are
+    # the synthetic problems' input width and class count, fixed at 64 and 10
+    for key, value in (("utility_kind", "contribution"), ("utility_decay", "0.5"),
+                       ("classes", "3"), ("input_width", "784")):
         path = write(tmp_path, f"{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(path)
@@ -150,9 +152,8 @@ def test_run_config_fields_and_defaults_are_pinned():
         "replacement_rate": 1e-4, "maturity_threshold": 100,
         "problem": "permuted_mnist", "optimizer": "adam", "alpha": 1e-3, "seed": 0,
         "dataset_size": None, "num_tasks": None, "steps_per_task": None, "batch_size": 16,
-        "hidden_widths": None, "probe_size": 512, "input_width": 64, "classes": 10,
-        "mnist_images": None, "mnist_labels": None, "cifar_bin": None, "out": None,
-        "log_steps": False,
+        "hidden_widths": None, "probe_size": 512, "mnist_images": None, "mnist_labels": None,
+        "cifar_bin": None, "out": None, "log_steps": False,
     }
 
 
@@ -165,7 +166,7 @@ NON_DEFAULT = dict(
     method="l2_init", lam=0.5, shrink=0.25, noise=0.125, replacement_rate=1e-3,
     maturity_threshold=7, problem="synthetic_permuted", optimizer="sgd",
     alpha=0.25, seed=9, dataset_size=33, num_tasks=4, steps_per_task=5, batch_size=6,
-    hidden_widths=(7, 8), probe_size=9, input_width=10, classes=3, mnist_images="i.idx",
+    hidden_widths=(7, 8), probe_size=9, mnist_images="i.idx",
     mnist_labels="l.idx", cifar_bin="b.bin", out="o", log_steps=True,
 )
 

@@ -21,8 +21,10 @@ from plasticity_lab.nn import NetworkSpec, forward, init_params, loss_and_grad
 from plasticity_lab.optim import MethodConfig, apply_method_step, make_optimizer
 from plasticity_lab.problems import (
     CIFAR_RECORD_BYTES,
+    NUM_CLASSES,
     READ_BYTES,
     READ_CALL_BYTES,
+    SYNTHETIC_WIDTH,
     Dataset,
     TaskStream,
     load_cifar10_bin,
@@ -175,10 +177,10 @@ def test_subsample_too_large_rejected():
 
 # --- task construction -----------------------------------------------------------
 
-def synthetic_stream(transform="permute", n=32, k=6, m=10, seed=0, classes=10, width=12):
+def synthetic_stream(transform="permute", n=32, k=6, m=10, seed=0):
     problem = "synthetic_permuted" if transform == "permute" else "synthetic_random_label"
-    return build_stream(RunConfig(problem=problem, input_width=width, classes=classes,
-                                  dataset_size=n, num_tasks=k, steps_per_task=m, seed=seed))
+    return build_stream(RunConfig(problem=problem, dataset_size=n, num_tasks=k,
+                                  steps_per_task=m, seed=seed))
 
 
 @pytest.mark.parametrize("transform, shape, message", [
@@ -212,7 +214,7 @@ def test_permuted_tasks_permute_pixels_only():
 
 
 def test_relabel_tasks_keep_images_and_fix_labels_within_task():
-    stream = synthetic_stream("relabel", n=2000, width=784)
+    stream = synthetic_stream("relabel", n=2000)
     tracemalloc.start()
     try:
         task = make_task(stream, 2)
@@ -254,14 +256,14 @@ def test_batches_and_probes_are_c_ordered_base_rows(transform):
 
 
 def test_permuted_task_holds_no_copy_of_the_images():
-    stream = synthetic_stream("permute", n=2000, width=784)
+    stream = synthetic_stream("permute", n=2000)
     tracemalloc.start()
     try:
         task = make_task(stream, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert task.perm.shape == (784,)
+    assert task.perm.shape == (SYNTHETIC_WIDTH,)
     assert peak < stream.base.images.nbytes / 10, peak
 
 
@@ -273,7 +275,7 @@ def test_epoch_partitions_dataset():
     seen = []
     for step in range(2):
         x, y = next_batch(task, step)
-        assert x.shape == (16, 12)
+        assert x.shape == (16, SYNTHETIC_WIDTH)
         assert y.shape == (16,)
         seen.extend(map(tuple, x))
     assert len(seen) == 32
@@ -302,8 +304,8 @@ def test_epochs_reshuffle_but_are_deterministic():
 
 def test_shuffled_visits_give_the_sequential_batches():
     # 10 samples, batches of 4 (ragged): 3 batches/epoch, 12 epochs over 2 tasks
-    cfg = RunConfig(problem="synthetic_permuted", input_width=12, dataset_size=10,
-                    num_tasks=2, steps_per_task=18, batch_size=4)
+    cfg = RunConfig(problem="synthetic_permuted", dataset_size=10, num_tasks=2,
+                    steps_per_task=18, batch_size=4)
     stream = build_stream(cfg)
     steps = [(i, s) for i in range(cfg.num_tasks) for s in range(cfg.steps_per_task)]
     tasks = [make_task(stream, i) for i in range(cfg.num_tasks)]
@@ -327,9 +329,9 @@ def test_batch_count_totals():
 
 
 def test_relabel_label_marginals_within_5_sigma():
-    stream = synthetic_stream("relabel", n=1200, k=4, m=10, seed=99, width=8)
+    stream = synthetic_stream("relabel", n=1200, k=4, m=10, seed=99)
     task = make_task(stream, 1)
-    counts = np.bincount(task.labels, minlength=10)
+    counts = np.bincount(task.labels, minlength=NUM_CLASSES)
     expected = 120.0
     sigma = np.sqrt(1200 * 0.1 * 0.9)
     assert np.all(np.abs(counts - expected) < 5 * sigma)
@@ -686,9 +688,9 @@ def test_seed_isolation_changes_all_randomness():
 def test_synthetic_random_label_task_is_memorizable():
     # a small MLP should reach >90% online accuracy on 64 random-label samples
     # within 200 epochs (4 batches each)
-    stream = synthetic_stream("relabel", n=64, k=1, m=800, seed=7, width=16)
+    stream = synthetic_stream("relabel", n=64, k=1, m=800, seed=7)
     task = make_task(stream, 0)
-    spec = NetworkSpec(kind="mlp", input_shape=(16,), hidden_widths=(64, 64))
+    spec = NetworkSpec(kind="mlp", input_shape=(SYNTHETIC_WIDTH,), hidden_widths=(64, 64))
     params = init_params(spec, RngStream(7).split("init"))
     opt = make_optimizer("adam", 1e-3, params)
     cfg = MethodConfig(method="baseline")

@@ -192,19 +192,18 @@ def test_a_healthy_run_computes_the_exact_magnitude_once_per_task(monkeypatch):
 
 
 def test_a_bounded_vector_that_fails_the_sum_of_squares_test_runs_on(monkeypatch):
-    # 784-100-100-10: one 5e8 among 89,610 entries of 0.05 has mean |theta| ~ 5.6e3 < 1e6,
-    # but theta . theta = 2.5e17 exceeds 0.5 * 1e6**2 * 89,610 = 4.5e16
+    # 64-100-100-10: one 5e8 among 17,610 entries of 0.05 has mean |theta| ~ 2.8e4 < 1e6,
+    # but theta . theta = 2.5e17 exceeds 0.5 * 1e6**2 * 17,610 = 8.8e15
     def fill(theta):
         theta[:] = 0.05
         theta[0] = 5e8
     start_from(monkeypatch, fill)
     calls = count_exact_checks(monkeypatch)
-    record = run_experiment(desk_config(optimizer="sgd", alpha=1e-12, input_width=784,
-                                        hidden_widths=(100, 100), num_tasks=1,
-                                        steps_per_task=4))
+    record = run_experiment(desk_config(optimizer="sgd", alpha=1e-12, hidden_widths=(100, 100),
+                                        num_tasks=1, steps_per_task=4))
     assert not record.incomplete and record.steps_completed == 4
     assert len(calls) == 4 + 1  # the exact check before every step, then the task row
-    assert calls[0] == pytest.approx((5e8 + 89_609 * 0.05) / 89_610, rel=1e-12)
+    assert calls[0] == pytest.approx((5e8 + 17_609 * 0.05) / 17_610, rel=1e-12)
 
 
 @pytest.mark.parametrize("num_tasks", [1, 3])
@@ -478,10 +477,6 @@ def test_problem_table_sets_transform_network_and_widths(tmp_path, problem):
     assert set(PROBLEM_SHAPES) == set(PROBLEMS)
 
 
-def test_classes_set_the_output_width():
-    assert weight_shapes(desk_config(classes=3))["w2"] == (30, 3)
-
-
 def test_layer_norm_method_enables_normalization():
     rec = run_experiment(desk_config(method="layer_norm"))
     rec_base = run_experiment(desk_config())
@@ -619,6 +614,19 @@ def test_a_failed_write_over_an_earlier_run_leaves_no_summary(tmp_path):
     assert not (tmp_path / "summary.json").exists()
     steps = (tmp_path / "steps.csv").read_text().splitlines()
     assert len(steps) == 1 + len(record.per_step_accuracy)
+
+
+def test_a_failed_sweep_write_over_an_earlier_sweep_leaves_no_summary(tmp_path):
+    write_sweep_outputs(*run_sweep(desk_config(num_tasks=1, method="baseline"), 1), tmp_path)
+    assert json.loads((tmp_path / "sweep_summary.json").read_text())["method"] == "baseline"
+    rows, summary = run_sweep(desk_config(num_tasks=1, method="l2_init"), 1)
+    (tmp_path / f"sweep_summary.json.{os.getpid()}.tmp").mkdir()  # in the way of its write
+    with pytest.raises(OSError):
+        write_sweep_outputs(rows, summary, tmp_path)
+    # the baseline summary would describe the l2_init sweep.csv, which is already in place
+    assert not (tmp_path / "sweep_summary.json").exists()
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert {line.split(",")[0] for line in lines[1:]} == {"l2_init"} and len(lines) == 1 + 8
 
 
 def test_single_cell_sweep_wins(tmp_path):
@@ -877,8 +885,10 @@ def test_cli_usage_error_exit_code():
 
 @pytest.mark.parametrize("from_file", (False, True))
 def test_cli_removed_utility_kind_is_an_unknown_key(tmp_path, capsys, from_file):
-    # and the removed utility_decay: continual backprop's decay is fixed
-    for key, value in (("utility_kind", "contribution"), ("utility_decay", "0.5")):
+    # and the removed utility_decay: continual backprop's decay is fixed; and the synthetic
+    # problems' removed input width and class count, fixed at 64 and 10
+    for key, value in (("utility_kind", "contribution"), ("utility_decay", "0.5"),
+                       ("classes", "3"), ("input_width", "784")):
         args = ["run", f"out={tmp_path / 'o'}", "problem=synthetic_permuted"]
         if from_file:
             (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
@@ -928,9 +938,10 @@ def test_cli_dataset_size_beyond_the_file_is_a_usage_error(tmp_path, capsys):
 
 
 def test_cli_more_than_ten_classes_is_a_usage_error(tmp_path, capsys):
+    # every problem has 10 classes: the key that set the synthetic problems' count is gone
     code = main(["run", f"out={tmp_path / 'o'}", "problem=synthetic_permuted", "classes=12"])
     assert code == 1
-    assert "error: classes must be <= 10, got 12" in capsys.readouterr().err
+    assert "error: override 'classes=12': unknown key 'classes'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -1096,10 +1107,9 @@ def test_a_run_with_no_out_key_writes_and_echoes_the_default(tmp_path, monkeypat
 
 TOO_LONG = "steps_per_task=1000000000000000000"  # more entries than any numpy array may hold
 # every other array a config sizes, at the same 10**18: numpy refuses each without allocating it
-TOO_LARGE = ("dataset_size=1000000000000000000", "input_width=1000000000000000000",
-             "hidden_widths=1000000000000000000")
+TOO_LARGE = ("dataset_size=1000000000000000000", "hidden_widths=1000000000000000000")
 SET_UP = ["problem=synthetic_permuted", "num_tasks=1", "steps_per_task=3"]
-ALLOCATION_ERROR = "cannot allocate the arrays sized by dataset_size, input_width, hidden_widths "
+ALLOCATION_ERROR = "cannot allocate the arrays sized by dataset_size, hidden_widths "
 
 
 def assert_run_is_one_allocation_error(tmp_path, capsys, monkeypatch, setting):
